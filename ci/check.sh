@@ -30,6 +30,9 @@ diff -u lint-baseline.toml "$LINT_BASELINE"
 
 cargo build --release --workspace
 cargo test --workspace -q
+# The benchmark's own tests (perfbench is a separate package, outside the
+# workspace, so the workspace run above does not reach them).
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
 # Solver smoke check: solve the MWD assignment MILP warm and cold
@@ -81,7 +84,8 @@ rm -rf "$STORE_SMOKE"
     --trace-json "${TMPDIR:-/tmp}/sring_trace_smoke.json"
 ./target/release/sring-cli trace-check "${TMPDIR:-/tmp}/sring_trace_smoke.json" \
     --phase synth --phase synth/cluster --phase synth/layout \
-    --phase synth/assign --phase synth/assign/milp
+    --phase synth/assign --phase synth/assign/milp \
+    --phase synth/assign/milp/build
 
 # Delta smoke check: synthesize MWD, retarget one message, re-synthesize
 # incrementally and verify the result is byte-identical to a from-scratch

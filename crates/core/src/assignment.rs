@@ -395,18 +395,6 @@ fn assign_inner(
             Ok((assignment, next))
         }
         Some(opts) => {
-            // A context deadline caps the solver budget at what is left.
-            let clamped;
-            let opts = match ctx.remaining() {
-                Some(remaining) if remaining < opts.time_limit => {
-                    clamped = MilpOptions {
-                        time_limit: remaining,
-                        ..opts.clone()
-                    };
-                    &clamped
-                }
-                _ => opts,
-            };
             // A surviving incumbent replaces the heuristic as the MILP warm
             // vector only when it is still feasible on the edited problem and
             // scores no worse — the pool is sized from the warm vector, so a
@@ -426,7 +414,7 @@ fn assign_inner(
             let root_basis = warm.and_then(|w| w.root_basis.clone());
             let solved = {
                 let _span = trace.span("milp");
-                milp_assignment(problem, warm_vec, opts, root_basis)
+                milp_assignment(problem, warm_vec, opts, root_basis, ctx)
             };
             match solved {
                 Ok((wavelengths, optimal, stats, new_basis)) => {
@@ -674,52 +662,12 @@ fn partial_objective(problem: &AssignmentProblem, assignment: &[Wavelength]) -> 
     used.len() as f64 + il_smax + sum_il
 }
 
-/// The `Σ_λ il_max[λ]` term of Eq. 8 for a complete assignment: the sum
-/// over used wavelengths of the maximum member insertion loss, splitter
-/// penalties included (a source whose intra and inter senders share a
-/// wavelength taxes every path it drives). This is the exact quantity
-/// the MILP's `Σ il_max` takes at the corresponding integer point.
-fn sum_il_max(problem: &AssignmentProblem, assignment: &[Wavelength]) -> f64 {
-    const UNASSIGNED: Wavelength = Wavelength(usize::MAX);
-    let n = assignment.len();
-    let mut split = vec![false; problem.node_count];
-    for i in 0..n {
-        if !problem.paths[i].is_inter || assignment[i] == UNASSIGNED {
-            continue;
-        }
-        for j in 0..n {
-            if i != j
-                && !problem.paths[j].is_inter
-                && assignment[j] != UNASSIGNED
-                && problem.paths[i].src == problem.paths[j].src
-                && assignment[i] == assignment[j]
-            {
-                split[problem.paths[i].src.index()] = true;
-            }
-        }
-    }
-    let il = |i: usize| {
-        problem.paths[i].loss.0
-            + if split[problem.paths[i].src.index()] {
-                problem.splitter_loss.0
-            } else {
-                0.0
-            }
-    };
-    let used: BTreeSet<Wavelength> = assignment
-        .iter()
-        .copied()
-        .filter(|&w| w != Wavelength(usize::MAX))
-        .collect();
-    used.iter()
-        .map(|&w| {
-            (0..n)
-                .filter(|&i| assignment[i] == w)
-                .map(il)
-                .fold(0.0, f64::max)
-        })
-        .sum()
-}
+/// Steps one pigeonhole search attempt may take before it is abandoned
+/// and retried on a shorter guest prefix.
+const PIGEONHOLE_STEP_BUDGET: usize = 1_000_000;
+
+/// Pigeonhole search steps between two deadline polls.
+const DEADLINE_POLL_STEPS: usize = 4096;
 
 /// Exact guaranteed `Σ il_max` surplus over a clique's loss sum when the
 /// wavelength count equals the clique size (the pigeonhole cut in
@@ -735,27 +683,42 @@ fn sum_il_max(problem: &AssignmentProblem, assignment: &[Wavelength]) -> f64 {
 /// so truncating the guest list keeps the bound valid). Returns `+∞`
 /// when some outside path conflicts with every member — `wl_count = |C|`
 /// is then itself infeasible.
-fn pigeonhole_surplus(problem: &AssignmentProblem, set: &[usize]) -> f64 {
-    let loss = |s: usize| problem.paths[s].loss.0;
-    let conflict = |a: usize, b: usize| problem.conflicts[a].binary_search(&b).is_ok();
+///
+/// The search polls the context deadline every [`DEADLINE_POLL_STEPS`]
+/// steps and gives up with [`DeadlineExceeded`] once it has lapsed; the
+/// caller then posts no pigeonhole row, which only forgoes a tightening.
+/// Steps and attempts land on the `assign/pigeonhole_{steps,attempts}`
+/// counters.
+fn pigeonhole_surplus(
+    problem: &AssignmentProblem,
+    set: &[usize],
+    ctx: &ExecCtx,
+) -> Result<f64, DeadlineExceeded> {
+    let mut search = HostingSearch::new(problem, set, ctx);
     // Guests that must pay a surplus at every compatible host.
-    let mut guests: Vec<(f64, usize, Vec<usize>)> = Vec::new(); // (min gain, t, hosts)
+    let mut guests: Vec<Guest> = Vec::new();
     for t in 0..problem.paths.len() {
         if set.contains(&t) {
             continue;
         }
-        let hosts: Vec<usize> = (0..set.len()).filter(|&i| !conflict(t, set[i])).collect();
+        let hosts: Vec<usize> = (0..set.len())
+            .filter(|&i| !search.conflicts(t, set[i]))
+            .collect();
         if hosts.is_empty() {
-            return f64::INFINITY;
+            return Ok(f64::INFINITY);
         }
-        let min_gain = hosts
+        let gain = hosts
             .iter()
-            .map(|&i| loss(t).max(loss(set[i])) - loss(set[i]))
+            .map(|&i| search.loss[t].max(search.loss[set[i]]) - search.loss[set[i]])
             .fold(f64::INFINITY, f64::min);
-        guests.push((min_gain, t, hosts));
+        guests.push(Guest {
+            gain,
+            path: t,
+            hosts,
+        });
     }
     if guests.is_empty() {
-        return 0.0;
+        return Ok(0.0);
     }
     // Largest individual gains first: strongest pruning, and the order in
     // which truncation (the fallback below) keeps the most information.
@@ -763,115 +726,355 @@ fn pigeonhole_surplus(problem: &AssignmentProblem, set: &[usize]) -> f64 {
     // them onto costly hosts — so they stay in the search, heaviest
     // first.
     guests.sort_by(|a, b| {
-        b.0.total_cmp(&a.0)
-            .then_with(|| loss(b.1).total_cmp(&loss(a.1)))
-            .then(a.1.cmp(&b.1))
+        b.gain
+            .total_cmp(&a.gain)
+            .then_with(|| search.loss[b.path].total_cmp(&search.loss[a.path]))
+            .then(a.path.cmp(&b.path))
     });
 
-    // DFS over host assignments, tracking each host's guest-loss maximum.
-    // The step budget bounds the exhaustive search; `None` means it was
-    // exceeded and the caller must retry on a relaxed guest list.
-    #[allow(clippy::too_many_arguments)] // recursion over the enclosing fn's locals
-    fn dfs(
-        problem: &AssignmentProblem,
-        guests: &[(f64, usize, Vec<usize>)],
-        k: usize,
-        set: &[usize],
-        occupants: &mut Vec<Vec<usize>>,
-        loss: &dyn Fn(usize) -> f64,
-        conflict: &dyn Fn(usize, usize) -> bool,
-        total: f64,
-        best: &mut f64,
-        steps: &mut usize,
-    ) -> Option<()> {
-        if *steps == 0 {
-            return None;
-        }
-        *steps -= 1;
-        if total >= *best {
-            return Some(());
-        }
-        let Some((_, t, hosts)) = guests.get(k) else {
-            // Leaf: score the hosting exactly, splitter penalties
-            // included — the splitterless running `total` is only the
-            // optimistic bound used for pruning. Guests beyond a
-            // truncated list stay unassigned, which can only lower the
-            // score (fewer co-locations, fewer maxima), keeping the
-            // minimum a valid bound.
-            let mut assignment = vec![Wavelength(usize::MAX); problem.paths.len()];
-            let mut base = 0.0;
-            for (i, &c) in set.iter().enumerate() {
-                assignment[c] = Wavelength(i);
-                base += loss(c);
-                for &g in &occupants[i] {
-                    assignment[g] = Wavelength(i);
-                }
-            }
-            let surplus = sum_il_max(problem, &assignment) - base;
-            if surplus < *best {
-                *best = surplus;
-            }
-            return Some(());
-        };
-        for &i in hosts {
-            if occupants[i].iter().any(|&q| conflict(*t, q)) {
-                continue;
-            }
-            let host_loss = loss(set[i]);
-            let old = occupants[i]
-                .iter()
-                .map(|&q| loss(q))
-                .fold(host_loss, f64::max);
-            let delta = loss(*t).max(old) - old;
-            occupants[i].push(*t);
-            let r = dfs(
-                problem,
-                guests,
-                k + 1,
-                set,
-                occupants,
-                loss,
-                conflict,
-                total + delta,
-                best,
-                steps,
-            );
-            occupants[i].pop();
-            r?;
-        }
-        Some(())
-    }
     // Exhausting the step budget means the best-so-far is only an upper
     // bound on the hosting minimum — unusable. Dropping trailing guests
     // relaxes the problem (a smaller minimum, still valid), so retry on
     // ever-shorter prefixes until the search completes; the empty prefix
-    // trivially does.
+    // trivially does. A lapsed deadline ends the retries outright.
+    let trace = ctx.trace();
     let mut len = guests.len();
-    // onoc-lint: allow(L9, reason = "bounded: each retry shortens the guest prefix and the empty prefix always completes; every attempt is capped by the DFS step budget")
     loop {
-        let mut best = f64::INFINITY;
-        let mut occupants = vec![Vec::new(); set.len()];
-        let mut steps = 1_000_000usize;
-        if dfs(
-            problem,
-            &guests[..len],
-            0,
-            set,
-            &mut occupants,
-            &loss,
-            &conflict,
-            0.0,
-            &mut best,
-            &mut steps,
-        )
-        .is_some()
-        {
-            // Every branch infeasible: the guests cannot be hosted at
-            // all, so wl_count = |C| is infeasible outright.
-            return best;
+        trace.incr("assign/pigeonhole_attempts", 1);
+        let attempt = search.attempt(&guests[..len]);
+        trace.incr(
+            "assign/pigeonhole_steps",
+            (PIGEONHOLE_STEP_BUDGET - search.steps) as u64,
+        );
+        match attempt {
+            // Every branch infeasible leaves `+∞`: the guests cannot be
+            // hosted at all, so wl_count = |C| is infeasible outright.
+            Ok(best) => return Ok(best),
+            Err(Abort::Budget) => len = len.saturating_sub(2),
+            Err(Abort::Deadline(lapsed)) => return Err(lapsed),
         }
-        len = len.saturating_sub(2);
     }
+}
+
+/// An outside path of a pigeonhole clique and the members it may share a
+/// wavelength with.
+struct Guest {
+    /// The smallest surplus the guest adds on its own at any host.
+    gain: f64,
+    /// The guest's path index.
+    path: usize,
+    /// Indices into the clique of the members it does not conflict with.
+    hosts: Vec<usize>,
+}
+
+/// Why a pigeonhole search attempt stopped before completing.
+enum Abort {
+    /// The attempt used up [`PIGEONHOLE_STEP_BUDGET`].
+    Budget,
+    /// The context deadline lapsed.
+    Deadline(DeadlineExceeded),
+}
+
+/// The depth-first search behind [`pigeonhole_surplus`]: guests are
+/// placed in order on their compatible hosts, one step per `dfs` entry
+/// (pruned entries and leaves included). Every per-host quantity is kept
+/// incrementally and restored on backtrack — the members (host plus
+/// guests) as a bitset over path indices, their loss maximum, and the
+/// intra and inter sender nodes as bitsets over node indices — and so is
+/// the splitter state: per node, the number of hosts where its intra and
+/// inter senders meet, and the paths of the nodes where that number is
+/// nonzero (the paths a splitter taxes). A step costs a few words per
+/// host and a leaf allocates nothing. A leaf scores a host from its
+/// running maximum unless it has a taxed member; only then does it scan
+/// the host's members.
+///
+/// The arithmetic reproduces the exact scoring of the hosting as a full
+/// wavelength vector: the pruning bound sums splitterless maximum
+/// increments in placement order, and a leaf sums each host's
+/// splitter-aware maximum in clique order minus the clique's loss sum
+/// (itself summed in clique order), so results are bit-for-bit those of
+/// evaluating `Σ il_max` over the hosting.
+struct HostingSearch<'a> {
+    set: &'a [usize],
+    ctx: &'a ExecCtx,
+    /// Path losses `L_s`.
+    loss: Vec<f64>,
+    /// Path source nodes.
+    src: Vec<usize>,
+    /// Path ring roles (`true` for inter).
+    is_inter: Vec<bool>,
+    /// The splitter loss `L_sp`.
+    splitter_loss: f64,
+    /// Words per path bitset.
+    words: usize,
+    /// Words per node bitset.
+    node_words: usize,
+    /// Row `s` (`words` words) holds the conflict partners of path `s`.
+    conflict: Vec<u64>,
+    /// Row `v` holds the paths sent by node `v`.
+    node_paths: Vec<u64>,
+    /// `Σ_C L_c`, summed in clique order.
+    base: f64,
+    /// Row `h` holds host `h`'s clique member and its guests.
+    members: Vec<u64>,
+    /// Per host: the loss maximum over the host and its guests, folded
+    /// in placement order.
+    host_max: Vec<f64>,
+    /// Row `2h` (`node_words` words) holds the source nodes of the intra
+    /// paths on host `h`'s wavelength, row `2h + 1` those of the inter
+    /// paths.
+    senders: Vec<u64>,
+    /// Per node: the number of hosts on which its intra and inter
+    /// senders meet.
+    split_at: Vec<u32>,
+    /// The paths of the nodes with a nonzero `split_at`.
+    taxed: Vec<u64>,
+    /// Smallest leaf surplus found in the current attempt.
+    best: f64,
+    /// Steps left in the current attempt.
+    steps: usize,
+}
+
+impl<'a> HostingSearch<'a> {
+    fn new(problem: &'a AssignmentProblem, set: &'a [usize], ctx: &'a ExecCtx) -> Self {
+        let n = problem.paths.len();
+        let words = n.div_ceil(64);
+        let node_words = problem.node_count.div_ceil(64);
+        let mut conflict = vec![0; n * words];
+        for (s, partners) in problem.conflicts.iter().enumerate() {
+            for &q in partners {
+                conflict[s * words + q / 64] |= 1 << (q % 64);
+            }
+        }
+        let mut node_paths = vec![0; problem.node_count * words];
+        for (s, p) in problem.paths.iter().enumerate() {
+            node_paths[p.src.index() * words + s / 64] |= 1 << (s % 64);
+        }
+        let loss: Vec<f64> = problem.paths.iter().map(|p| p.loss.0).collect();
+        let mut base = 0.0;
+        for &c in set {
+            base += loss[c];
+        }
+        HostingSearch {
+            set,
+            ctx,
+            loss,
+            src: problem.paths.iter().map(|p| p.src.index()).collect(),
+            is_inter: problem.paths.iter().map(|p| p.is_inter).collect(),
+            splitter_loss: problem.splitter_loss.0,
+            words,
+            node_words,
+            conflict,
+            node_paths,
+            base,
+            members: vec![0; set.len() * words],
+            host_max: vec![0.0; set.len()],
+            senders: vec![0; set.len() * 2 * node_words],
+            split_at: vec![0; problem.node_count],
+            taxed: vec![0; words],
+            best: f64::INFINITY,
+            steps: 0,
+        }
+    }
+
+    fn conflicts(&self, a: usize, b: usize) -> bool {
+        self.conflict[a * self.words + b / 64] >> (b % 64) & 1 != 0
+    }
+
+    /// Index into `senders` of the word holding path `s`'s source node
+    /// among host `h`'s senders of the given role, plus the node's bit.
+    fn sender_slot(&self, h: usize, inter: bool, s: usize) -> (usize, u64) {
+        let node = self.src[s];
+        let row = 2 * h + usize::from(inter);
+        (row * self.node_words + node / 64, 1 << (node % 64))
+    }
+
+    /// One full search over `guests` from empty hosts with a fresh step
+    /// budget; the minimum surplus on completion.
+    fn attempt(&mut self, guests: &[Guest]) -> Result<f64, Abort> {
+        self.members.fill(0);
+        self.senders.fill(0);
+        self.split_at.fill(0);
+        self.taxed.fill(0);
+        for (h, &c) in self.set.iter().enumerate() {
+            self.members[h * self.words + c / 64] |= 1 << (c % 64);
+            self.host_max[h] = self.loss[c];
+            let (slot, bit) = self.sender_slot(h, self.is_inter[c], c);
+            self.senders[slot] |= bit;
+        }
+        self.best = f64::INFINITY;
+        self.steps = PIGEONHOLE_STEP_BUDGET;
+        self.dfs(guests, 0, 0.0)?;
+        Ok(self.best)
+    }
+
+    fn dfs(&mut self, guests: &[Guest], k: usize, total: f64) -> Result<(), Abort> {
+        if self.steps == 0 {
+            return Err(Abort::Budget);
+        }
+        self.steps -= 1;
+        if (PIGEONHOLE_STEP_BUDGET - self.steps).is_multiple_of(DEADLINE_POLL_STEPS) {
+            self.ctx.check_deadline().map_err(Abort::Deadline)?;
+        }
+        if total >= self.best {
+            return Ok(());
+        }
+        let Some(guest) = guests.get(k) else {
+            // Leaf: score the hosting exactly, splitter penalties
+            // included — the splitterless running `total` is only the
+            // optimistic bound used for pruning. Guests beyond a
+            // truncated list stay unplaced, which can only lower the
+            // score (fewer co-locations, fewer maxima), keeping the
+            // minimum a valid bound.
+            let surplus = self.leaf_surplus();
+            if surplus < self.best {
+                self.best = surplus;
+            }
+            return Ok(());
+        };
+        let t = guest.path;
+        let w = self.words;
+        let (word, bit) = (t / 64, 1 << (t % 64));
+        let (inter, node) = (self.is_inter[t], self.src[t]);
+        for &h in &guest.hosts {
+            // The host itself never conflicts with `t` (it is one of
+            // `t`'s hosts), so this tests the guests already there.
+            let row = &self.conflict[t * w..(t + 1) * w];
+            let placed = &self.members[h * w..(h + 1) * w];
+            if row.iter().zip(placed).any(|(a, b)| a & b != 0) {
+                continue;
+            }
+            let old = self.host_max[h];
+            let delta = self.loss[t].max(old) - old;
+            let (own, node_bit) = self.sender_slot(h, inter, t);
+            let (other, _) = self.sender_slot(h, !inter, t);
+            let saved = self.senders[own];
+            // The guest's node meets a sender of the other role here for
+            // the first time: one more host where it needs a splitter.
+            let splits = saved & node_bit == 0 && self.senders[other] & node_bit != 0;
+            self.members[h * w + word] |= bit;
+            self.host_max[h] = old.max(self.loss[t]);
+            self.senders[own] |= node_bit;
+            if splits {
+                self.split_at[node] += 1;
+                if self.split_at[node] == 1 {
+                    self.set_taxed(node, true);
+                }
+            }
+            let r = self.dfs(guests, k + 1, total + delta);
+            if splits {
+                self.split_at[node] -= 1;
+                if self.split_at[node] == 0 {
+                    self.set_taxed(node, false);
+                }
+            }
+            self.senders[own] = saved;
+            self.host_max[h] = old;
+            self.members[h * w + word] &= !bit;
+            r?;
+        }
+        Ok(())
+    }
+
+    /// Adds node `v`'s paths to the taxed set, or removes them.
+    fn set_taxed(&mut self, v: usize, on: bool) {
+        let paths = &self.node_paths[v * self.words..(v + 1) * self.words];
+        for (taxed, &p) in self.taxed.iter_mut().zip(paths) {
+            if on {
+                *taxed |= p;
+            } else {
+                *taxed &= !p;
+            }
+        }
+    }
+
+    /// `Σ il_max − Σ_C L_c` of the current hosting. A source node whose
+    /// intra and inter senders share a host's wavelength needs a
+    /// splitter, which taxes every path it drives, on every wavelength.
+    fn leaf_surplus(&self) -> f64 {
+        let w = self.words;
+        let hosted: f64 = (0..self.set.len())
+            .map(|h| {
+                let members = &self.members[h * w..(h + 1) * w];
+                if members.iter().zip(&self.taxed).all(|(m, t)| m & t == 0) {
+                    // `+ 0.0` mirrors the splitterless `L_s + 0` of the
+                    // exact scoring (it only normalizes a negative zero).
+                    return 0.0f64.max(self.host_max[h] + 0.0);
+                }
+                // A maximum does not depend on the scan order.
+                let mut max = 0.0f64;
+                for (i, (&word, &taxed)) in members.iter().zip(&self.taxed).enumerate() {
+                    let mut rest = word;
+                    for _ in 0..word.count_ones() {
+                        let bit = rest & rest.wrapping_neg();
+                        rest ^= bit;
+                        let s = i * 64 + bit.trailing_zeros() as usize;
+                        let tax = if taxed & bit != 0 {
+                            self.splitter_loss
+                        } else {
+                            0.0
+                        };
+                        max = max.max(self.loss[s] + tax);
+                    }
+                }
+                max
+            })
+            .sum();
+        hosted - self.base
+    }
+}
+
+/// The maximal channel cliques: for every waveguide channel, the paths
+/// occupying it (they mutually conflict — that is how `conflicts` is
+/// derived), deduplicated, with cliques contained in another dropped
+/// (their rows would be implied).
+fn channel_cliques(problem: &AssignmentProblem) -> Vec<Vec<usize>> {
+    let mut by_channel: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
+    for (s, p) in problem.paths.iter().enumerate() {
+        for &c in &p.channels {
+            by_channel.entry(c).or_default().push(s);
+        }
+    }
+    let mut sets: Vec<Vec<usize>> = by_channel.into_values().collect();
+    for set in &mut sets {
+        set.dedup();
+    }
+    sets.sort();
+    sets.dedup();
+    sets.iter()
+        .filter(|c| {
+            !sets
+                .iter()
+                .any(|o| o.len() > c.len() && c.iter().all(|s| o.binary_search(s).is_ok()))
+        })
+        .cloned()
+        .collect()
+}
+
+/// The sets the clique loss cuts (and their pigeonhole tightenings) are
+/// posted for: every maximal channel clique plus every path in none
+/// (the singleton case), heaviest total loss first, keeping two. Each
+/// cut row is dense in the il_max block, and a pile of near-parallel
+/// dense rows makes the warm dual re-solves heavily degenerate; the
+/// bound lift is concentrated in the heaviest cliques.
+fn loss_cut_sets(problem: &AssignmentProblem, cliques: &[Vec<usize>]) -> Vec<Vec<usize>> {
+    let mut covered = vec![false; problem.paths.len()];
+    for &s in cliques.iter().flatten() {
+        covered[s] = true;
+    }
+    let mut cut_sets: Vec<Vec<usize>> = cliques.to_vec();
+    for (s, &cov) in covered.iter().enumerate() {
+        if !cov {
+            cut_sets.push(vec![s]);
+        }
+    }
+    cut_sets.sort_by(|a, b| {
+        let la: f64 = a.iter().map(|&s| problem.paths[s].loss.0).sum();
+        let lb: f64 = b.iter().map(|&s| problem.paths[s].loss.0).sum();
+        lb.total_cmp(&la)
+    });
+    cut_sets.truncate(2);
+    cut_sets
 }
 
 /// What `milp_assignment` hands back: the wavelength vector, whether
@@ -881,12 +1084,18 @@ type MilpSolved = (Vec<Wavelength>, bool, SolveStats, Option<Arc<Basis>>);
 
 /// Builds and solves the paper's MILP. Returns the wavelength vector and
 /// whether optimality (over the offered pool) was proven.
+///
+/// The model build runs under a `build` span and polls the context
+/// deadline inside the pigeonhole search; the solver's time limit is
+/// then capped at what the deadline leaves after the build.
 fn milp_assignment(
     problem: &AssignmentProblem,
     warm: &[Wavelength],
     opts: &MilpOptions,
     root_basis: Option<Arc<Basis>>,
+    ctx: &ExecCtx,
 ) -> Result<MilpSolved, ModelError> {
+    let build = ctx.trace().span("build");
     let n = problem.paths.len();
     let heuristic_wl = warm.iter().map(|w| w.index() + 1).max().unwrap_or(1);
     let pool = (heuristic_wl + opts.pool_slack).min(n.max(1));
@@ -936,32 +1145,7 @@ fn milp_assignment(
     // tighter than the pairwise one (a fractional spread over k
     // conflicting paths must still buy a full wavelength), which is what
     // lets branch and bound close VOPD/MPEG-sized trees.
-    let mut cliques: Vec<Vec<usize>> = {
-        let mut by_channel: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
-        for (s, p) in problem.paths.iter().enumerate() {
-            for &c in &p.channels {
-                by_channel.entry(c).or_default().push(s);
-            }
-        }
-        let mut sets: Vec<Vec<usize>> = by_channel.into_values().collect();
-        for set in &mut sets {
-            set.dedup();
-        }
-        sets.sort();
-        sets.dedup();
-        sets
-    };
-    // Drop cliques contained in another (their rows are implied).
-    cliques = {
-        let all = cliques.clone();
-        cliques
-            .into_iter()
-            .filter(|c| {
-                !all.iter()
-                    .any(|o| o.len() > c.len() && c.iter().all(|s| o.binary_search(s).is_ok()))
-            })
-            .collect()
-    };
+    let cliques = channel_cliques(problem);
     let mut covered = vec![false; n];
     for clique in &cliques {
         for &s in clique {
@@ -989,26 +1173,9 @@ fn milp_assignment(
     //     Σ_λ il_max[λ] ≥ Σ_{s∈C} (L_s + b_sp(src(s))·L_sp).
     // Redundant at integer points but a large lift for the LP
     // relaxation, where Σ il_max otherwise collapses toward zero under
-    // fractional b. Posted per maximal channel clique and per uncovered
-    // path (the singleton case).
+    // fractional b. Posted for the sets `loss_cut_sets` picks.
     {
-        let mut cut_sets: Vec<Vec<usize>> = cliques.clone();
-        for (s, &cov) in covered.iter().enumerate() {
-            if !cov {
-                cut_sets.push(vec![s]);
-            }
-        }
-        // Each cut row is dense in the il_max block, and a pile of
-        // near-parallel dense rows makes the warm dual re-solves heavily
-        // degenerate. The bound lift is concentrated in the heaviest
-        // cliques, so keep only the strongest few by total loss.
-        cut_sets.sort_by(|a, b| {
-            let la: f64 = a.iter().map(|&s| problem.paths[s].loss.0).sum();
-            let lb: f64 = b.iter().map(|&s| problem.paths[s].loss.0).sum();
-            lb.total_cmp(&la)
-        });
-        cut_sets.truncate(2);
-        for set in cut_sets {
+        for set in loss_cut_sets(problem, &cliques) {
             let mut row: Vec<(milp_solver::Var, f64)> = il_max.iter().map(|&v| (v, 1.0)).collect();
             let mut rhs = 0.0;
             for &s in &set {
@@ -1035,7 +1202,10 @@ fn milp_assignment(
             // the whole clique loss sum onto one il_max and dodges the
             // second-order pigeonhole cost entirely.
             let base_sum: f64 = set.iter().map(|&s| problem.paths[s].loss.0).sum();
-            let gain = pigeonhole_surplus(problem, &set);
+            let Ok(gain) = pigeonhole_surplus(problem, &set, ctx) else {
+                // The deadline lapsed mid-search: post no tightening.
+                continue;
+            };
             if gain.is_infinite() {
                 // Some outside path conflicts with every clique member:
                 // |C| wavelengths can never suffice.
@@ -1162,8 +1332,13 @@ fn milp_assignment(
         }
         panic!("heuristic warm start must satisfy the MILP");
     }
+    drop(build);
+    // A context deadline caps the solver budget at what is left.
+    let time_limit = ctx
+        .remaining()
+        .map_or(opts.time_limit, |remaining| remaining.min(opts.time_limit));
     let mut options = MilpSolveOptions::default()
-        .with_time_limit(opts.time_limit)
+        .with_time_limit(time_limit)
         .with_node_limit(opts.node_limit)
         .with_threads(opts.threads)
         .with_warm_basis(opts.warm_basis)
@@ -1394,6 +1569,84 @@ mod tests {
             })
         }
 
+        /// At most eight paths on two short rings over three sources, so
+        /// cliques, co-location conflicts and shared sources are common
+        /// and every hosting can be enumerated.
+        fn arb_small_problem() -> impl Strategy<Value = AssignmentProblem> {
+            proptest::collection::vec(
+                (
+                    0usize..3,     // src node
+                    any::<bool>(), // is_inter
+                    0.0f64..5.0,   // extra loss
+                    0usize..2,     // ring
+                    0usize..4,     // first segment
+                    1usize..3,     // span
+                ),
+                1..9,
+            )
+            .prop_map(|raw| {
+                let paths = raw
+                    .into_iter()
+                    .map(|(src, is_inter, loss, ring, seg, span)| AssignPath {
+                        src: NodeId(src),
+                        is_inter,
+                        loss: Decibels(3.4 + loss),
+                        channels: (0..span).map(|k| (ring, (seg + k) % 4)).collect(),
+                    })
+                    .collect();
+                AssignmentProblem::new(3, paths, Decibels(3.1))
+            })
+        }
+
+        /// Test oracle for [`pigeonhole_surplus`]: the minimum of
+        /// `Σ il_max − Σ_C L_c` over every collision-free hosting of all
+        /// outside paths on the clique's wavelengths, each scored as a
+        /// full wavelength vector.
+        fn brute_force_surplus(problem: &AssignmentProblem, set: &[usize]) -> f64 {
+            let n = problem.paths().len();
+            let outside: Vec<usize> = (0..n).filter(|t| !set.contains(t)).collect();
+            let base: f64 = set.iter().map(|&c| problem.paths()[c].loss.0).sum();
+            let mut wavelengths = vec![Wavelength(0); n];
+            for (i, &c) in set.iter().enumerate() {
+                wavelengths[c] = Wavelength(i);
+            }
+            let mut best = f64::INFINITY;
+            for code in 0..set.len().pow(outside.len() as u32) {
+                let mut rest = code;
+                for &t in &outside {
+                    wavelengths[t] = Wavelength(rest % set.len());
+                    rest /= set.len();
+                }
+                if problem.is_collision_free(&wavelengths) {
+                    best = best.min(sum_il_max(problem, &wavelengths) - base);
+                }
+            }
+            best
+        }
+
+        /// The `Σ_λ il_max[λ]` term of Eq. 8, splitter penalties included.
+        fn sum_il_max(problem: &AssignmentProblem, wavelengths: &[Wavelength]) -> f64 {
+            let split = problem.node_splitters(wavelengths);
+            let il = |i: usize| {
+                let p = &problem.paths()[i];
+                p.loss.0
+                    + if split[p.src.index()] {
+                        problem.splitter_loss.0
+                    } else {
+                        0.0
+                    }
+            };
+            let used: BTreeSet<Wavelength> = wavelengths.iter().copied().collect();
+            used.iter()
+                .map(|&w| {
+                    (0..wavelengths.len())
+                        .filter(|&i| wavelengths[i] == w)
+                        .map(il)
+                        .fold(0.0, f64::max)
+                })
+                .sum()
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -1424,6 +1677,21 @@ mod tests {
                 let m = assign(&problem, &AssignmentStrategy::Milp(opts)).unwrap();
                 prop_assert!(problem.is_collision_free(&m.wavelengths));
                 prop_assert!(m.objective <= h.objective + 1e-9);
+            }
+
+            #[test]
+            fn prop_pigeonhole_surplus_matches_brute_force(problem in arb_small_problem()) {
+                for set in channel_cliques(&problem) {
+                    let fast = pigeonhole_surplus(&problem, &set, &ExecCtx::new()).unwrap();
+                    let exact = brute_force_surplus(&problem, &set);
+                    prop_assert!(
+                        fast == exact || (fast - exact).abs() < 1e-9,
+                        "clique {:?}: search {} vs enumeration {}",
+                        set,
+                        fast,
+                        exact
+                    );
+                }
             }
 
             #[test]
@@ -1503,6 +1771,93 @@ mod tests {
         let m = assign(&problem, &AssignmentStrategy::Milp(MilpOptions::default())).unwrap();
         assert!(problem.is_collision_free(&m.wavelengths));
         assert!(m.objective <= h.objective + 1e-9);
+    }
+
+    /// The assignment instance synthesis builds for `bench` under the
+    /// default configuration.
+    fn synthesis_problem(bench: onoc_graph::benchmarks::Benchmark) -> AssignmentProblem {
+        use crate::stages::{run_stage, ClusterStage, LayoutStage, RouteStage};
+        let app = bench.graph();
+        let config = crate::SringConfig::default();
+        let ctx = ExecCtx::new();
+        let clustering = run_stage(
+            &ctx,
+            &ClusterStage {
+                app: &app,
+                config: &config,
+            },
+        )
+        .unwrap();
+        let layout = run_stage(
+            &ctx,
+            &LayoutStage {
+                app: &app,
+                config: &config,
+                clustering: &clustering,
+            },
+        )
+        .unwrap();
+        let route = run_stage(
+            &ctx,
+            &RouteStage {
+                app: &app,
+                config: &config,
+                clustering: &clustering,
+                layout: &layout,
+            },
+        )
+        .unwrap();
+        AssignmentProblem::new(
+            app.node_count(),
+            route.assign_paths.clone(),
+            config.tech.splitter_loss(),
+        )
+    }
+
+    /// The gains of the two posted pigeonhole cuts, in posting order.
+    fn posted_gains(problem: &AssignmentProblem) -> Vec<f64> {
+        loss_cut_sets(problem, &channel_cliques(problem))
+            .iter()
+            .map(|set| pigeonhole_surplus(problem, set, &ExecCtx::new()).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn pigeonhole_surplus_pinned_on_tracked_benchmarks() {
+        // The exact gains (bit patterns) behind the pigeonhole rows of the
+        // four tracked MILP benchmarks. Any change to these moves the
+        // model, and with it the branch-and-bound tree and the designs.
+        use onoc_graph::benchmarks::Benchmark;
+        for (bench, expected) in [
+            (Benchmark::Mwd, [2.8400000000000007, 2.8400000000000007]),
+            (Benchmark::Vopd, [1.3000000000000007, 1.8249999999999993]),
+            (Benchmark::Mpeg, [0.5150000000000006, 1.3200000000000003]),
+            (Benchmark::Pm8x24, [0.259999999999998, 0.259999999999998]),
+        ] {
+            let gains = posted_gains(&synthesis_problem(bench));
+            let bits: Vec<u64> = gains.iter().map(|g| g.to_bits()).collect();
+            let expected_bits: Vec<u64> = expected.iter().map(|g: &f64| g.to_bits()).collect();
+            assert_eq!(bits, expected_bits, "{}: gains {gains:?}", bench.name());
+        }
+    }
+
+    #[test]
+    fn pigeonhole_search_yields_to_a_lapsed_deadline() {
+        // MPEG's first cut set takes far more than one poll interval of
+        // steps, so an already-lapsed deadline stops it at the first poll.
+        let problem = synthesis_problem(onoc_graph::benchmarks::Benchmark::Mpeg);
+        let set = &loss_cut_sets(&problem, &channel_cliques(&problem))[0];
+        let trace = Trace::new();
+        let ctx = ExecCtx::new()
+            .with_trace(trace.clone())
+            .with_deadline(std::time::Instant::now());
+        assert!(pigeonhole_surplus(&problem, set, &ctx).is_err());
+        let report = trace.report();
+        assert_eq!(report.counter("assign/pigeonhole_attempts"), Some(1));
+        assert_eq!(
+            report.counter("assign/pigeonhole_steps"),
+            Some(DEADLINE_POLL_STEPS as u64)
+        );
     }
 
     #[test]
