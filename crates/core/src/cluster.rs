@@ -204,6 +204,10 @@ pub fn conventional_upper_bound(graph: &CommGraph) -> Millimeters {
 /// it guarantees the `L_max` search space contains a valid solution.
 #[must_use]
 pub fn one_way_upper_bound(graph: &CommGraph) -> Millimeters {
+    one_way_bound(graph, &mut RingEval::new(graph))
+}
+
+fn one_way_bound(graph: &CommGraph, ev: &mut RingEval) -> Millimeters {
     if graph.node_count() < 2 || graph.message_count() == 0 {
         return Millimeters(0.0);
     }
@@ -212,10 +216,9 @@ pub fn one_way_upper_bound(graph: &CommGraph) -> Millimeters {
     let Ok(ring) = Cycle::new(order) else {
         return Millimeters(0.0);
     };
-    let dist = |a: NodeId, b: NodeId| graph.manhattan(a, b).0;
     let msgs: Vec<(NodeId, NodeId)> = graph.messages().iter().map(|m| (m.src, m.dst)).collect();
-    let (_, worst) = best_orientation(&ring, &msgs, &dist);
-    Millimeters(worst)
+    ev.load(ring.nodes());
+    Millimeters(ev.orientation(&msgs).1)
 }
 
 /// Runs the full clustering algorithm (paper Fig. 4) and returns the valid
@@ -251,8 +254,21 @@ pub fn cluster_ctx(
     if graph.message_count() == 0 {
         return Err(ClusterError::NoMessages);
     }
+    let mut ev = RingEval::new(graph);
+    let result = search_l_max(graph, config, ctx, &mut ev);
+    ctx.trace().incr("cluster/ring_evals", ev.evals);
+    result
+}
+
+/// The `L_max` search of [`cluster_ctx`], on one shared evaluator.
+fn search_l_max(
+    graph: &CommGraph,
+    config: &ClusteringConfig,
+    ctx: &ExecCtx,
+    ev: &mut RingEval,
+) -> Result<Clustering, ClusterError> {
     let d1 = graph.max_communicating_distance().0;
-    let d2 = one_way_upper_bound(graph).0.max(d1);
+    let d2 = one_way_bound(graph, ev).0.max(d1);
     let count = (1usize << config.tree_height) - 1;
     let candidate = |k: usize| {
         if count == 1 {
@@ -292,12 +308,12 @@ pub fn cluster_ctx(
     // candidates) and keeps the best — exhaustive over the same candidate
     // set, immune to a single misleading branch decision.
     for k in 0..count {
-        if let Some(solution) = try_cluster_with_l_max_ctx(graph, candidate(k), ctx)? {
+        if let Some(solution) = cluster_under(graph, candidate(k), ctx, ev)? {
             consider(solution, &mut best);
         }
     }
     if best.is_none() {
-        if let Some(solution) = try_cluster_with_l_max_ctx(graph, f64::INFINITY, ctx)? {
+        if let Some(solution) = cluster_under(graph, f64::INFINITY, ctx, ev)? {
             consider(solution, &mut best);
         }
     }
@@ -357,6 +373,19 @@ pub fn try_cluster_with_l_max_ctx(
     l_max: f64,
     ctx: &ExecCtx,
 ) -> Result<Option<Clustering>, ClusterError> {
+    let mut ev = RingEval::new(graph);
+    let result = cluster_under(graph, l_max, ctx, &mut ev);
+    ctx.trace().incr("cluster/ring_evals", ev.evals);
+    result
+}
+
+/// [`try_cluster_with_l_max_ctx`] on a caller-owned evaluator.
+fn cluster_under(
+    graph: &CommGraph,
+    l_max: f64,
+    ctx: &ExecCtx,
+    ev: &mut RingEval,
+) -> Result<Option<Clustering>, ClusterError> {
     let n = graph.node_count();
     // Candidate passes: two selection criteria × several cluster-size
     // caps. Uncapped growth minimizes the inter ring; capped growth keeps
@@ -375,7 +404,7 @@ pub fn try_cluster_with_l_max_ctx(
             if cap < 2 || cap >= binding_size {
                 continue;
             }
-            if let Some(c) = cluster_pass(graph, l_max, criterion, cap, ctx)? {
+            if let Some(c) = cluster_pass(graph, l_max, criterion, cap, ctx, ev)? {
                 let max_cluster = c
                     .clusters
                     .iter()
@@ -500,35 +529,47 @@ fn cluster_pass(
     criterion: SelectionCriterion,
     size_cap: usize,
     ctx: &ExecCtx,
+    ev: &mut RingEval,
 ) -> Result<Option<Clustering>, ClusterError> {
     let n = graph.node_count();
-    let dist = |a: NodeId, b: NodeId| graph.manhattan(a, b).0;
 
     // Memo-served wrappers for the three pure construction units. A hit
     // returns exactly what the wrapped computation would, so the pass is
-    // bit-identical with or without a memo tier on `ctx`.
-    let grow_memo = |initial: NodeId,
+    // bit-identical with or without a memo tier on `ctx`. Each miss is
+    // timed under its own span (`grow`, `refine`, `inter`); a deadline
+    // error returns before the put, so it is never memoized.
+    let grow_memo = |ev: &mut RingEval,
+                     initial: NodeId,
                      unclustered: &BTreeSet<NodeId>|
      -> Result<Option<GrownCluster>, ClusterError> {
         let key = grow_key(graph, initial, unclustered, l_max, size_cap);
         if let Some(hit) = ctx.memo_get::<Option<GrownCluster>>("cluster_grow", key) {
             return Ok((*hit).clone());
         }
-        let grown = grow_intra(graph, initial, unclustered, l_max, size_cap)?;
+        let grown = {
+            let _span = ctx.trace().span("grow");
+            grow_intra(graph, ev, initial, unclustered, l_max, size_cap)?
+        };
         ctx.memo_put("cluster_grow", key, grown.clone());
         Ok(grown)
     };
-    let refine_memo =
-        |cycle: &Cycle, messages: &[(NodeId, NodeId)]| -> Result<(Cycle, f64), ClusterError> {
-            let key = refine_key(graph, cycle, messages, l_max);
-            if let Some(hit) = ctx.memo_get::<(Cycle, f64)>("cluster_refine", key) {
-                return Ok((*hit).clone());
-            }
-            let refined = improve_cycle(cycle, messages, &dist, l_max)?;
-            ctx.memo_put("cluster_refine", key, refined.clone());
-            Ok(refined)
+    let refine_memo = |ev: &mut RingEval,
+                       cycle: &Cycle,
+                       messages: &[(NodeId, NodeId)]|
+     -> Result<(Cycle, f64), ClusterError> {
+        let key = refine_key(graph, cycle, messages, l_max);
+        if let Some(hit) = ctx.memo_get::<(Cycle, f64)>("cluster_refine", key) {
+            return Ok((*hit).clone());
+        }
+        let refined = {
+            let _span = ctx.trace().span("refine");
+            improve_cycle(ev, cycle, messages, l_max, ctx)?
         };
-    let inter_memo = |initial: NodeId,
+        ctx.memo_put("cluster_refine", key, refined.clone());
+        Ok(refined)
+    };
+    let inter_memo = |ev: &mut RingEval,
+                      initial: NodeId,
                       v_inter: &[NodeId],
                       inter_messages: &[(NodeId, NodeId)],
                       bound: f64|
@@ -537,7 +578,10 @@ fn cluster_pass(
         if let Some(hit) = ctx.memo_get::<Option<(Cycle, f64)>>("cluster_inter", key) {
             return Ok((*hit).clone());
         }
-        let grown = grow_inter(initial, v_inter, inter_messages, bound, &dist)?;
+        let grown = {
+            let _span = ctx.trace().span("inter");
+            grow_inter(ev, initial, v_inter, inter_messages, bound)?
+        };
         ctx.memo_put("cluster_inter", key, grown.clone());
         Ok(grown)
     };
@@ -555,9 +599,6 @@ fn cluster_pass(
     let mut cache: std::collections::BTreeMap<NodeId, Option<GrownCluster>> =
         std::collections::BTreeMap::new();
     while !unclustered.is_empty() {
-        // Each round grows a full candidate set of clusters — the
-        // natural cancellation point for a budgeted synthesis run.
-        ctx.check_deadline()?;
         // Grow a cluster from every possible initial vertex. Under the
         // L_max cap every grown cluster keeps its signal paths short, so
         // the selection prefers the *largest* cluster (more intra-cluster
@@ -566,10 +607,13 @@ fn cluster_pass(
         // happens through the binary search over L_max itself.
         let mut best: Option<(f64, usize, GrownCluster)> = None;
         for &initial in &unclustered {
+            // One growth per initial vertex: the cancellation point of a
+            // budgeted run.
+            ctx.check_deadline()?;
             let entry = match cache.entry(initial) {
                 std::collections::btree_map::Entry::Occupied(e) => e.into_mut(),
                 std::collections::btree_map::Entry::Vacant(v) => {
-                    v.insert(grow_memo(initial, &unclustered)?)
+                    v.insert(grow_memo(ev, initial, &unclustered)?)
                 }
             };
             if let Some(grown) = entry.clone() {
@@ -604,7 +648,7 @@ fn cluster_pass(
                             .filter(|m| member_set.contains(&m.src) && member_set.contains(&m.dst))
                             .map(|m| (m.src, m.dst))
                             .collect();
-                        let (refined, refined_longest) = refine_memo(&ring, &msgs)?;
+                        let (refined, refined_longest) = refine_memo(ev, &ring, &msgs)?;
                         (Some(refined), refined_longest)
                     }
                     None => (None, longest),
@@ -670,7 +714,10 @@ fn cluster_pass(
         // initial vertex; the best raw ring is refined once at the end.
         let mut best: Option<(f64, Cycle)> = None;
         for &initial in &v_inter {
-            if let Some((cycle, longest)) = inter_memo(initial, &v_inter, &inter_messages, l_max)? {
+            ctx.check_deadline()?;
+            if let Some((cycle, longest)) =
+                inter_memo(ev, initial, &v_inter, &inter_messages, l_max)?
+            {
                 let better = match &best {
                     None => true,
                     Some((bl, _)) => longest < *bl - 1e-12,
@@ -686,14 +733,16 @@ fn cluster_pass(
         if best.is_none() {
             let mut raw: Vec<(f64, Cycle)> = Vec::with_capacity(v_inter.len());
             for &initial in &v_inter {
-                if let Some((c, l)) = inter_memo(initial, &v_inter, &inter_messages, f64::INFINITY)?
+                ctx.check_deadline()?;
+                if let Some((c, l)) =
+                    inter_memo(ev, initial, &v_inter, &inter_messages, f64::INFINITY)?
                 {
                     raw.push((l, c));
                 }
             }
             raw.sort_by(|a, b| a.0.total_cmp(&b.0));
             for (_, cycle) in raw.into_iter().take(3) {
-                let (refined, longest) = refine_memo(&cycle, &inter_messages)?;
+                let (refined, longest) = refine_memo(ev, &cycle, &inter_messages)?;
                 if longest <= l_max + 1e-12 {
                     let better = match &best {
                         None => true,
@@ -710,7 +759,7 @@ fn cluster_pass(
         let Some((_, cycle)) = best else {
             return Ok(None);
         };
-        let (cycle, longest) = refine_memo(&cycle, &inter_messages)?;
+        let (cycle, longest) = refine_memo(ev, &cycle, &inter_messages)?;
         if longest > l_max + 1e-12 {
             return Ok(None);
         }
@@ -727,26 +776,207 @@ fn cluster_pass(
     }))
 }
 
-/// The insertion positions worth evaluating when absorbing `x` into
-/// `cycle`: the `k` segments with the smallest rectilinear detour
-/// `d(a, x) + d(x, b) − d(a, b)`. Inserting into a distant segment can
-/// only lengthen paths, so the greedy restricts its evaluation to the
+/// Marks a node that is not on the order loaded into a [`RingEval`].
+const ABSENT: usize = usize::MAX;
+
+/// The path-length evaluator behind every sub-ring construction unit.
+///
+/// It holds a dense table of the graph's Manhattan distances, built once
+/// per clustering run, and scratch buffers for one *loaded* visiting
+/// order: the position of each node and the length of each segment. A
+/// forward path adds the stored segment lengths from the source's
+/// position onward, a reverse path from the segment before it backward.
+/// Either way the additions run in travel order, exactly as
+/// [`Cycle::path_length`] makes them on the cycle and on its
+/// [`Cycle::reversed`] twin, so every length is bit-identical to theirs.
+/// The reverse walk reads the forward segment lengths, which is exact
+/// because the Manhattan distance is bitwise symmetric. Once the buffers
+/// have grown, loading and scoring an order allocate nothing.
+struct RingEval {
+    /// Node count of the graph; the distance table is `n × n`.
+    n: usize,
+    /// `dist[a * n + b]` = Manhattan distance from `a` to `b`.
+    dist: Vec<f64>,
+    /// Position of each node in the loaded order, or [`ABSENT`].
+    pos: Vec<usize>,
+    /// The loaded order (kept to reset `pos` on the next load).
+    order: Vec<NodeId>,
+    /// `seg[i]` = length of segment `i` of the loaded order.
+    seg: Vec<f64>,
+    /// Congestion difference array over the loaded order's segments.
+    diff: Vec<isize>,
+    /// Orders evaluated so far (the `cluster/ring_evals` counter).
+    evals: u64,
+}
+
+impl RingEval {
+    fn new(graph: &CommGraph) -> Self {
+        let n = graph.node_count();
+        let mut dist = Vec::with_capacity(n * n);
+        for a in graph.node_ids() {
+            dist.extend(graph.node_ids().map(|b| graph.manhattan(a, b).0));
+        }
+        RingEval {
+            n,
+            dist,
+            pos: vec![ABSENT; n],
+            order: Vec::new(),
+            seg: Vec::new(),
+            diff: Vec::new(),
+            evals: 0,
+        }
+    }
+
+    /// Manhattan distance between two nodes of the graph.
+    fn d(&self, a: NodeId, b: NodeId) -> f64 {
+        self.dist[a.index() * self.n + b.index()]
+    }
+
+    /// Makes `order` (at least two distinct nodes) the ring under
+    /// evaluation.
+    fn load(&mut self, order: &[NodeId]) {
+        for &v in &self.order {
+            self.pos[v.index()] = ABSENT;
+        }
+        self.order.clear();
+        self.order.extend_from_slice(order);
+        self.seg.clear();
+        for (k, &v) in order.iter().enumerate() {
+            self.pos[v.index()] = k;
+            let next = order[(k + 1) % order.len()];
+            self.seg.push(self.d(v, next));
+        }
+        self.evals += 1;
+    }
+
+    /// Positions of a message's endpoints on the loaded order; `None`
+    /// when either is off the ring.
+    fn ends(&self, s: NodeId, d: NodeId) -> Option<(usize, usize)> {
+        let (i, j) = (self.pos[s.index()], self.pos[d.index()]);
+        (i != ABSENT && j != ABSENT).then_some((i, j))
+    }
+
+    /// Forward path length from position `i` to position `j != i`.
+    fn forward(&self, i: usize, j: usize) -> f64 {
+        if i < j {
+            self.seg[i..j].iter().sum()
+        } else {
+            self.seg[i..].iter().chain(&self.seg[..j]).sum()
+        }
+    }
+
+    /// Reverse path length from position `i` to position `j != i`.
+    fn backward(&self, i: usize, j: usize) -> f64 {
+        if j < i {
+            self.seg[j..i].iter().rev().sum()
+        } else {
+            self.seg[..i]
+                .iter()
+                .rev()
+                .chain(self.seg[j..].iter().rev())
+                .sum()
+        }
+    }
+
+    /// The better transmission direction of the loaded order for
+    /// `messages` (messages off the ring are skipped): whether it is the
+    /// reverse one (only when shorter by more than 1e-12), and its
+    /// longest path. A message from a node to itself counts as ∞.
+    fn orientation(&self, messages: &[(NodeId, NodeId)]) -> (bool, f64) {
+        let (mut fwd, mut rev) = (0.0f64, 0.0f64);
+        for &(s, d) in messages {
+            let Some((i, j)) = self.ends(s, d) else {
+                continue;
+            };
+            let (f, r) = if i == j {
+                (f64::INFINITY, f64::INFINITY)
+            } else {
+                (self.forward(i, j), self.backward(i, j))
+            };
+            fwd = fwd.max(f);
+            rev = rev.max(r);
+        }
+        if rev < fwd - 1e-12 {
+            (true, rev)
+        } else {
+            (false, fwd)
+        }
+    }
+
+    /// The refinement score of the loaded order in its better direction:
+    /// `(congestion × 10^(longest/10), longest, total)`, with `total` the
+    /// summed path length of the on-ring messages and `congestion` the
+    /// most of them sharing one segment. `None` when a message runs from
+    /// an on-ring node to itself.
+    fn score(&mut self, messages: &[(NodeId, NodeId)]) -> Option<(f64, f64, f64)> {
+        let len = self.seg.len();
+        self.diff.clear();
+        self.diff.resize(len, 0);
+        let (mut fwd, mut rev) = (0.0f64, 0.0f64);
+        let (mut total_fwd, mut total_rev) = (0.0f64, 0.0f64);
+        let mut on_ring = 0isize;
+        for &(s, d) in messages {
+            let Some((i, j)) = self.ends(s, d) else {
+                continue;
+            };
+            if i == j {
+                return None;
+            }
+            let (f, r) = (self.forward(i, j), self.backward(i, j));
+            fwd = fwd.max(f);
+            rev = rev.max(r);
+            total_fwd += f;
+            total_rev += r;
+            on_ring += 1;
+            // The forward path covers segments i..j (cyclically).
+            self.diff[i] += 1;
+            self.diff[j] -= 1;
+            if j < i {
+                self.diff[0] += 1;
+            }
+        }
+        let reversed = rev < fwd - 1e-12;
+        let (longest, total) = if reversed {
+            (rev, total_rev)
+        } else {
+            (fwd, total_fwd)
+        };
+        // The reverse path of a message covers exactly the segments its
+        // forward path leaves out, so reverse loads are `on_ring` minus
+        // forward loads.
+        let (mut low, mut high, mut load) = (isize::MAX, 0isize, 0isize);
+        for &step in &self.diff {
+            load += step;
+            low = low.min(load);
+            high = high.max(load);
+        }
+        let congestion = if reversed { on_ring - low } else { high };
+        let proxy = congestion.max(1) as f64 * 10f64.powf(longest / 10.0);
+        Some((proxy, longest, total))
+    }
+}
+
+/// The insertion positions worth evaluating when absorbing `x` into the
+/// ring `order`: the `k` segments with the smallest rectilinear detour
+/// `d(a, x) + d(x, b) − d(a, b)`, ranked by detour and then index, left in
+/// `out` as `(detour, segment)`. Inserting into a distant segment can only
+/// lengthen paths, so the greedy restricts its evaluation to the
 /// geometrically sensible positions.
 fn candidate_segments(
-    cycle: &Cycle,
+    order: &[NodeId],
     x: NodeId,
     dist: &impl Fn(NodeId, NodeId) -> f64,
     k: usize,
-) -> Vec<usize> {
-    let mut scored: Vec<(f64, usize)> = (0..cycle.len())
-        .map(|i| {
-            let (a, b) = cycle.segment(i);
-            (dist(a, x) + dist(x, b) - dist(a, b), i)
-        })
-        .collect();
-    scored.sort_by(|p, q| p.0.total_cmp(&q.0));
-    scored.truncate(k.max(1));
-    scored.into_iter().map(|(_, i)| i).collect()
+    out: &mut Vec<(f64, usize)>,
+) {
+    let len = order.len();
+    out.clear();
+    out.extend((0..len).map(|i| {
+        let (a, b) = (order[i], order[(i + 1) % len]);
+        (dist(a, x) + dist(x, b) - dist(a, b), i)
+    }));
+    out.sort_unstable_by(|p, q| p.0.total_cmp(&q.0).then(p.1.cmp(&q.1)));
+    out.truncate(k.max(1));
 }
 
 #[derive(Clone)]
@@ -763,34 +993,16 @@ struct GrownCluster {
 /// the member set; this pass only improves the order — a refinement on top
 /// of the paper's construction that never worsens the solution.
 fn improve_cycle(
+    ev: &mut RingEval,
     cycle: &Cycle,
     messages: &[(NodeId, NodeId)],
-    dist: &impl Fn(NodeId, NodeId) -> f64,
     l_max: f64,
+    ctx: &ExecCtx,
 ) -> Result<(Cycle, f64), ClusterError> {
     // Score: the same laser-power proxy the L_max search uses —
     // congestion × 10^(longest/10) — then longest, then total path
     // length. Moves may trade a slightly longer worst path (still within
     // L_max) for materially lower congestion.
-    let score = |order: &[NodeId]| -> Option<(f64, f64, f64)> {
-        let c = Cycle::new(order.to_vec()).ok()?;
-        let (oriented, longest) = best_orientation(&c, messages, dist);
-        let mut total = 0.0f64;
-        let mut load = vec![0usize; oriented.len()];
-        let mut congestion = 0usize;
-        for (s, d) in messages {
-            if !(oriented.contains(*s) && oriented.contains(*d)) {
-                continue;
-            }
-            total += oriented.path_length(*s, *d, dist)?;
-            for seg in oriented.path_segments(*s, *d)?.iter() {
-                load[seg] += 1;
-                congestion = congestion.max(load[seg]);
-            }
-        }
-        let proxy = congestion.max(1) as f64 * 10f64.powf(longest / 10.0);
-        Some((proxy, longest, total))
-    };
     let better = |a: (f64, f64, f64), b: (f64, f64, f64)| {
         // A move must keep the L_max bound (or strictly shrink an already
         // violating longest path, for the unrestricted fallback).
@@ -804,13 +1016,26 @@ fn improve_cycle(
 
     let mut order = cycle.nodes().to_vec();
     let n = order.len();
-    let mut current = score(&order).ok_or(ClusterError::InvalidCycle(
+    ev.load(&order);
+    let mut current = ev.score(messages).ok_or(ClusterError::InvalidCycle(
         "refinement input cycle is not scorable",
     ))?;
+    let mut trial = Vec::with_capacity(n);
+    let mut accept = |trial: &mut Vec<NodeId>, order: &mut Vec<NodeId>, current: &mut _| {
+        ev.load(trial);
+        match ev.score(messages) {
+            Some(s) if better(s, *current) => {
+                std::mem::swap(order, trial);
+                *current = s;
+                true
+            }
+            _ => false,
+        }
+    };
     if n >= 4 {
         let mut improved = true;
-        // onoc-lint: allow(L9, reason = "terminates: each pass strictly improves a totally-ordered score over a finite permutation set; callers bound the ring size")
         while improved {
+            ctx.check_deadline()?;
             improved = false;
             for i in 0..n {
                 for j in 0..n {
@@ -818,70 +1043,31 @@ fn improve_cycle(
                         continue;
                     }
                     let node = order[i];
-                    let mut trial = order.clone();
+                    trial.clear();
+                    trial.extend_from_slice(&order);
                     trial.remove(i);
                     trial.insert(if j > i { j - 1 } else { j }, node);
-                    if let Some(s) = score(&trial) {
-                        if better(s, current) {
-                            order = trial;
-                            current = s;
-                            improved = true;
-                        }
-                    }
+                    improved |= accept(&mut trial, &mut order, &mut current);
                 }
             }
             for i in 0..n - 1 {
                 for j in i + 1..n {
-                    let mut trial = order.clone();
+                    trial.clear();
+                    trial.extend_from_slice(&order);
                     trial[i..=j].reverse();
-                    if let Some(s) = score(&trial) {
-                        if better(s, current) {
-                            order = trial;
-                            current = s;
-                            improved = true;
-                        }
-                    }
+                    improved |= accept(&mut trial, &mut order, &mut current);
                 }
             }
         }
     }
+    ev.load(&order);
+    let (reversed, longest) = ev.orientation(messages);
+    if reversed {
+        order.reverse();
+    }
     let refined = Cycle::new(order)
         .map_err(|_| ClusterError::InvalidCycle("refined order is not a permutation"))?;
-    let (oriented, longest) = best_orientation(&refined, messages, dist);
-    Ok((oriented, longest))
-}
-
-/// Longest directed signal path over `messages` on `cycle`, evaluated in
-/// the better of the two transmission directions. Returns the achieving
-/// orientation together with its longest path.
-fn best_orientation(
-    cycle: &Cycle,
-    messages: &[(NodeId, NodeId)],
-    dist: &impl Fn(NodeId, NodeId) -> f64,
-) -> (Cycle, f64) {
-    let fwd = longest_on(cycle, messages, dist);
-    let rev_cycle = cycle.reversed();
-    let rev = longest_on(&rev_cycle, messages, dist);
-    if rev < fwd - 1e-12 {
-        (rev_cycle, rev)
-    } else {
-        (cycle.clone(), fwd)
-    }
-}
-
-fn longest_on(
-    cycle: &Cycle,
-    messages: &[(NodeId, NodeId)],
-    dist: &impl Fn(NodeId, NodeId) -> f64,
-) -> f64 {
-    messages
-        .iter()
-        .filter(|(s, d)| cycle.contains(*s) && cycle.contains(*d))
-        // The filter guarantees both endpoints are on the cycle; should
-        // that invariant ever break, an infinite length invalidates the
-        // candidate instead of panicking.
-        .map(|(s, d)| cycle.path_length(*s, *d, dist).unwrap_or(f64::INFINITY))
-        .fold(0.0, f64::max)
+    Ok((refined, longest))
 }
 
 /// Grows one intra-cluster sub-ring from `initial` (paper Sec. III-A-1).
@@ -890,13 +1076,12 @@ fn longest_on(
 /// partner yields a singleton.
 fn grow_intra(
     graph: &CommGraph,
+    ev: &mut RingEval,
     initial: NodeId,
     unclustered: &BTreeSet<NodeId>,
     l_max: f64,
     size_cap: usize,
 ) -> Result<Option<GrownCluster>, ClusterError> {
-    let dist = |a: NodeId, b: NodeId| graph.manhattan(a, b).0;
-
     // Initial cluster: the nearest unclustered communication partner.
     let nearest = graph
         .neighbors(initial)
@@ -904,8 +1089,8 @@ fn grow_intra(
         .copied()
         .filter(|w| unclustered.contains(w))
         .min_by(|&a, &b| {
-            dist(initial, a)
-                .total_cmp(&dist(initial, b))
+            ev.d(initial, a)
+                .total_cmp(&ev.d(initial, b))
                 .then(a.cmp(&b))
         });
     let Some(first) = nearest else {
@@ -915,92 +1100,102 @@ fn grow_intra(
             longest: 0.0,
         }));
     };
-    if dist(initial, first) > l_max {
+    if ev.d(initial, first) > l_max {
         return Ok(None);
     }
 
+    let n = graph.node_count();
     let mut members = vec![initial, first];
-    let mut member_set: BTreeSet<NodeId> = members.iter().copied().collect();
-    let mut cycle = Cycle::new(members.clone())
-        .map_err(|_| ClusterError::InvalidCycle("initial pair does not form a cycle"))?;
-    let intra_messages = |set: &BTreeSet<NodeId>| -> Vec<(NodeId, NodeId)> {
-        graph
-            .messages()
-            .iter()
-            .filter(|m| set.contains(&m.src) && set.contains(&m.dst))
-            .map(|m| (m.src, m.dst))
-            .collect()
+    let mut in_cluster = vec![false; n];
+    in_cluster[initial.index()] = true;
+    in_cluster[first.index()] = true;
+    // The intra-cluster messages of `in_cluster`, in graph order.
+    let intra_messages = |in_cluster: &[bool], out: &mut Vec<(NodeId, NodeId)>| {
+        out.clear();
+        out.extend(
+            graph
+                .messages()
+                .iter()
+                .filter(|m| in_cluster[m.src.index()] && in_cluster[m.dst.index()])
+                .map(|m| (m.src, m.dst)),
+        );
     };
-    let mut longest = {
-        let msgs = intra_messages(&member_set);
-        best_orientation(&cycle, &msgs, &dist).1
-    };
+    let mut msgs = Vec::new();
+    intra_messages(&in_cluster, &mut msgs);
+    // The ring stays un-oriented until the first absorption.
+    let mut ring = members.clone();
+    ev.load(&ring);
+    let mut longest = ev.orientation(&msgs).1;
 
+    let mut is_candidate = vec![false; n];
+    let (mut segs, mut trial) = (Vec::new(), Vec::new());
     // onoc-lint: allow(L9, reason = "bounded: every round absorbs one node or breaks on an empty candidate set, capped at size_cap")
     while members.len() < size_cap {
         // Candidates: unvisited communication partners of any member.
-        let candidates: BTreeSet<NodeId> = members
-            .iter()
-            .flat_map(|&m| graph.neighbors(m).iter().copied())
-            .filter(|w| unclustered.contains(w) && !member_set.contains(w))
-            .collect();
-        if candidates.is_empty() {
-            break;
+        is_candidate.fill(false);
+        for &m in &members {
+            for &w in graph.neighbors(m) {
+                if unclustered.contains(&w) && !in_cluster[w.index()] {
+                    is_candidate[w.index()] = true;
+                }
+            }
         }
         // Absorb the valid candidate whose best insertion point yields the
         // smallest longest signal path; ties go to the candidate with the
         // most messages into the cluster (communication affinity), which
-        // keeps subsystems together.
-        let affinity = |x: NodeId, member_set: &BTreeSet<NodeId>| -> usize {
-            graph
+        // keeps subsystems together. Only the winner's ring is built.
+        let mut best: Option<(f64, usize, NodeId, usize, bool)> = None;
+        for x in graph.node_ids().filter(|x| is_candidate[x.index()]) {
+            let aff = graph
                 .messages()
                 .iter()
                 .filter(|m| {
-                    (m.src == x && member_set.contains(&m.dst))
-                        || (m.dst == x && member_set.contains(&m.src))
+                    (m.src == x && in_cluster[m.dst.index()])
+                        || (m.dst == x && in_cluster[m.src.index()])
                 })
-                .count()
-        };
-        let mut best: Option<(f64, usize, NodeId, Cycle)> = None;
-        for &x in &candidates {
-            let aff = affinity(x, &member_set);
-            let mut trial_set = member_set.clone();
-            trial_set.insert(x);
-            let msgs = intra_messages(&trial_set);
-            for seg in candidate_segments(&cycle, x, &dist, 8) {
-                let inserted = cycle
-                    .insert_at(seg, x)
-                    .map_err(|_| ClusterError::InvalidCycle("absorbed node already on ring"))?;
-                let (oriented, l) = best_orientation(&inserted, &msgs, &dist);
+                .count();
+            in_cluster[x.index()] = true;
+            intra_messages(&in_cluster, &mut msgs);
+            in_cluster[x.index()] = false;
+            candidate_segments(&ring, x, &|a, b| ev.d(a, b), 8, &mut segs);
+            for &(_, seg) in &segs {
+                trial.clear();
+                trial.extend_from_slice(&ring);
+                trial.insert(seg + 1, x);
+                ev.load(&trial);
+                let (reversed, l) = ev.orientation(&msgs);
                 if l <= l_max + 1e-12 {
                     let better = match &best {
                         None => true,
-                        Some((bl, ba, bx, _)) => {
+                        Some((bl, ba, bx, _, _)) => {
                             l < *bl - 1e-12
                                 || ((l - *bl).abs() <= 1e-12
                                     && (aff > *ba || (aff == *ba && x < *bx)))
                         }
                     };
                     if better {
-                        best = Some((l, aff, x, oriented));
+                        best = Some((l, aff, x, seg, reversed));
                     }
                 }
             }
         }
-        match best {
-            Some((l, _, x, new_cycle)) => {
-                members.push(x);
-                member_set.insert(x);
-                cycle = new_cycle;
-                longest = l;
-            }
-            None => break,
+        let Some((l, _, x, seg, reversed)) = best else {
+            break;
+        };
+        members.push(x);
+        in_cluster[x.index()] = true;
+        ring.insert(seg + 1, x);
+        if reversed {
+            ring.reverse();
         }
+        longest = l;
     }
 
+    let ring =
+        Cycle::new(ring).map_err(|_| ClusterError::InvalidCycle("grown ring repeats a node"))?;
     Ok(Some(GrownCluster {
         members,
-        ring: Some(cycle),
+        ring: Some(ring),
         longest,
     }))
 }
@@ -1009,69 +1204,77 @@ fn grow_intra(
 /// of `v_inter` while keeping every cross-cluster signal path within
 /// `l_max` (paper Sec. III-A-2).
 fn grow_inter(
+    ev: &mut RingEval,
     initial: NodeId,
     v_inter: &[NodeId],
     inter_messages: &[(NodeId, NodeId)],
     l_max: f64,
-    dist: &impl Fn(NodeId, NodeId) -> f64,
 ) -> Result<Option<(Cycle, f64)>, ClusterError> {
     let Some(nearest) = v_inter
         .iter()
         .copied()
         .filter(|&v| v != initial)
         .min_by(|&a, &b| {
-            dist(initial, a)
-                .total_cmp(&dist(initial, b))
+            ev.d(initial, a)
+                .total_cmp(&ev.d(initial, b))
                 .then(a.cmp(&b))
         })
     else {
         return Ok(None);
     };
-    let mut cycle = Cycle::new(vec![initial, nearest])
-        .map_err(|_| ClusterError::InvalidCycle("initial pair does not form a cycle"))?;
+    let mut ring = vec![initial, nearest];
     let mut remaining: BTreeSet<NodeId> = v_inter
         .iter()
         .copied()
         .filter(|&v| v != initial && v != nearest)
         .collect();
-    let mut longest = best_orientation(&cycle, inter_messages, dist).1;
+    ev.load(&ring);
+    let mut longest = ev.orientation(inter_messages).1;
     if longest > l_max + 1e-12 {
         return Ok(None);
     }
 
+    let (mut segs, mut trial) = (Vec::new(), Vec::new());
     // onoc-lint: allow(L9, reason = "bounded: every round inserts one remaining node onto the ring or returns infeasible")
     while !remaining.is_empty() {
-        let mut best: Option<(f64, NodeId, Cycle)> = None;
+        let mut best: Option<(f64, NodeId, usize, bool)> = None;
         for &x in &remaining {
-            for seg in candidate_segments(&cycle, x, dist, 8) {
-                let inserted = cycle
-                    .insert_at(seg, x)
-                    .map_err(|_| ClusterError::InvalidCycle("absorbed node already on ring"))?;
-                let (oriented, l) = best_orientation(&inserted, inter_messages, dist);
+            candidate_segments(&ring, x, &|a, b| ev.d(a, b), 8, &mut segs);
+            for &(_, seg) in &segs {
+                trial.clear();
+                trial.extend_from_slice(&ring);
+                trial.insert(seg + 1, x);
+                ev.load(&trial);
+                let (reversed, l) = ev.orientation(inter_messages);
                 if l <= l_max + 1e-12 {
                     let better = match &best {
                         None => true,
-                        Some((bl, bx, _)) => {
+                        Some((bl, bx, _, _)) => {
                             l < *bl - 1e-12 || ((l - *bl).abs() <= 1e-12 && x < *bx)
                         }
                     };
                     if better {
-                        best = Some((l, x, oriented));
+                        best = Some((l, x, seg, reversed));
                     }
                 }
             }
         }
-        let Some((l, x, new_cycle)) = best else {
+        let Some((l, x, seg, reversed)) = best else {
             return Ok(None);
         };
         remaining.remove(&x);
-        cycle = new_cycle;
+        ring.insert(seg + 1, x);
+        if reversed {
+            ring.reverse();
+        }
         longest = l;
     }
     if longest > l_max + 1e-12 {
         return Ok(None);
     }
-    Ok(Some((cycle, longest)))
+    let ring =
+        Cycle::new(ring).map_err(|_| ClusterError::InvalidCycle("grown ring repeats a node"))?;
+    Ok(Some((ring, longest)))
 }
 
 #[cfg(test)]
@@ -1095,14 +1298,173 @@ mod tests {
         })
     }
 
+    /// The path evaluation the clustering units ran before [`RingEval`],
+    /// kept as the oracle it must match bit for bit: a cycle's longest
+    /// directed path in its better direction, with that orientation.
+    fn best_orientation(
+        cycle: &Cycle,
+        messages: &[(NodeId, NodeId)],
+        dist: &impl Fn(NodeId, NodeId) -> f64,
+    ) -> (Cycle, f64) {
+        let fwd = longest_on(cycle, messages, dist);
+        let rev_cycle = cycle.reversed();
+        let rev = longest_on(&rev_cycle, messages, dist);
+        if rev < fwd - 1e-12 {
+            (rev_cycle, rev)
+        } else {
+            (cycle.clone(), fwd)
+        }
+    }
+
+    fn longest_on(
+        cycle: &Cycle,
+        messages: &[(NodeId, NodeId)],
+        dist: &impl Fn(NodeId, NodeId) -> f64,
+    ) -> f64 {
+        messages
+            .iter()
+            .filter(|(s, d)| cycle.contains(*s) && cycle.contains(*d))
+            .map(|(s, d)| cycle.path_length(*s, *d, dist).unwrap_or(f64::INFINITY))
+            .fold(0.0, f64::max)
+    }
+
+    /// The refinement score as `improve_cycle` computed it on `Cycle`s.
+    fn oracle_score(
+        order: &[NodeId],
+        messages: &[(NodeId, NodeId)],
+        dist: &impl Fn(NodeId, NodeId) -> f64,
+    ) -> Option<(f64, f64, f64)> {
+        let c = Cycle::new(order.to_vec()).ok()?;
+        let (oriented, longest) = best_orientation(&c, messages, dist);
+        let mut total = 0.0f64;
+        let mut load = vec![0usize; oriented.len()];
+        let mut congestion = 0usize;
+        for (s, d) in messages {
+            if !(oriented.contains(*s) && oriented.contains(*d)) {
+                continue;
+            }
+            total += oriented.path_length(*s, *d, dist)?;
+            for seg in oriented.path_segments(*s, *d)?.iter() {
+                load[seg] += 1;
+                congestion = congestion.max(load[seg]);
+            }
+        }
+        let proxy = congestion.max(1) as f64 * 10f64.powf(longest / 10.0);
+        Some((proxy, longest, total))
+    }
+
+    /// Every bit of a clustering the later stages consume: `L_max`, the
+    /// realized longest path, each cluster's members and ring order, and
+    /// the inter ring's order.
+    fn fingerprint(c: &Clustering) -> String {
+        let ids = |v: &[NodeId]| {
+            v.iter()
+                .map(|n| n.index().to_string())
+                .collect::<Vec<_>>()
+                .join(",")
+        };
+        let mut s = format!(
+            "l_max={:016x} longest={:016x}",
+            c.l_max.0.to_bits(),
+            c.longest_path.0.to_bits()
+        );
+        for cl in &c.clusters {
+            s += &format!(" [{}", ids(&cl.members));
+            if let Some(r) = &cl.ring {
+                s += &format!(" ring {}", ids(r.nodes()));
+            }
+            s += "]";
+        }
+        if let Some(r) = &c.inter_ring {
+            s += &format!(" inter {}", ids(r.nodes()));
+        }
+        s
+    }
+
+    #[test]
+    fn benchmark_clusterings_are_pinned() {
+        let pinned = [
+            "l_max=3fe8f5c28f5c28f6 longest=3fe8f5c28f5c28f6 \
+             [0,1,2,7,3,5,4,9,8,6 ring 1,2,7,3,5,4,9,8,6,0] [10,11 ring 10,11] inter 10,7,9,11,6",
+            "l_max=4006e147ae147ae1 longest=4006e147ae147ae2 \
+             [0,1,2,3,5,6,7,8,9,13,15,14,12,4 ring 1,2,3,5,6,7,8,9,13,4,15,14,12,0] \
+             [10,11 ring 10,11] inter 0,10,14,11,9,6",
+            "l_max=3ff9d9f7390d2a6b longest=3ff8f5c28f5c28f6 \
+             [0,1,4,2,5,3,7 ring 1,2,3,7,5,4,0] [6] [8] [9] [10] [11] inter 4,8,9,10,11,5",
+            "l_max=4012924924924923 longest=4011ae147ae147ae \
+             [7,23,6,4,2,0,8,1,15,22,3,16,25 ring 7,22,8,25,15,16,0,1,2,3,4,6,23] \
+             [18,19,20,21,24,11,9,10,13,14,12 ring 13,14,24,18,9,10,19,20,21,12,11] [5] [17] \
+             inter 5,6,16,17,18,9,21,23,25,15,8,22,4",
+            "l_max=3fe98de5ab277f45 longest=3fe8f5c28f5c28f6 \
+             [0,1,5,4 ring 0,4,5,1] [2,3,7,6 ring 2,6,7,3] inter 1,5,6,2",
+            "l_max=3ffd1eb851eb851f longest=3ffd1eb851eb851f \
+             [0,1,5,4 ring 0,4,5,1] [2,3,7,6 ring 2,6,7,3] inter 0,4,5,7,6,2,3,1",
+            "l_max=3ffd1eb851eb851f longest=3ffd1eb851eb851f \
+             [3,2,6,7 ring 3,7,6,2] [0,1,4,5 ring 0,4,5,1] inter 3,7,6,5,4,0,1,2",
+        ];
+        assert_eq!(clustered().len(), pinned.len());
+        for ((b, c), want) in clustered().iter().zip(pinned) {
+            assert_eq!(fingerprint(c), want, "{b}");
+        }
+    }
+
+    #[test]
+    fn random_scale_clusterings_are_pinned() {
+        // The two fixed random graphs of the cluster-scale workload.
+        let pinned = [
+            (
+                270_323_651_342_412u64,
+                "l_max=4009d9f7390d2a6b longest=4004cccccccccccd \
+                 [1,9,14,6,2,7,4,3,5,15,11 ring 9,15,14,6,11,2,4,7,3,1,5] \
+                 [0,8,10,12,13 ring 0,12,13,10,8] inter 0,12,15,11,6,1,2,10,13,5,8,4,9,14",
+            ),
+            (
+                90_997_721_425_380,
+                "l_max=400e02ecfb9c8694 longest=4008f5c28f5c28f6 \
+                 [1,2,6,14,7,5,13,8,12,4,10,0,3 ring 1,10,12,13,5,8,0,4,14,6,7,2,3] \
+                 [11,15 ring 11,15] [9] inter 4,12,13,14,7,15,9,11,3,2,6",
+            ),
+        ];
+        for (seed, want) in pinned {
+            let g = onoc_graph::synth::random_app(16, 40, seed, benchmarks::DEFAULT_PITCH);
+            assert_eq!(
+                fingerprint(&cluster(&g, &config()).unwrap()),
+                want,
+                "seed {seed}"
+            );
+        }
+    }
+
+    #[test]
+    fn memo_misses_are_traced_and_evaluations_counted() {
+        let trace = onoc_trace::Trace::new();
+        let ctx = ExecCtx::cached().with_trace(trace.clone());
+        let g = benchmarks::mwd();
+        assert_eq!(cluster_ctx(&g, &config(), &ctx), cluster(&g, &config()));
+        let report = trace.report();
+        for (phase, unit) in [
+            ("grow", "cluster_grow"),
+            ("refine", "cluster_refine"),
+            ("inter", "cluster_inter"),
+        ] {
+            let misses = report.counter(&format!("memo/{unit}/misses"));
+            assert!(misses.is_some_and(|m| m > 0), "{unit} never missed");
+            assert_eq!(
+                report.phase(phase).map(|p| p.calls),
+                misses,
+                "one {phase} span per {unit} miss"
+            );
+        }
+        assert!(report.counter("cluster/ring_evals").is_some_and(|n| n > 0));
+    }
+
     #[test]
     fn candidate_segments_ranks_nan_detours_last_and_deterministically() {
         // Regression for the onoc-lint L2 bug class: the detour sort uses
         // `total_cmp`, so a NaN distance (e.g. a poisoned coordinate)
         // ranks after every finite detour instead of comparing Equal to
         // everything and shuffling the candidate order.
-        let cycle = onoc_layout::Cycle::new(vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)])
-            .expect("4-cycle");
+        let ring = [NodeId(0), NodeId(1), NodeId(2), NodeId(3)];
         let dist = |a: NodeId, b: NodeId| {
             if a == NodeId(3) || b == NodeId(3) {
                 f64::NAN
@@ -1110,11 +1472,13 @@ mod tests {
                 (a.index() as f64 - b.index() as f64).abs()
             }
         };
-        let first = candidate_segments(&cycle, NodeId(9), &dist, 2);
-        assert_eq!(first, candidate_segments(&cycle, NodeId(9), &dist, 2));
+        let (mut first, mut again) = (Vec::new(), Vec::new());
+        candidate_segments(&ring, NodeId(9), &dist, 2, &mut first);
+        candidate_segments(&ring, NodeId(9), &dist, 2, &mut again);
         assert_eq!(first.len(), 2);
-        for &i in &first {
-            let (a, b) = cycle.segment(i);
+        for (&(p, i), &(q, j)) in first.iter().zip(&again) {
+            assert_eq!((p.to_bits(), i), (q.to_bits(), j));
+            let (a, b) = (ring[i], ring[(i + 1) % ring.len()]);
             assert!(
                 a != NodeId(3) && b != NodeId(3),
                 "NaN detours must never outrank finite ones"
@@ -1253,6 +1617,59 @@ mod tests {
         use onoc_graph::synth;
         use onoc_units::Millimeters;
         use proptest::prelude::*;
+
+        /// Nodes of the evaluator property's graph.
+        const EVAL_NODES: usize = 24;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn prop_evaluator_matches_the_cycle_oracle_bit_for_bit(
+                coords in proptest::collection::vec(-7.0f64..7.0, 2 * EVAL_NODES),
+                keys in proptest::collection::vec(0u64..1_000_000, EVAL_NODES),
+                len in 3usize..21,
+                pairs in proptest::collection::vec((0usize..EVAL_NODES, 1usize..EVAL_NODES), 0..40),
+                self_message in 0usize..4,
+            ) {
+                // Off-grid positions, so that no reassociation of the
+                // path sums could go unnoticed.
+                let mut builder = CommGraph::builder();
+                for (v, xy) in coords.chunks(2).enumerate() {
+                    builder = builder.node(format!("n{v}"), onoc_graph::Point::new(xy[0], xy[1]));
+                }
+                let g = builder.build().unwrap();
+                let mut nodes: Vec<NodeId> = g.node_ids().collect();
+                nodes.sort_by_key(|v| (keys[v.index()], *v));
+                let order = &nodes[..len];
+                // Some endpoints fall off the ring; a quarter of the cases
+                // carry a message from a ring node to itself.
+                let mut messages: Vec<(NodeId, NodeId)> = pairs
+                    .iter()
+                    .map(|&(s, off)| (NodeId(s), NodeId((s + off) % EVAL_NODES)))
+                    .collect();
+                if self_message == 0 {
+                    messages.push((order[len / 2], order[len / 2]));
+                }
+                let dist = |a: NodeId, b: NodeId| g.manhattan(a, b).0;
+                let cycle = Cycle::new(order.to_vec()).unwrap();
+
+                let mut ev = RingEval::new(&g);
+                ev.load(order);
+                let (reversed, longest) = ev.orientation(&messages);
+                let (oriented, oracle_longest) = best_orientation(&cycle, &messages, &dist);
+                prop_assert_eq!(reversed, oriented != cycle);
+                prop_assert_eq!(longest.to_bits(), oracle_longest.to_bits());
+                let bits = |s: Option<(f64, f64, f64)>| {
+                    s.map(|(p, l, t)| (p.to_bits(), l.to_bits(), t.to_bits()))
+                };
+                prop_assert_eq!(
+                    bits(ev.score(&messages)),
+                    bits(oracle_score(order, &messages, &dist))
+                );
+            }
+
+        }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(16))]

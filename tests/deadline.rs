@@ -1,11 +1,13 @@
 //! Deadline conformance: a synthesis under a context deadline ends within
 //! a small margin of it — with a design that validates or a typed
 //! `SringError::Deadline` — even when the deadline lapses inside the MILP
-//! model build. MPEG is the probe: its pigeonhole cut search alone runs
-//! for hundreds of milliseconds. A cold run mostly spends its budget in
-//! clustering, so each deadline is also tried with the upstream stages
-//! served from a warm artifact cache, which puts the whole budget on the
-//! assignment (model build, then solve).
+//! model build or inside clustering. MPEG is the MILP probe: its
+//! pigeonhole cut search alone runs for hundreds of milliseconds. A cold
+//! run mostly spends its budget in clustering, so each MPEG deadline is
+//! also tried with the upstream stages served from a warm artifact cache,
+//! which puts the whole budget on the assignment (model build, then
+//! solve). The clustering probes are D26 (the longest clustering of the
+//! benchmark set), 8PM-44 and VOPD under the heuristic strategy.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -22,6 +24,29 @@ fn synthesizer(strategy: AssignmentStrategy) -> SringSynthesizer {
         strategy,
         ..SringConfig::default()
     })
+}
+
+/// Asserts that `result`, returned `elapsed` after a synthesis of
+/// `benchmark` started under `deadline`, came back in time and is either
+/// a design that validates or a typed deadline error.
+fn assert_conforms(
+    benchmark: Benchmark,
+    deadline: Duration,
+    elapsed: Duration,
+    result: Result<sring::core::SringReport, SringError>,
+) {
+    let app = benchmark.graph();
+    assert!(
+        elapsed <= deadline + MARGIN,
+        "{benchmark} under a {deadline:?} deadline returned after {elapsed:?}"
+    );
+    match result {
+        Ok(report) => report.design.validate_against(&app).unwrap_or_else(|e| {
+            panic!("{benchmark} design within {deadline:?} does not validate: {e}")
+        }),
+        Err(SringError::Deadline(_)) => {}
+        Err(e) => panic!("{benchmark} under a {deadline:?} deadline failed untyped: {e}"),
+    }
 }
 
 fn synthesize_mpeg_within(deadline: Duration, warm_upstream: bool) {
@@ -42,18 +67,19 @@ fn synthesize_mpeg_within(deadline: Duration, warm_upstream: bool) {
     let start = Instant::now();
     let ctx = ctx.with_deadline(start + deadline);
     let result = synth.synthesize_detailed_ctx(&app, &ctx);
-    let elapsed = start.elapsed();
-    assert!(
-        elapsed <= deadline + MARGIN,
-        "MPEG under a {deadline:?} deadline returned after {elapsed:?}"
-    );
-    match result {
-        Ok(report) => report
-            .design
-            .validate_against(&app)
-            .unwrap_or_else(|e| panic!("design within {deadline:?} does not validate: {e}")),
-        Err(SringError::Deadline(_)) => {}
-        Err(e) => panic!("MPEG under a {deadline:?} deadline failed untyped: {e}"),
+    assert_conforms(Benchmark::Mpeg, deadline, start.elapsed(), result);
+}
+
+/// Cold heuristic syntheses of the clustering probes: clustering polls
+/// the deadline once per grown initial vertex and per refinement pass.
+fn synthesize_clustering_probes_within(deadline: Duration) {
+    let synth = synthesizer(AssignmentStrategy::Heuristic);
+    for benchmark in [Benchmark::D26, Benchmark::Pm8x44, Benchmark::Vopd] {
+        let app = benchmark.graph();
+        let start = Instant::now();
+        let ctx = ExecCtx::cached().with_deadline(start + deadline);
+        let result = synth.synthesize_detailed_ctx(&app, &ctx);
+        assert_conforms(benchmark, deadline, start.elapsed(), result);
     }
 }
 
@@ -67,4 +93,24 @@ fn mpeg_milp_returns_within_a_100ms_deadline() {
 fn mpeg_milp_returns_within_a_500ms_deadline() {
     synthesize_mpeg_within(Duration::from_millis(500), false);
     synthesize_mpeg_within(Duration::from_millis(500), true);
+}
+
+#[test]
+fn heuristic_clustering_returns_within_a_25ms_deadline() {
+    synthesize_clustering_probes_within(Duration::from_millis(25));
+}
+
+#[test]
+fn heuristic_clustering_returns_within_a_100ms_deadline() {
+    synthesize_clustering_probes_within(Duration::from_millis(100));
+}
+
+#[test]
+fn heuristic_clustering_returns_within_a_500ms_deadline() {
+    synthesize_clustering_probes_within(Duration::from_millis(500));
+}
+
+#[test]
+fn heuristic_clustering_returns_within_a_1000ms_deadline() {
+    synthesize_clustering_probes_within(Duration::from_millis(1000));
 }
