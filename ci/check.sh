@@ -85,7 +85,7 @@ rm -rf "$STORE_SMOKE"
 ./target/release/sring-cli trace-check "${TMPDIR:-/tmp}/sring_trace_smoke.json" \
     --phase synth --phase synth/cluster --phase synth/layout \
     --phase synth/assign --phase synth/assign/milp \
-    --phase synth/assign/milp/build \
+    --phase synth/assign/milp/build --phase synth/assign/milp/lp \
     --phase synth/cluster/grow --phase synth/cluster/refine \
     --phase synth/cluster/inter
 

@@ -87,7 +87,8 @@ fn json_run(out: &mut String, label: &str, run: &Run) {
          \"solve_time_s\": {:.6},\n      \"max_depth\": {},\n      \
          \"refactorizations\": {},\n      \"eta_updates\": {},\n      \
          \"max_eta_chain\": {},\n      \"max_fill_in\": {},\n      \
-         \"presolve_cols_removed\": {}\n    }}",
+         \"presolve_cols_removed\": {},\n      \"polish_nodes\": {},\n      \
+         \"polish_pivots\": {}\n    }}",
         run.wall_s,
         run.objective,
         run.proven_optimal,
@@ -111,6 +112,8 @@ fn json_run(out: &mut String, label: &str, run: &Run) {
         s.max_eta_chain,
         s.max_fill_in,
         s.presolve_cols_removed,
+        s.polish_nodes,
+        s.polish_pivots,
     );
 }
 

@@ -451,6 +451,10 @@ fn record_solver_stats(trace: &Trace, stats: &SolveStats) {
         return;
     }
     trace.add_time("milp/presolve", stats.presolve_time, 1);
+    // The LP node itself, so its dual/primal split nests under it and
+    // `milp`'s direct children (build, presolve, lp, branching) explain
+    // the solve.
+    trace.add_time("milp/lp", stats.lp_time(), stats.lp_solves as u64);
     trace.add_time(
         "milp/lp/dual",
         stats.time_in_dual,
@@ -475,6 +479,10 @@ fn record_solver_stats(trace: &Trace, stats: &SolveStats) {
         "milp/presolve_cols_removed",
         stats.presolve_cols_removed as u64,
     );
+    // The canonical polish pass's share of the work above. Counters, not a
+    // phase: its LP time is already inside `lp/dual`.
+    trace.incr("milp/polish_nodes", stats.polish_nodes as u64);
+    trace.incr("milp/polish_pivots", stats.polish_pivots as u64);
     for (depth, &count) in stats.nodes_by_depth.iter().enumerate() {
         if count > 0 {
             trace.incr(&format!("milp/nodes_at_depth/{depth:02}"), count as u64);

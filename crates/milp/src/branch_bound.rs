@@ -217,6 +217,13 @@ pub struct SolveStats {
     /// Peak LU fill-in any node LP saw: nonzeros in `L + U` beyond the
     /// basis matrix's own (sparse engine).
     pub max_fill_in: usize,
+    /// Nodes evaluated by the deterministic canonical polish pass that
+    /// re-derives a search-found optimum (included in `nodes_explored`
+    /// when the pass succeeds; zero when it did not run).
+    pub polish_nodes: usize,
+    /// Simplex iterations, primal and dual, of the polish pass (included
+    /// in `primal_pivots`/`dual_pivots`).
+    pub polish_pivots: usize,
     /// Explored nodes bucketed by tree depth (`nodes_by_depth[d]` =
     /// nodes at depth `d`); sums to `nodes_explored`.
     pub nodes_by_depth: Vec<usize>,
@@ -321,6 +328,8 @@ impl SolveStats {
         self.eta_updates += other.eta_updates;
         self.max_eta_chain = self.max_eta_chain.max(other.max_eta_chain);
         self.max_fill_in = self.max_fill_in.max(other.max_fill_in);
+        self.polish_nodes += other.polish_nodes;
+        self.polish_pivots += other.polish_pivots;
         if self.nodes_by_depth.len() < other.nodes_by_depth.len() {
             self.nodes_by_depth.resize(other.nodes_by_depth.len(), 0);
         }
@@ -1150,6 +1159,8 @@ fn polish_canonical(
             }
         }
     }
+    scratch.stats.polish_nodes = nodes;
+    scratch.stats.polish_pivots = scratch.stats.total_pivots();
     stats.merge(&scratch.stats);
     found.map(|values| (values, nodes))
 }

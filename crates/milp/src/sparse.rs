@@ -31,8 +31,8 @@
 use crate::lu::{LuFactors, REFACTOR_INTERVAL};
 use crate::pricing::PartialPricing;
 use crate::simplex::{
-    lp_terminal, recover_values, Basis, BasisCol, FactorStats, InternalForm, LpOptions, LpProblem,
-    LpResult, LpStatus, Recover, SimplexWorkspace, VarStatus,
+    lp_terminal, recover_values, Basis, BasisCol, FactorStats, InternalForm, InternalRow,
+    LpOptions, LpProblem, LpResult, LpStatus, Recover, SimplexWorkspace, VarStatus,
 };
 use crate::tolerances::{
     COST_TOL, DRIFT_TOL, DUAL_PERTURB, FEAS_TOL, HARRIS_RELAX, PIVOT_TOL, SINGULAR_TOL,
@@ -106,6 +106,26 @@ impl CscMatrix {
         }
     }
 
+    /// A matrix from explicit columns of `(row, value)` entries, for
+    /// tests that need bases the internal form cannot easily express.
+    #[cfg(test)]
+    pub(crate) fn from_columns(m: usize, cols: &[Vec<(u32, f64)>]) -> Self {
+        let mut a = CscMatrix {
+            m,
+            n: cols.len(),
+            ..CscMatrix::default()
+        };
+        a.col_ptr.push(0);
+        for col in cols {
+            for &(r, v) in col {
+                a.row_idx.push(r);
+                a.val.push(v);
+            }
+            a.col_ptr.push(a.row_idx.len());
+        }
+        a
+    }
+
     /// Row indices and values of column `j`.
     #[inline]
     pub(crate) fn col(&self, j: usize) -> (&[u32], &[f64]) {
@@ -130,6 +150,24 @@ impl CscMatrix {
     }
 }
 
+/// Sets `reached[j]` for every column `j < ntot` with an entry in a row
+/// where `dense` is nonzero, reading the internal form's rows as the
+/// matrix's row-wise pattern. Any other column's [`CscMatrix::col_dot`]
+/// with `dense` sums only products with `±0.0`, so it is `±0.0` (the
+/// model rejects non-finite coefficients).
+fn mark_reached(rows: &[InternalRow], dense: &[f64], ntot: usize, reached: &mut [bool]) {
+    for (row, &x) in rows.iter().zip(dense) {
+        if x == 0.0 {
+            continue;
+        }
+        for &(j, _) in &row.coeffs {
+            if j < ntot {
+                reached[j] = true;
+            }
+        }
+    }
+}
+
 /// Per-workspace scratch for the sparse engine: the CSC matrix, the LU
 /// arenas, and every dense work vector a solve needs. Embedded in
 /// [`SimplexWorkspace`] so branch and bound allocates once per thread.
@@ -151,8 +189,13 @@ pub(crate) struct SparseScratch {
     y: Vec<f64>,
     /// `btran` input (slot space), consumed per call.
     cb: Vec<f64>,
+    /// Unit `btran` input (slot space) selecting the dual leaving row.
+    e_r: Vec<f64>,
     /// `btran` output for a single basis-inverse row (dual leaving row).
     rho: Vec<f64>,
+    /// Per column: has an entry in a row where `rho` is nonzero (dual
+    /// ratio-test screening; all-false between iterations).
+    reached: Vec<bool>,
     /// Fresh-beta scratch for drift checks and flip application.
     beta_check: Vec<f64>,
     /// Phase-1 / extended phase-2 cost vector.
@@ -169,6 +212,8 @@ struct Rev<'w> {
     /// cold: artificials included).
     ntot: usize,
     a: &'w CscMatrix,
+    /// The internal form's rows: the matrix's row-wise pattern.
+    rows: &'w [InternalRow],
     lu: &'w mut LuFactors,
     basis: &'w mut Vec<usize>,
     status: &'w mut Vec<VarStatus>,
@@ -180,7 +225,9 @@ struct Rev<'w> {
     w: &'w mut Vec<f64>,
     y: &'w mut Vec<f64>,
     cb: &'w mut Vec<f64>,
+    e_r: &'w mut Vec<f64>,
     rho: &'w mut Vec<f64>,
+    reached: &'w mut Vec<bool>,
     beta_check: &'w mut Vec<f64>,
     pricing: &'w mut PartialPricing,
     iterations: usize,
@@ -222,13 +269,18 @@ impl Rev<'_> {
         self.lu.ftran(self.rhs, self.w);
     }
 
-    /// `y ← B⁻ᵀ·c_B`: the duals for the given cost vector.
-    fn compute_duals(&mut self, cost: &[f64]) {
+    /// `cb ← c_B`: the basic columns' costs, per basis slot.
+    fn load_basic_costs(&mut self, cost: &[f64]) {
         self.cb.clear();
         self.cb.resize(self.m, 0.0);
         for (slot, &col) in self.basis.iter().enumerate() {
             self.cb[slot] = cost[col];
         }
+    }
+
+    /// `y ← B⁻ᵀ·c_B`: the duals for the given cost vector.
+    fn compute_duals(&mut self, cost: &[f64]) {
+        self.load_basic_costs(cost);
         self.lu.btran(self.cb, self.y);
     }
 
@@ -656,17 +708,22 @@ impl Rev<'_> {
             self.iterations += 1;
 
             // Row `r` of `B⁻¹` (for the pivot-row entries `alpha_j`) and
-            // the duals (for the reduced costs).
+            // the duals (for the reduced costs), in one sweep.
             let sigma = if to_upper { -1.0 } else { 1.0 };
-            self.cb.clear();
-            self.cb.resize(self.m, 0.0);
-            self.cb[r] = 1.0;
-            self.lu.btran(self.cb, self.rho);
-            self.compute_duals(cost);
+            self.e_r.clear();
+            self.e_r.resize(self.m, 0.0);
+            self.e_r[r] = 1.0;
+            self.load_basic_costs(cost);
+            self.lu.btran2(self.e_r, self.rho, self.cb, self.y);
 
+            // Only columns reaching a nonzero of `rho` can be eligible: any
+            // other column's `t_sig` is `±0.0`, which both sign tests below
+            // reject.
+            mark_reached(self.rows, self.rho, self.ntot, self.reached);
             cands.clear();
             for j in 0..self.ntot {
-                if self.banned[j] || self.ub[j] == 0.0 {
+                let reached = std::mem::take(&mut self.reached[j]);
+                if !reached || self.banned[j] || self.ub[j] == 0.0 {
                     continue;
                 }
                 let t_sig = sigma * self.a.col_dot(j, self.rho);
@@ -694,10 +751,12 @@ impl Rev<'_> {
             if cands.is_empty() {
                 return Err(LpStatus::Infeasible);
             }
+            // Both orders end on the unique column index, so an unstable
+            // sort yields the same sequence without a merge buffer.
             if self.use_bland {
-                cands.sort_by(|a, b| a.ratio.total_cmp(&b.ratio).then(a.j.cmp(&b.j)));
+                cands.sort_unstable_by(|a, b| a.ratio.total_cmp(&b.ratio).then(a.j.cmp(&b.j)));
             } else {
-                cands.sort_by(|a, b| {
+                cands.sort_unstable_by(|a, b| {
                     a.ratio
                         .total_cmp(&b.ratio)
                         .then_with(|| b.t_sig.abs().total_cmp(&a.t_sig.abs()))
@@ -847,7 +906,9 @@ pub(crate) fn solve_sparse(
         w,
         y,
         cb,
+        e_r,
         rho,
+        reached,
         beta_check,
         cost_buf,
         pricing,
@@ -861,6 +922,8 @@ pub(crate) fn solve_sparse(
     b.extend(form.rows.iter().map(|r| r.rhs));
     rhs.clear();
     rhs.resize(m, 0.0);
+    reached.clear();
+    reached.resize(a.n, false);
     lu.reset_counters();
     pricing.reset();
 
@@ -898,6 +961,7 @@ pub(crate) fn solve_sparse(
             m,
             ntot,
             a: &*a,
+            rows: &form.rows,
             lu: &mut *lu,
             basis: &mut *basis,
             status: &mut *status,
@@ -909,7 +973,9 @@ pub(crate) fn solve_sparse(
             w: &mut *w,
             y: &mut *y,
             cb: &mut *cb,
+            e_r: &mut *e_r,
             rho: &mut *rho,
+            reached: &mut *reached,
             beta_check: &mut *beta_check,
             pricing: &mut *pricing,
             iterations: 0,
@@ -1046,6 +1112,7 @@ pub(crate) fn solve_sparse(
         m,
         ntot,
         a: &*a,
+        rows: &form.rows,
         lu: &mut *lu,
         basis: &mut *basis,
         status: &mut *status,
@@ -1057,7 +1124,9 @@ pub(crate) fn solve_sparse(
         w: &mut *w,
         y: &mut *y,
         cb: &mut *cb,
+        e_r: &mut *e_r,
         rho: &mut *rho,
+        reached: &mut *reached,
         beta_check: &mut *beta_check,
         pricing: &mut *pricing,
         iterations: 0,
@@ -1200,6 +1269,24 @@ mod tests {
         assert_eq!(a.col(3), (&[1u32][..], &[1.0][..]));
         assert_eq!(a.col_nnz(0), 2);
         assert_eq!(a.col_nnz(3), 1);
+    }
+
+    #[test]
+    fn screening_marks_exactly_the_columns_a_nonzero_row_reaches() {
+        // Only row 1 is nonzero: x, y and s1 have an entry there, s0 does
+        // not, and its dot product with the vector is an exact zero.
+        let form = two_row_form();
+        let mut a = CscMatrix::default();
+        a.build(&form);
+        let rho = [0.0, -0.5];
+        let mut reached = vec![false; 4];
+        mark_reached(&form.rows, &rho, 4, &mut reached);
+        assert_eq!(reached, [true, true, false, true]);
+        assert_eq!(a.col_dot(2, &rho), 0.0);
+        // Columns at or beyond `ntot` are never marked.
+        let mut reached = vec![false; 4];
+        mark_reached(&form.rows, &rho, 3, &mut reached);
+        assert_eq!(reached, [true, true, false, false]);
     }
 
     #[test]

@@ -24,7 +24,9 @@
 //! future one; the store treats both as misses and rewrites fresh.
 //!
 //! Version history: 1 = initial layout; 2 = `SolveStats` payloads gained
-//! the presolve column-elimination and sparse-LU factorization counters.
+//! the presolve column-elimination and sparse-LU factorization counters;
+//! 3 = `SolveStats` payloads gained the polish-pass node and pivot
+//! counters.
 
 use crate::codec::{Decoder, Encoder};
 use onoc_ctx::{ContentHasher, ContentKey};
@@ -34,7 +36,7 @@ use std::fmt;
 pub const RECORD_MAGIC: [u8; 4] = *b"ONOC";
 
 /// The format version this build reads and writes.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// One decoded record: the `(stage, key)` address and the raw payload.
 #[derive(Debug, Clone, PartialEq, Eq)]

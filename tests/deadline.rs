@@ -7,7 +7,10 @@
 //! also tried with the upstream stages served from a warm artifact cache,
 //! which puts the whole budget on the assignment (model build, then
 //! solve). The clustering probes are D26 (the longest clustering of the
-//! benchmark set), 8PM-44 and VOPD under the heuristic strategy.
+//! benchmark set), 8PM-44 and VOPD under the heuristic strategy. MWD,
+//! VOPD and 8PM-24 under the MILP strategy put the deadline inside branch
+//! and bound: root strong branching, the node LPs and the canonical
+//! polish pass.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -83,6 +86,19 @@ fn synthesize_clustering_probes_within(deadline: Duration) {
     }
 }
 
+/// Cold MILP syntheses whose solve, not their model build, runs into the
+/// deadline.
+fn synthesize_milp_probes_within(deadline: Duration) {
+    let synth = synthesizer(AssignmentStrategy::Milp(MilpOptions::default()));
+    for benchmark in [Benchmark::Mwd, Benchmark::Vopd, Benchmark::Pm8x24] {
+        let app = benchmark.graph();
+        let start = Instant::now();
+        let ctx = ExecCtx::cached().with_deadline(start + deadline);
+        let result = synth.synthesize_detailed_ctx(&app, &ctx);
+        assert_conforms(benchmark, deadline, start.elapsed(), result);
+    }
+}
+
 #[test]
 fn mpeg_milp_returns_within_a_100ms_deadline() {
     synthesize_mpeg_within(Duration::from_millis(100), false);
@@ -113,4 +129,24 @@ fn heuristic_clustering_returns_within_a_500ms_deadline() {
 #[test]
 fn heuristic_clustering_returns_within_a_1000ms_deadline() {
     synthesize_clustering_probes_within(Duration::from_millis(1000));
+}
+
+#[test]
+fn milp_search_returns_within_a_25ms_deadline() {
+    synthesize_milp_probes_within(Duration::from_millis(25));
+}
+
+#[test]
+fn milp_search_returns_within_a_100ms_deadline() {
+    synthesize_milp_probes_within(Duration::from_millis(100));
+}
+
+#[test]
+fn milp_search_returns_within_a_500ms_deadline() {
+    synthesize_milp_probes_within(Duration::from_millis(500));
+}
+
+#[test]
+fn milp_search_returns_within_a_1000ms_deadline() {
+    synthesize_milp_probes_within(Duration::from_millis(1000));
 }

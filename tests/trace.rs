@@ -60,6 +60,14 @@ fn traced_synthesis_counters_match_solver_stats() {
         t.counter("milp/warm_start_hits"),
         Some(stats.warm_start_hits as u64)
     );
+    assert_eq!(
+        t.counter("milp/polish_nodes"),
+        Some(stats.polish_nodes as u64)
+    );
+    assert_eq!(
+        t.counter("milp/polish_pivots"),
+        Some(stats.polish_pivots as u64)
+    );
     let rate = t.gauge("milp/warm_hit_rate").expect("hit rate gauge");
     assert!((rate - stats.warm_hit_rate()).abs() < 1e-12);
 
@@ -81,6 +89,7 @@ fn traced_synthesis_counters_match_solver_stats() {
         "synth/assign",
         "synth/assign/milp",
         "synth/assign/milp/presolve",
+        "synth/assign/milp/lp",
         "synth/assign/milp/lp/dual",
         "synth/pdn",
         "synth/validate",
@@ -94,8 +103,18 @@ fn traced_synthesis_counters_match_solver_stats() {
         Some(app.message_count() as u64)
     );
 
+    // The LP node carries the whole LP time and one call per LP solve.
+    let lp = t.phase("synth/assign/milp/lp").unwrap();
+    assert_eq!(lp.total, stats.lp_time());
+    assert_eq!(lp.calls, stats.lp_solves as u64);
+
     // Children never account for more time than their parent span.
-    for parent in ["synth", "synth/assign", "synth/assign/milp"] {
+    for parent in [
+        "synth",
+        "synth/assign",
+        "synth/assign/milp",
+        "synth/assign/milp/lp",
+    ] {
         let parent_total = t.phase(parent).unwrap().total;
         assert!(
             t.children_total(parent) <= parent_total,
