@@ -88,6 +88,16 @@ rm -rf "$STORE_SMOKE"
     --phase synth/assign/milp/build --phase synth/assign/milp/lp \
     --phase synth/cluster/grow --phase synth/cluster/refine \
     --phase synth/cluster/inter
+# The same on 8PM-24, the one tracked MILP whose canonical polish pass
+# runs (it replays the search's root LPs).
+./target/release/sring-cli synth --benchmark 8pm-24 \
+    --trace-json "${TMPDIR:-/tmp}/sring_trace_smoke_8pm24.json"
+./target/release/sring-cli trace-check "${TMPDIR:-/tmp}/sring_trace_smoke_8pm24.json" \
+    --phase synth --phase synth/cluster --phase synth/layout \
+    --phase synth/assign --phase synth/assign/milp \
+    --phase synth/assign/milp/build --phase synth/assign/milp/lp \
+    --phase synth/cluster/grow --phase synth/cluster/refine \
+    --phase synth/cluster/inter
 
 # Delta smoke check: synthesize MWD, retarget one message, re-synthesize
 # incrementally and verify the result is byte-identical to a from-scratch

@@ -79,6 +79,7 @@ fn json_run(out: &mut String, label: &str, run: &Run) {
         out,
         "    \"{label}\": {{\n      \"wall_s\": {:.6},\n      \"objective\": {:.6},\n      \
          \"proven_optimal\": {},\n      \"nodes_explored\": {},\n      \"lp_solves\": {},\n      \
+         \"lp_reused\": {},\n      \
          \"total_pivots\": {},\n      \"primal_pivots\": {},\n      \"dual_pivots\": {},\n      \
          \"phase1_solves\": {},\n      \"warm_start_attempts\": {},\n      \
          \"warm_start_hits\": {},\n      \"non_root_warm_rate\": {:.4},\n      \
@@ -94,6 +95,7 @@ fn json_run(out: &mut String, label: &str, run: &Run) {
         run.proven_optimal,
         s.nodes_explored,
         s.lp_solves,
+        s.lp_reused,
         s.total_pivots(),
         s.primal_pivots,
         s.dual_pivots,

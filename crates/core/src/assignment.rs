@@ -468,6 +468,7 @@ fn record_solver_stats(trace: &Trace, stats: &SolveStats) {
     trace.add_time("milp/branching", stats.branching_time(), 1);
     trace.incr("milp/nodes_explored", stats.nodes_explored as u64);
     trace.incr("milp/lp_solves", stats.lp_solves as u64);
+    trace.incr("milp/lp_reused", stats.lp_reused as u64);
     trace.incr("milp/primal_pivots", stats.primal_pivots as u64);
     trace.incr("milp/dual_pivots", stats.dual_pivots as u64);
     trace.incr("milp/phase1_solves", stats.phase1_solves as u64);

@@ -368,6 +368,7 @@ fn put_solve_stats(enc: &mut Encoder, s: &SolveStats) {
     let SolveStats {
         nodes_explored,
         lp_solves,
+        lp_reused,
         primal_pivots,
         dual_pivots,
         phase1_solves,
@@ -388,6 +389,7 @@ fn put_solve_stats(enc: &mut Encoder, s: &SolveStats) {
     } = s;
     enc.put_usize(*nodes_explored);
     enc.put_usize(*lp_solves);
+    enc.put_usize(*lp_reused);
     enc.put_usize(*primal_pivots);
     enc.put_usize(*dual_pivots);
     enc.put_usize(*phase1_solves);
@@ -411,6 +413,7 @@ fn take_solve_stats(dec: &mut Decoder<'_>) -> Result<SolveStats, DecodeError> {
     Ok(SolveStats {
         nodes_explored: dec.take_usize()?,
         lp_solves: dec.take_usize()?,
+        lp_reused: dec.take_usize()?,
         primal_pivots: dec.take_usize()?,
         dual_pivots: dec.take_usize()?,
         phase1_solves: dec.take_usize()?,

@@ -25,7 +25,7 @@
 //! best-first order.
 
 use crate::branch_bound::{
-    evaluate_node, make_children, Node, NodeOutcome, SearchCtx, SearchEnd, SolveStats,
+    evaluate_node, make_children, Node, NodeOutcome, RootRecord, SearchCtx, SearchEnd, SolveStats,
     WorkerScratch,
 };
 use crate::model::ModelError;
@@ -65,6 +65,9 @@ struct SearchState {
     /// The root node's optimal basis, captured by whichever worker
     /// branched at depth 0 (see `MilpSolution::root_basis`).
     root_basis: Option<std::sync::Arc<crate::simplex::Basis>>,
+    /// The cold root's LP results, handed over by the worker that
+    /// evaluated the root.
+    root_record: RootRecord,
 }
 
 struct Shared {
@@ -131,6 +134,7 @@ pub(crate) fn search(
             done: false,
             stats: SolveStats::default(),
             root_basis: None,
+            root_record: RootRecord::default(),
         }),
         cvar: Condvar::new(),
         best_obj_bits: AtomicU64::new(best_bits),
@@ -163,6 +167,7 @@ pub(crate) fn search(
         root_iteration_limit: state.root_iteration_limit,
         stats: state.stats,
         root_basis: state.root_basis,
+        root_record: state.root_record,
     })
 }
 
@@ -291,25 +296,11 @@ fn worker(ctx: &SearchCtx<'_>, shared: &Shared) {
                     shared.best_obj_bits.store(obj.to_bits(), Ordering::Release);
                 }
             }
-            NodeOutcome::Branched {
-                lp_obj,
-                var,
-                x,
-                basis,
-            } => {
+            NodeOutcome::Branched(branch) => {
                 if node.depth == 0 {
-                    state.root_basis.clone_from(&basis);
+                    state.root_basis.clone_from(&branch.basis);
                 }
-                let bounds_var = (scratch.lower[var], scratch.upper[var]);
-                let (down, up) = make_children(
-                    &node,
-                    var,
-                    x,
-                    lp_obj,
-                    bounds_var,
-                    basis,
-                    &mut state.next_seq,
-                );
+                let (down, up) = make_children(&node, branch, &scratch, &mut state.next_seq);
                 if let Some(child) = up {
                     state.heap.push(child);
                 }
@@ -337,6 +328,9 @@ fn worker(ctx: &SearchCtx<'_>, shared: &Shared) {
     // condemned by the originating panic.
     if let Ok(mut state) = shared.state.lock() {
         state.stats.merge(&scratch.stats);
+        if !scratch.root.is_empty() {
+            state.root_record = scratch.root;
+        }
     }
 }
 

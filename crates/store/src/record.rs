@@ -26,7 +26,7 @@
 //! Version history: 1 = initial layout; 2 = `SolveStats` payloads gained
 //! the presolve column-elimination and sparse-LU factorization counters;
 //! 3 = `SolveStats` payloads gained the polish-pass node and pivot
-//! counters.
+//! counters; 4 = `SolveStats` payloads gained the reused-LP counter.
 
 use crate::codec::{Decoder, Encoder};
 use onoc_ctx::{ContentHasher, ContentKey};
@@ -36,7 +36,7 @@ use std::fmt;
 pub const RECORD_MAGIC: [u8; 4] = *b"ONOC";
 
 /// The format version this build reads and writes.
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 /// One decoded record: the `(stage, key)` address and the raw payload.
 #[derive(Debug, Clone, PartialEq, Eq)]

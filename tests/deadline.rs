@@ -100,6 +100,12 @@ fn synthesize_milp_probes_within(deadline: Duration) {
 }
 
 #[test]
+fn mpeg_milp_returns_within_a_25ms_deadline() {
+    synthesize_mpeg_within(Duration::from_millis(25), false);
+    synthesize_mpeg_within(Duration::from_millis(25), true);
+}
+
+#[test]
 fn mpeg_milp_returns_within_a_100ms_deadline() {
     synthesize_mpeg_within(Duration::from_millis(100), false);
     synthesize_mpeg_within(Duration::from_millis(100), true);
@@ -109,6 +115,12 @@ fn mpeg_milp_returns_within_a_100ms_deadline() {
 fn mpeg_milp_returns_within_a_500ms_deadline() {
     synthesize_mpeg_within(Duration::from_millis(500), false);
     synthesize_mpeg_within(Duration::from_millis(500), true);
+}
+
+#[test]
+fn mpeg_milp_returns_within_a_1000ms_deadline() {
+    synthesize_mpeg_within(Duration::from_millis(1000), false);
+    synthesize_mpeg_within(Duration::from_millis(1000), true);
 }
 
 #[test]

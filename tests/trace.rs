@@ -40,6 +40,10 @@ fn traced_synthesis_counters_match_solver_stats() {
         Some(stats.nodes_explored as u64)
     );
     assert_eq!(t.counter("milp/lp_solves"), Some(stats.lp_solves as u64));
+    // The root's two children take the LP results root strong branching
+    // already solved for them; MWD's polish pass does not run.
+    assert_eq!(t.counter("milp/lp_reused"), Some(stats.lp_reused as u64));
+    assert_eq!(stats.lp_reused, 2);
     assert_eq!(
         t.counter("milp/primal_pivots"),
         Some(stats.primal_pivots as u64)
@@ -122,6 +126,44 @@ fn traced_synthesis_counters_match_solver_stats() {
             t.children_total(parent)
         );
     }
+}
+
+#[test]
+fn traced_polish_replays_the_search_root() {
+    // 8PM-24 is the tracked MILP whose canonical polish pass runs. The
+    // budget is widened from the default 3 s so a loaded host cannot cut
+    // the search short of the proof the polish needs.
+    let trace = Trace::new();
+    let synth = SringSynthesizer::with_config(SringConfig {
+        strategy: AssignmentStrategy::Milp(MilpOptions {
+            threads: 1,
+            time_limit: std::time::Duration::from_secs(120),
+            ..MilpOptions::default()
+        }),
+        ..SringConfig::default()
+    });
+    let report = synth
+        .synthesize_detailed_ctx(
+            &benchmarks::Benchmark::Pm8x24.graph(),
+            &ExecCtx::default().with_trace(trace.clone()),
+        )
+        .expect("8PM-24 synthesizes");
+    let stats = report.assignment.solver_stats.expect("MILP ran");
+    let t = trace.report();
+    assert_eq!(
+        t.counter("milp/polish_nodes"),
+        Some(stats.polish_nodes as u64)
+    );
+    assert_eq!(stats.polish_nodes, 12);
+    // The search's two root children, plus the polish pass's root, its
+    // 48 strong-branch probes and its root's two children: the polish
+    // repeats the search's cold root call for call.
+    assert_eq!(t.counter("milp/lp_reused"), Some(stats.lp_reused as u64));
+    assert_eq!(stats.lp_reused, 53);
+    assert_eq!(
+        t.phase("synth/assign/milp/lp").unwrap().calls,
+        stats.lp_solves as u64
+    );
 }
 
 #[test]
