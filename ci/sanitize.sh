@@ -6,8 +6,8 @@
 # interleavings and memory accesses are.
 #
 # 1. ThreadSanitizer over the concurrency-heavy integration suites
-#    (tests/parallel.rs, tests/cache.rs, tests/trace.rs, tests/served.rs):
-#    the MILP branch-and-bound worker pool, the shared ArtifactCache
+#    (tests/cache.rs, tests/trace.rs, tests/served.rs):
+#    the shared ArtifactCache
 #    (including the seeded multi-thread stress test), the trace registry,
 #    and the sring-served daemon whose nested queue/session locking is
 #    exempted from the static lock-order rule (L8) on the strength of
@@ -50,7 +50,7 @@ if [ "$MODE" = "all" ] || [ "$MODE" = "tsan" ]; then
           RUSTFLAGS="-Zsanitizer=thread" \
           CARGO_TARGET_DIR="target/tsan" \
               cargo +nightly test -Zbuild-std --target "$HOST_TARGET" -q \
-                  --test parallel --test cache --test trace --test served )
+                  --test cache --test trace --test served )
     else
         echo "sanitize: SKIP ThreadSanitizer (rust-src unavailable, likely offline)" >&2
     fi

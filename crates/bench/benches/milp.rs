@@ -75,9 +75,6 @@ fn bench_simplex(c: &mut Criterion) {
 fn bench_branch_and_bound(c: &mut Criterion) {
     let mut group = c.benchmark_group("milp/branch_and_bound");
     group.sample_size(10);
-    // Serial baseline next to the parallel search (`--threads N`, default
-    // one worker per core) on the same instances.
-    let threads = onoc_eval::par::resolve_threads(onoc_bench::threads_from_env_args());
     for (paths, colors) in [(8usize, 3usize), (14, 4), (20, 4)] {
         let m = coloring_model(paths, colors);
         group.bench_with_input(
@@ -87,18 +84,6 @@ fn bench_branch_and_bound(c: &mut Criterion) {
                 bencher.iter(|| m.solve(&SolveOptions::default()).expect("solves"));
             },
         );
-        if threads > 1 {
-            group.bench_with_input(
-                BenchmarkId::from_parameter(format!("{paths}x{colors}/threads={threads}")),
-                &m,
-                |bencher, m| {
-                    bencher.iter(|| {
-                        m.solve(&SolveOptions::default().with_threads(threads))
-                            .expect("solves")
-                    });
-                },
-            );
-        }
     }
     group.finish();
 }

@@ -4,25 +4,12 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use onoc_graph::benchmarks::Benchmark;
-use sring_core::{AssignmentStrategy, MilpOptions, SringConfig, SringSynthesizer};
+use sring_core::SringSynthesizer;
 
 fn bench_sring_pipeline(c: &mut Criterion) {
     let mut group = c.benchmark_group("table2/sring_pipeline");
     group.sample_size(10);
-    // `--threads N` reaches the MILP stage of the pipeline (0, the
-    // default, resolves to one worker per available core).
-    let threads = onoc_bench::threads_from_env_args();
-    let config = SringConfig {
-        strategy: AssignmentStrategy::Auto {
-            milp_max_paths: 30,
-            options: MilpOptions {
-                threads,
-                ..MilpOptions::default()
-            },
-        },
-        ..SringConfig::default()
-    };
-    let synth = SringSynthesizer::with_config(config);
+    let synth = SringSynthesizer::new();
     for b in [
         Benchmark::Mwd,
         Benchmark::Vopd,

@@ -5,7 +5,7 @@
 //! tracked across PRs.
 //!
 //! ```text
-//! milp_stats [out.json] [--benchmark mwd] [--threads N] [--trace-json t.json]
+//! milp_stats [out.json] [--benchmark mwd] [--trace-json t.json]
 //!            [--require-optimal] [--time-limit SECS]
 //! ```
 //!
@@ -16,9 +16,7 @@
 //! release-mode gate `ci/check.sh` holds VOPD to.
 
 use milp_solver::SolveStats;
-use onoc_bench::{
-    finish_trace, harness_ctx, harness_tech, harness_trace, take_threads_flag, take_trace_flag,
-};
+use onoc_bench::{finish_trace, harness_ctx, harness_tech, harness_trace, take_trace_flag};
 use onoc_ctx::ExecCtx;
 use onoc_graph::benchmarks::Benchmark;
 use sring_core::{AssignmentStrategy, MilpOptions, SringConfig, SringSynthesizer};
@@ -122,13 +120,6 @@ fn json_run(out: &mut String, label: &str, run: &Run) {
 fn main() -> ExitCode {
     let started = Instant::now();
     let mut raw: Vec<String> = std::env::args().skip(1).collect();
-    // Default to a serial search (not one-per-core): the recorded node and
-    // pivot counts are only comparable across PRs when the exploration
-    // order is deterministic.
-    let threads = match take_threads_flag(&mut raw) {
-        0 => 1,
-        n => n,
-    };
     let trace_path = take_trace_flag(&mut raw);
     let trace = harness_trace(trace_path.as_ref());
     // No artifact cache here: the recorded wall-clocks and solver
@@ -166,6 +157,10 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     }
+    if let Some(flag) = raw.iter().find(|a| a.starts_with("--")) {
+        eprintln!("error: unknown flag {flag}");
+        return ExitCode::from(2);
+    }
     let out_path = raw
         .first()
         .cloned()
@@ -197,7 +192,6 @@ fn main() -> ExitCode {
         let warm = match solve(
             b,
             MilpOptions {
-                threads,
                 time_limit: time_limit.unwrap_or(MilpOptions::default().time_limit),
                 ..MilpOptions::default()
             },
@@ -225,7 +219,6 @@ fn main() -> ExitCode {
         let cold = match solve(
             b,
             MilpOptions {
-                threads,
                 warm_basis: false,
                 node_limit: warm.stats.nodes_explored,
                 time_limit: Duration::from_secs(60),

@@ -201,11 +201,6 @@ pub struct MilpOptions {
     pub pool_slack: usize,
     /// Node budget for the branch-and-bound search.
     pub node_limit: usize,
-    /// Worker threads for the branch-and-bound search (`1` = serial,
-    /// `0` = one per available core). The parallel search is work-sharing
-    /// with a deterministic node ordering, so the reported objective does
-    /// not depend on the thread count.
-    pub threads: usize,
     /// Inherit each parent node's optimal basis and re-optimize children
     /// with the dual simplex (on by default). `false` forces cold-start
     /// two-phase primal solves at every node — useful only as a baseline
@@ -225,7 +220,6 @@ impl Default for MilpOptions {
             time_limit: Duration::from_secs(3),
             pool_slack: 3,
             node_limit: 20_000,
-            threads: 1,
             warm_basis: true,
             presolve: true,
         }
@@ -1349,7 +1343,6 @@ fn milp_assignment(
     let mut options = MilpSolveOptions::default()
         .with_time_limit(time_limit)
         .with_node_limit(opts.node_limit)
-        .with_threads(opts.threads)
         .with_warm_basis(opts.warm_basis)
         .with_presolve(opts.presolve)
         .with_warm_start(start);

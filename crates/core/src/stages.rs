@@ -65,14 +65,12 @@ impl ContentHash for MilpOptions {
             time_limit,
             pool_slack,
             node_limit,
-            threads,
             warm_basis,
             presolve,
         } = self;
         time_limit.content_hash(hasher);
         pool_slack.content_hash(hasher);
         node_limit.content_hash(hasher);
-        threads.content_hash(hasher);
         warm_basis.content_hash(hasher);
         presolve.content_hash(hasher);
     }

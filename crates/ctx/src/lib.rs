@@ -38,14 +38,14 @@ use std::time::{Duration, Instant};
 /// Resolves a user-facing thread budget: `0` means one worker per
 /// available core, anything else is taken literally.
 ///
-/// This is the *only* place outside `milp::parallel` where the workspace
-/// consults [`std::thread::available_parallelism`]; every other layer
+/// This is the *only* place where the workspace consults
+/// [`std::thread::available_parallelism`]; every other layer
 /// receives its worker count through an [`ExecCtx`] (or an explicit
 /// argument) so a single `--threads N` flag governs the whole pipeline.
 #[must_use]
 pub fn resolve_threads(requested: usize) -> usize {
     match requested {
-        // onoc-lint: allow(L3, reason = "the one sanctioned probe of machine parallelism outside milp::parallel")
+        // onoc-lint: allow(L3, reason = "the one sanctioned probe of machine parallelism")
         0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         n => n,
     }

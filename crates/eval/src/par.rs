@@ -6,20 +6,11 @@
 //! assignment), collect the results *in job order*. Whatever the thread
 //! count, the caller sees the same `Vec`.
 
-/// Resolves a user-facing thread count: `0` means one worker per
-/// available core, anything else is taken literally.
-///
-/// Delegates to [`onoc_ctx::resolve_threads`] so the whole pipeline
-/// shares one notion of "let the machine decide".
-#[must_use]
-pub fn resolve_threads(threads: usize) -> usize {
-    onoc_ctx::resolve_threads(threads)
-}
-
 /// Runs `f(0..len)` across `threads` scoped workers and returns the
-/// results in index order. `threads` is resolved via [`resolve_threads`]
-/// and clamped to `len`; one effective worker short-circuits to a plain
-/// sequential loop on the calling thread.
+/// results in index order. `threads` is resolved via
+/// [`onoc_ctx::resolve_threads`] and clamped to `len`; one effective
+/// worker short-circuits to a plain sequential loop on the calling
+/// thread.
 ///
 /// # Panics
 ///
@@ -29,7 +20,7 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let threads = resolve_threads(threads).min(len);
+    let threads = onoc_ctx::resolve_threads(threads).min(len);
     if threads <= 1 {
         return (0..len).map(f).collect();
     }
@@ -64,12 +55,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn resolves_zero_to_available_parallelism() {
-        assert!(resolve_threads(0) >= 1);
-        assert_eq!(resolve_threads(3), 3);
-    }
 
     #[test]
     fn results_are_in_job_order_for_any_thread_count() {

@@ -11,7 +11,7 @@
 //! |------|--------------------|-----------|
 //! | L1   | `no-unwrap`        | no `unwrap()`/`expect()` in non-test library code |
 //! | L2   | `float-total-cmp`  | float orderings use `total_cmp`, never `partial_cmp` |
-//! | L3   | `thread-spawn`     | `thread::spawn`/`available_parallelism` only in `milp::parallel` and `onoc-ctx` |
+//! | L3   | `thread-spawn`     | `thread::spawn`/`available_parallelism` only in `onoc-ctx` |
 //! | L4   | `instant-now`      | `Instant::now()` only in `onoc-trace` |
 //! | L5   | `traced-shim`      | no callers of the deprecated `*_traced` shims |
 //! | L6   | `lock-unwrap`      | `lock_or_recover`, never bare `.lock().unwrap()` |

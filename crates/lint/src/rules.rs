@@ -106,7 +106,7 @@ impl Rule {
         match self {
             Rule::L1 => "library code must propagate errors, not unwrap()/expect() them",
             Rule::L2 => "float orderings must use total_cmp, not partial_cmp (NaN breaks sort/heap invariants)",
-            Rule::L3 => "thread::spawn/available_parallelism only in milp::parallel and onoc-ctx (thread budget is centralized)",
+            Rule::L3 => "thread::spawn/available_parallelism only in onoc-ctx (thread budget is centralized)",
             Rule::L4 => "Instant::now() only in onoc-trace (timing flows through the trace layer)",
             Rule::L5 => "the deprecated *_traced shims must not gain new callers",
             Rule::L6 => "shared registries must use lock_or_recover, not .lock().unwrap()",
@@ -162,10 +162,10 @@ L3 thread-spawn — parallelism is centralized.
 Why: `--threads N` must govern every worker pool; a stray
 thread::spawn or available_parallelism() probe creates parallelism the
 ExecCtx thread budget cannot see, breaking both determinism and the
-serial-vs-parallel equivalence tests.
+thread-count equivalence tests.
 
 Detected: `thread::spawn` and `available_parallelism` tokens outside
-crates/milp/src/parallel.rs and onoc-ctx, excluding test code.
+onoc-ctx, excluding test code.
 
 False positives: none observed; scratch threads in tests are exempt."
             }
@@ -363,11 +363,7 @@ pub fn applies(rule: Rule, kind: FileKind, in_test_region: bool, rel_path: &str)
         // Hard invariants: everywhere, including test code.
         Rule::L2 | Rule::L5 | Rule::L10 => true,
         // Concurrency rules: everywhere except test code.
-        Rule::L3 => {
-            !in_test_code
-                && rel_path != "crates/milp/src/parallel.rs"
-                && !rel_path.starts_with("crates/ctx/src/")
-        }
+        Rule::L3 => !in_test_code && !rel_path.starts_with("crates/ctx/src/"),
         Rule::L6 => !in_test_code,
         // Determinism: output-producing crates only.
         Rule::L7 => !in_test_code && OUTPUT_CRATES.iter().any(|c| rel_path.starts_with(c)),
@@ -430,12 +426,7 @@ mod tests {
         assert!(!applies(Rule::L1, Lib, true, "crates/core/src/lib.rs"));
         assert!(!applies(Rule::L1, Bin, false, "src/bin/sring-cli.rs"));
         assert!(applies(Rule::L2, Test, true, "tests/pipeline.rs"));
-        assert!(!applies(
-            Rule::L3,
-            Lib,
-            false,
-            "crates/milp/src/parallel.rs"
-        ));
+        assert!(applies(Rule::L3, Lib, false, "crates/milp/src/lu.rs"));
         assert!(!applies(Rule::L3, Lib, false, "crates/ctx/src/lib.rs"));
         assert!(applies(Rule::L3, Lib, false, "crates/eval/src/par.rs"));
         assert!(!applies(Rule::L4, Lib, false, "crates/trace/src/lib.rs"));
@@ -452,7 +443,7 @@ mod tests {
         assert!(!applies(Rule::L7, Lib, false, "crates/eval/src/par.rs"));
         assert!(!applies(Rule::L7, Lib, true, "crates/core/src/stages.rs"));
         // L8: everywhere but the audited layers and tests.
-        assert!(applies(Rule::L8, Lib, false, "crates/milp/src/parallel.rs"));
+        assert!(applies(Rule::L8, Lib, false, "crates/milp/src/lu.rs"));
         assert!(!applies(
             Rule::L8,
             Lib,

@@ -7,11 +7,6 @@
 //! reaches into the simplex itself (see
 //! [`crate::simplex::LpOptions`]), so a single long LP
 //! relaxation cannot blow the budget.
-//!
-//! With [`SolveOptions::threads`] above one the tree search runs on a
-//! work-sharing worker pool (see [`crate::parallel`]): a shared open-node
-//! pool, a mutex-protected incumbent with an atomic best-objective mirror
-//! for lock-free pruning, and one reusable simplex workspace per worker.
 
 use crate::model::{Model, ModelError, VarType};
 use crate::simplex::{
@@ -23,12 +18,12 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-pub(crate) const INT_TOL: f64 = 1e-6;
+const INT_TOL: f64 = 1e-6;
 
 /// Strong-branch candidate cap at the root node: both child LPs of this
 /// many best-ranked fractional variables are solved before the first
 /// branch is committed (see [`evaluate_node`]).
-pub(crate) const STRONG_BRANCH_CANDIDATES: usize = 24;
+const STRONG_BRANCH_CANDIDATES: usize = 24;
 
 /// Options controlling the branch-and-bound search.
 #[derive(Debug, Clone)]
@@ -47,24 +42,11 @@ pub struct SolveOptions {
     /// Run the conservative presolve reductions before the search
     /// (default `true`; see the [`presolve`](mod@crate::presolve) module).
     pub presolve: bool,
-    /// Worker threads for the tree search. `1` (the default) searches
-    /// serially on the calling thread; `0` uses one worker per available
-    /// core; any other value that many workers.
-    pub threads: usize,
-    /// Deterministic parallel mode (default `true`): nodes are ordered by
-    /// the fixed `(bound, depth, id)` tie-break in the shared pool and
-    /// incumbent replacement requires strict improvement, so a search
-    /// that runs to completion returns exactly the serial objective.
-    /// `false` lets each worker dive on one child locally (plunging) —
-    /// less pool contention, but exploration departs from global
-    /// best-first, so anytime results under limits may differ.
-    pub deterministic: bool,
     /// Inherit each parent node's optimal basis and re-optimize child LP
     /// relaxations with the dual simplex instead of a cold two-phase start
     /// (default `true`; see [`crate::simplex::solve_lp_warm`]). Disable to
     /// measure the cold-start baseline. Either setting reaches the same
-    /// optima — warm starting only changes how each node LP is solved, so
-    /// it is safe in deterministic mode too.
+    /// optima — warm starting only changes how each node LP is solved.
     pub warm_basis: bool,
     /// Which LP engine solves the node relaxations (default
     /// [`LpEngine::Sparse`]; the dense tableau is retained as a reference
@@ -90,8 +72,6 @@ impl Default for SolveOptions {
             warm_start: None,
             relative_gap: 0.0,
             presolve: true,
-            threads: 1,
-            deterministic: true,
             warm_basis: true,
             lp_engine: LpEngine::default(),
             root_basis: None,
@@ -127,13 +107,6 @@ impl SolveOptions {
         self
     }
 
-    /// Sets the worker-thread count (`0` = one per available core).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
     /// Enables or disables the presolve reductions (default enabled).
     #[must_use]
     pub fn with_presolve(mut self, presolve: bool) -> Self {
@@ -162,13 +135,6 @@ impl SolveOptions {
         self.root_basis = Some(basis);
         self
     }
-
-    /// The resolved worker count: `threads`, with `0` mapped to the
-    /// machine's available parallelism.
-    #[must_use]
-    pub fn effective_threads(&self) -> usize {
-        crate::parallel::resolve_threads(self.threads)
-    }
 }
 
 /// How the search ended.
@@ -181,8 +147,8 @@ pub enum Status {
     Feasible,
 }
 
-/// Aggregate solver statistics for one MILP solve, accumulated per worker
-/// and merged at the end of the search.
+/// Aggregate solver statistics for one MILP solve: the search's and the
+/// polish pass's counters, merged at the end.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SolveStats {
     /// Branch-and-bound nodes whose LP relaxation was solved.
@@ -275,7 +241,7 @@ impl SolveStats {
     }
 
     /// Wall-clock of the search outside presolve and the node LPs:
-    /// branching, bound bookkeeping and (parallel) pool coordination.
+    /// branching and bound bookkeeping.
     /// Zero until the solve finishes populating `solve_time`.
     #[must_use]
     pub fn branching_time(&self) -> Duration {
@@ -290,7 +256,7 @@ impl SolveStats {
         self.nodes_by_depth.len().saturating_sub(1)
     }
 
-    pub(crate) fn record_lp(
+    fn record_lp(
         &mut self,
         result: &crate::simplex::LpResult,
         attempted_warm: bool,
@@ -316,14 +282,14 @@ impl SolveStats {
         }
     }
 
-    pub(crate) fn record_node(&mut self, depth: usize) {
+    fn record_node(&mut self, depth: usize) {
         if self.nodes_by_depth.len() <= depth {
             self.nodes_by_depth.resize(depth + 1, 0);
         }
         self.nodes_by_depth[depth] += 1;
     }
 
-    pub(crate) fn merge(&mut self, other: &SolveStats) {
+    fn merge(&mut self, other: &SolveStats) {
         self.nodes_explored += other.nodes_explored;
         self.lp_solves += other.lp_solves;
         self.lp_reused += other.lp_reused;
@@ -436,7 +402,7 @@ impl MilpSolution {
 /// a parent-linked chain (shared via [`Arc`]) instead of full `lower` /
 /// `upper` vector clones; [`WorkerScratch`] reconstructs the effective
 /// bounds by walking the chain leaf → root over the root bounds.
-pub(crate) struct BoundChange {
+struct BoundChange {
     var: usize,
     /// `true` tightens the upper bound, `false` the lower.
     is_upper: bool,
@@ -444,25 +410,25 @@ pub(crate) struct BoundChange {
     parent: Option<Arc<BoundChange>>,
 }
 
-pub(crate) struct Node {
-    pub(crate) bound: f64,
-    pub(crate) depth: usize,
-    pub(crate) seq: usize,
+struct Node {
+    bound: f64,
+    depth: usize,
+    seq: usize,
     /// Bound tightenings accumulated along the path from the root.
-    pub(crate) changes: Option<Arc<BoundChange>>,
+    changes: Option<Arc<BoundChange>>,
     /// The parent node's optimal basis, inherited for warm-starting this
     /// node's LP relaxation.
-    pub(crate) basis: Option<Arc<Basis>>,
+    basis: Option<Arc<Basis>>,
     /// Fractional distance the branching moved this node's variable (`f`
     /// for the down child, `1 − f` for the up child; `0` at the root).
     /// Solving this node's LP attributes `(lp_obj − bound) / frac` to the
     /// branch variable's pseudocost.
-    pub(crate) frac: f64,
+    frac: f64,
     /// The result of this node's LP call when it was already made
     /// elsewhere — a root strong-branch probe, or the search's cold root
     /// for the polish pass's root. [`evaluate_node`] takes it instead of
     /// solving. Only [`reusable`] results are carried.
-    pub(crate) lp: Option<Arc<LpResult>>,
+    lp: Option<Arc<LpResult>>,
 }
 
 /// Whether an LP result may stand in for a later identical call. A
@@ -483,7 +449,7 @@ type ChildLps = (Option<Arc<LpResult>>, Option<Arc<LpResult>>);
 /// probes, which became the root's children. The other probes keep only
 /// their status and objective, so the record stays small.
 #[derive(Default)]
-pub(crate) struct RootRecord {
+struct RootRecord {
     lp: Option<Arc<LpResult>>,
     /// `(var, is_upper, status, objective)` per probe, in probe order.
     probes: Vec<(usize, bool, LpStatus, f64)>,
@@ -492,10 +458,6 @@ pub(crate) struct RootRecord {
 }
 
 impl RootRecord {
-    pub(crate) fn is_empty(&self) -> bool {
-        self.lp.is_none()
-    }
-
     fn probe(&self, var: usize, is_upper: bool) -> Option<(LpStatus, f64)> {
         self.probes
             .iter()
@@ -511,11 +473,10 @@ impl RootRecord {
 /// directions default to the same constant — which makes the product
 /// score collapse to `f·(1 − f)`, i.e. plain most-fractional branching.
 ///
-/// Each worker keeps its own table (inside [`WorkerScratch`]): serial
-/// searches stay bit-reproducible, and parallel workers avoid contending
-/// on a shared table at the cost of each learning independently.
+/// The table lives in the search's [`WorkerScratch`], so the canonical
+/// polish pass, which gets a fresh scratch, starts uninformed.
 #[derive(Default)]
-pub(crate) struct Pseudocosts {
+struct Pseudocosts {
     down_sum: Vec<f64>,
     down_cnt: Vec<u32>,
     up_sum: Vec<f64>,
@@ -584,8 +545,8 @@ impl Ord for Node {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; we want the *smallest* bound on top,
         // breaking ties toward deeper nodes (diving) and then by the fixed
-        // node id (`seq`) — never by anything timing- or address-dependent,
-        // so the pool order is well-defined under concurrency too.
+        // node id (`seq`) — never by anything address-dependent, so the
+        // pool order is reproducible.
         // `total_cmp`, not `partial_cmp(..).unwrap_or(Equal)`: a NaN bound
         // under the partial order would compare Equal to every other
         // bound, corrupting the heap invariant and with it the best-first
@@ -646,26 +607,26 @@ fn build_lp(model: &Model) -> LpProblem {
     }
 }
 
-/// Immutable per-search context shared by the serial loop and every
-/// parallel worker.
-pub(crate) struct SearchCtx<'a> {
-    pub(crate) model: &'a Model,
-    pub(crate) lp: &'a LpProblem,
-    pub(crate) integer_vars: &'a [usize],
-    pub(crate) obj_constant: f64,
-    pub(crate) options: &'a SolveOptions,
-    pub(crate) start: Instant,
-    pub(crate) deadline: Option<Instant>,
+/// Immutable per-search context shared by the search and the polish
+/// pass.
+struct SearchCtx<'a> {
+    model: &'a Model,
+    lp: &'a LpProblem,
+    integer_vars: &'a [usize],
+    obj_constant: f64,
+    options: &'a SolveOptions,
+    start: Instant,
+    deadline: Option<Instant>,
 }
 
 impl SearchCtx<'_> {
-    pub(crate) fn time_limit_reached(&self) -> bool {
+    fn time_limit_reached(&self) -> bool {
         self.options
             .time_limit
             .is_some_and(|limit| self.start.elapsed() >= limit)
     }
 
-    pub(crate) fn node_limit_reached(&self, nodes_explored: usize) -> bool {
+    fn node_limit_reached(&self, nodes_explored: usize) -> bool {
         self.options
             .node_limit
             .is_some_and(|limit| nodes_explored >= limit)
@@ -673,7 +634,7 @@ impl SearchCtx<'_> {
 }
 
 /// What processing one node produced.
-pub(crate) enum NodeOutcome {
+enum NodeOutcome {
     /// The node's LP is infeasible — subtree closed.
     Infeasible,
     /// The node's LP is unbounded (only possible at the root).
@@ -693,32 +654,32 @@ pub(crate) enum NodeOutcome {
 /// A fractional node's branching: on variable `var` at value `x`, handing
 /// `basis` down to the children for warm starting, and with it the down
 /// and up LP results root strong branching already solved for `var`.
-pub(crate) struct Branch {
+struct Branch {
     lp_obj: f64,
     var: usize,
     x: f64,
-    pub(crate) basis: Option<Arc<Basis>>,
+    basis: Option<Arc<Basis>>,
     down_lp: Option<Arc<LpResult>>,
     up_lp: Option<Arc<LpResult>>,
 }
 
-/// Per-worker mutable state: the reusable simplex workspace, the bound
-/// vectors reconstructed from each node's delta chain, and locally
-/// accumulated solver statistics (merged into the search totals at the
-/// end, so workers never contend on a shared counter).
-pub(crate) struct WorkerScratch {
-    pub(crate) workspace: SimplexWorkspace,
-    pub(crate) lower: Vec<f64>,
-    pub(crate) upper: Vec<f64>,
-    pub(crate) stats: SolveStats,
-    pub(crate) pseudo: Pseudocosts,
-    /// Filled when this worker evaluates a cold root; the polish pass
+/// Mutable state of one tree walk: the reusable simplex workspace, the
+/// bound vectors reconstructed from each node's delta chain, and the
+/// walk's solver statistics (the polish pass keeps its own and merges
+/// them into the search's at the end).
+struct WorkerScratch {
+    workspace: SimplexWorkspace,
+    lower: Vec<f64>,
+    upper: Vec<f64>,
+    stats: SolveStats,
+    pseudo: Pseudocosts,
+    /// Filled when this walk evaluates a cold root; the polish pass
     /// seeds it with the search's record so its root probes replay.
-    pub(crate) root: RootRecord,
+    root: RootRecord,
 }
 
 impl WorkerScratch {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         WorkerScratch {
             workspace: SimplexWorkspace::new(),
             lower: Vec::new(),
@@ -778,7 +739,7 @@ impl WorkerScratch {
 
 /// Solves one node's LP relaxation and classifies the result. `inc_obj`
 /// is the incumbent objective (sans constant) used for pruning, if any.
-pub(crate) fn evaluate_node(
+fn evaluate_node(
     ctx: &SearchCtx<'_>,
     node: &Node,
     inc_obj: Option<f64>,
@@ -986,9 +947,9 @@ pub(crate) fn evaluate_node(
 /// Builds the down (`xⱼ ≤ ⌊x⌋`) and up (`xⱼ ≥ ⌈x⌉`) children of a
 /// branched node. `scratch` still holds the node's effective bounds from
 /// evaluating it. Node ids come from `next_seq` — always two ids per
-/// branching (down first), even for a child whose bounds cross, so serial
+/// branching (down first), even for a child whose bounds cross, so node
 /// ids are reproducible.
-pub(crate) fn make_children(
+fn make_children(
     node: &Node,
     branch: Branch,
     scratch: &WorkerScratch,
@@ -1026,27 +987,27 @@ pub(crate) fn make_children(
     (down, up)
 }
 
-/// Everything the final assembly needs, however the search ran.
-pub(crate) struct SearchEnd {
-    pub(crate) incumbent: Option<(f64, Vec<f64>)>,
+/// Everything the final assembly needs from the search.
+struct SearchEnd {
+    incumbent: Option<(f64, Vec<f64>)>,
     /// Minimum bound over all nodes left open: the heap remainder plus any
-    /// subtree dropped on numerical trouble or an interrupted dive. `+inf`
-    /// when the tree was exhausted.
-    pub(crate) open_bound: f64,
-    pub(crate) limit_hit: bool,
-    pub(crate) nodes_explored: usize,
-    pub(crate) root_unbounded: bool,
-    pub(crate) root_iteration_limit: bool,
-    pub(crate) stats: SolveStats,
+    /// subtree dropped on numerical trouble. `+inf` when the tree was
+    /// exhausted.
+    open_bound: f64,
+    limit_hit: bool,
+    nodes_explored: usize,
+    root_unbounded: bool,
+    root_iteration_limit: bool,
+    stats: SolveStats,
     /// The root node's optimal basis, when it was captured (see
     /// [`MilpSolution::root_basis`]).
-    pub(crate) root_basis: Option<Arc<Basis>>,
+    root_basis: Option<Arc<Basis>>,
     /// The root's LP results when the root started cold (empty
     /// otherwise), for the polish pass to replay.
-    pub(crate) root_record: RootRecord,
+    root_record: RootRecord,
 }
 
-pub(crate) fn assemble(ctx: &SearchCtx<'_>, end: SearchEnd) -> Result<MilpSolution, ModelError> {
+fn assemble(ctx: &SearchCtx<'_>, end: SearchEnd) -> Result<MilpSolution, ModelError> {
     if end.root_iteration_limit {
         return Err(ModelError::IterationLimit);
     }
@@ -1153,17 +1114,11 @@ pub(crate) fn solve(model: &Model, options: &SolveOptions) -> Result<MilpSolutio
         lp: None,
     };
 
-    let threads = options.effective_threads();
     let warm_obj = incumbent.as_ref().map(|(obj, _)| *obj);
-    let mut end = if threads > 1 {
-        crate::parallel::search(&ctx, root, incumbent, threads)?
-    } else {
-        search_serial(&ctx, root, incumbent)
-    };
-    // In deterministic mode a search-found optimum is re-derived as a pure
-    // function of the model (see `polish_canonical`): among tied optima,
-    // which one the search happens to keep depends on worker timing in
-    // parallel mode and on warm hints (root basis, prior incumbents)
+    let mut end = search(&ctx, root, incumbent);
+    // A search-found optimum is re-derived as a pure function of the model
+    // (see `polish_canonical`): among tied optima, which one the search
+    // happens to keep depends on warm hints (root basis, prior incumbents)
     // carried in from earlier solves, so the raw incumbent vector is not
     // reproducible even though its objective is. A warm-start incumbent
     // the search never improved is returned as-is — it came from the
@@ -1180,7 +1135,7 @@ pub(crate) fn solve(model: &Model, options: &SolveOptions) -> Result<MilpSolutio
     // pure function of the model unless a warm root basis steered the
     // simplex to one of several optimal vertices — skip the polish there.
     let root_only = sol.nodes_explored == 1 && options.root_basis.is_none();
-    if options.deterministic && search_found && !root_only && sol.status() == Status::Optimal {
+    if search_found && !root_only && sol.status() == Status::Optimal {
         if let Some(target) = polish_target {
             if let Some((values, nodes)) =
                 polish_canonical(&ctx, target, root_record, &mut sol.stats)
@@ -1199,23 +1154,22 @@ pub(crate) fn solve(model: &Model, options: &SolveOptions) -> Result<MilpSolutio
 }
 
 /// Re-derives a proven-optimal solution vector as a pure function of the
-/// model, erasing the timing and warm-hint dependence of the search's own
-/// incumbent. A fresh serial best-first pass, seeded with the proven
-/// objective `target`, prunes every strictly worse subtree (ties survive
-/// the `1e-9` tolerance) and accepts the first integral solution matching
-/// `target` in the fixed `(bound, depth, seq)` order — the same canonical
-/// vector on every run and every thread count. The pass starts cold
-/// (no root basis, fresh pseudocosts) so nothing from the search or from
-/// prior solves can steer it. When the search's root also started cold,
-/// `root_record` holds that root's LP and probe results: the pass makes
-/// the very same calls, so it takes those results instead of solving
-/// again (an empty record just means every LP is solved). On success
-/// returns the vector together with
-/// the pass's node count, which the caller folds into the explored total.
-/// Returns `None` — keep the search's own
-/// incumbent, forfeiting reproducibility — when a deadline, the node
-/// limit, or LP trouble interrupts the pass; with pruning at full
-/// strength from the first node the pass is far cheaper than the
+/// model, erasing the warm-hint dependence of the search's own incumbent.
+/// A fresh best-first pass, seeded with the proven objective `target`,
+/// prunes every strictly worse subtree (ties survive the `1e-9`
+/// tolerance) and accepts the first integral solution matching `target`
+/// in the fixed `(bound, depth, seq)` order — the same canonical vector
+/// on every run, whatever hints the search started from. The pass starts
+/// cold (no root basis, fresh pseudocosts) so nothing from the search or
+/// from prior solves can steer it. When the search's root also started
+/// cold, `root_record` holds that root's LP and probe results: the pass
+/// makes the very same calls, so it takes those results instead of
+/// solving again (an empty record just means every LP is solved). On
+/// success returns the vector together with the pass's node count, which
+/// the caller folds into the explored total. Returns `None` — keep the
+/// search's own incumbent, forfeiting reproducibility — when a deadline,
+/// the node limit, or LP trouble interrupts the pass; with pruning at
+/// full strength from the first node the pass is far cheaper than the
 /// optimality proof that preceded it, so that is a deadline-pressure
 /// corner, not the norm.
 fn polish_canonical(
@@ -1274,11 +1228,7 @@ fn polish_canonical(
     found.map(|values| (values, nodes))
 }
 
-fn search_serial(
-    ctx: &SearchCtx<'_>,
-    root: Node,
-    mut incumbent: Option<(f64, Vec<f64>)>,
-) -> SearchEnd {
+fn search(ctx: &SearchCtx<'_>, root: Node, mut incumbent: Option<(f64, Vec<f64>)>) -> SearchEnd {
     let mut heap = BinaryHeap::new();
     let mut next_seq = root.seq;
     heap.push(root);
@@ -1699,119 +1649,6 @@ mod tests {
                 Err(e) => return Err(proptest::test_runner::TestCaseError::fail(format!("unexpected error {e}"))),
             }
         }
-
-        /// The parallel search must return the serial objective on every
-        /// random program, in deterministic mode and with plunging.
-        #[test]
-        fn prop_parallel_matches_serial(
-            n in 2usize..7,
-            rows in proptest::collection::vec(
-                (proptest::collection::vec(-3i8..4, 6), -4i8..8), 0..5
-            ),
-            cost in proptest::collection::vec(-5i8..6, 6),
-            threads in 2usize..5,
-            deterministic in proptest::arbitrary::any::<bool>(),
-        ) {
-            let m = random_model(n, &rows, &cost);
-            let serial = m.solve(&SolveOptions::default());
-            let mut options = SolveOptions::default().with_threads(threads);
-            options.deterministic = deterministic;
-            let parallel = m.solve(&options);
-            match (serial, parallel) {
-                (Ok(s), Ok(p)) => {
-                    proptest::prop_assert!(
-                        (s.objective() - p.objective()).abs() < 1e-6,
-                        "serial {} vs parallel {}", s.objective(), p.objective()
-                    );
-                    proptest::prop_assert_eq!(s.status(), p.status());
-                    proptest::prop_assert!(m.is_feasible(p.values(), 1e-6));
-                }
-                (Err(se), Err(pe)) => proptest::prop_assert_eq!(
-                    format!("{se}"), format!("{pe}")
-                ),
-                (s, p) => return Err(proptest::test_runner::TestCaseError::fail(
-                    format!("serial {s:?} vs parallel {p:?}")
-                )),
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_knapsack_matches_serial() {
-        let build = || {
-            let mut m = Model::new();
-            let items = [(3.0, 4.0), (4.0, 5.0), (5.0, 6.0), (2.0, 3.0), (6.0, 8.0)];
-            let vars: Vec<_> = items
-                .iter()
-                .enumerate()
-                .map(|(i, _)| m.add_binary(format!("x{i}")))
-                .collect();
-            let weight: Vec<_> = vars
-                .iter()
-                .zip(&items)
-                .map(|(&v, &(w, _))| (v, w))
-                .collect();
-            m.add_constraint(weight, Sense::Le, 11.0).unwrap();
-            let value: Vec<_> = vars
-                .iter()
-                .zip(&items)
-                .map(|(&v, &(_, p))| (v, -p))
-                .collect();
-            m.set_objective(value);
-            m
-        };
-        let m = build();
-        let serial = m.solve(&SolveOptions::default()).unwrap();
-        for threads in [2, 4, 8] {
-            let sol = m
-                .solve(&SolveOptions::default().with_threads(threads))
-                .unwrap();
-            assert_eq!(sol.status(), Status::Optimal);
-            assert!(
-                (sol.objective() - serial.objective()).abs() < 1e-9,
-                "{threads} threads: {} vs serial {}",
-                sol.objective(),
-                serial.objective()
-            );
-            assert!(m.is_feasible(sol.values(), 1e-6));
-        }
-    }
-
-    #[test]
-    fn parallel_respects_node_limit() {
-        let mut m = Model::new();
-        let x = m.add_binary("x");
-        let y = m.add_binary("y");
-        let z = m.add_binary("z");
-        m.add_constraint([(x, 1.0), (y, 1.0)], Sense::Le, 1.0)
-            .unwrap();
-        m.add_constraint([(x, 1.0), (z, 1.0)], Sense::Le, 1.0)
-            .unwrap();
-        m.add_constraint([(y, 1.0), (z, 1.0)], Sense::Le, 1.0)
-            .unwrap();
-        m.set_objective([(x, -1.0), (y, -1.0), (z, -1.0)]);
-        let options = SolveOptions::default()
-            .with_node_limit(0)
-            .with_threads(4)
-            .with_warm_start(vec![1.0, 0.0, 0.0]);
-        let sol = m.solve(&options).unwrap();
-        assert_eq!(sol.status(), Status::Feasible);
-        assert!((sol.objective() + 1.0).abs() < 1e-9);
-        assert!(sol.bound() <= sol.objective());
-    }
-
-    #[test]
-    fn parallel_infeasible_and_unbounded_reported() {
-        let mut m = Model::new();
-        let x = m.add_binary("x");
-        m.add_constraint([(x, 1.0)], Sense::Ge, 2.0).unwrap();
-        let options = SolveOptions::default().with_threads(3);
-        assert!(matches!(m.solve(&options), Err(ModelError::Infeasible)));
-
-        let mut m = Model::new();
-        let x = m.add_continuous("x");
-        m.set_objective([(x, -1.0)]);
-        assert!(matches!(m.solve(&options), Err(ModelError::Unbounded)));
     }
 
     #[test]
@@ -1924,44 +1761,36 @@ mod tests {
     }
 
     #[test]
-    fn stats_are_consistent_serial_and_parallel() {
+    fn stats_are_consistent() {
         let m = assignment_model(9, 3);
-        for threads in [1, 4] {
-            let sol = m
-                .solve(&SolveOptions::default().with_threads(threads))
-                .unwrap();
-            let s = sol.stats();
-            assert_eq!(s.nodes_explored, sol.nodes_explored());
-            // One LP per node, plus up to two strong-branch probes per
-            // root candidate — at both roots, since the canonical polish
-            // pass explores from a fresh depth-0 node of its own.
-            assert!(s.lp_solves <= s.nodes_explored + 4 * STRONG_BRANCH_CANDIDATES);
-            assert!(s.warm_start_hits <= s.warm_start_attempts);
-            assert!(s.warm_start_attempts < s.lp_solves);
-            assert!(s.phase1_solves <= s.lp_solves);
-            assert!(s.warm_hit_rate() >= 0.9, "{threads} threads: {s:?}");
-            // Depth histogram: one bucket entry per explored node, with
-            // the polish pass's nodes folded into both sides of the
-            // equation.
-            assert_eq!(
-                s.nodes_by_depth.iter().sum::<usize>(),
-                s.nodes_explored,
-                "{threads} threads: {s:?}"
-            );
-            assert!(s.max_depth() >= 1, "{threads} threads: {s:?}");
-            // Phase timers: every LP landed in exactly one bucket. With
-            // one worker LP time is nested inside the solve wall-clock;
-            // across several workers the summed LP time may exceed it.
-            assert!(s.solve_time > Duration::ZERO);
-            assert!(s.lp_time() > Duration::ZERO);
-            if threads == 1 {
-                assert!(s.solve_time >= s.presolve_time + s.lp_time(), "{s:?}");
-                assert_eq!(
-                    s.branching_time() + s.presolve_time + s.lp_time(),
-                    s.solve_time
-                );
-            }
-        }
+        let sol = m.solve(&SolveOptions::default()).unwrap();
+        let s = sol.stats();
+        assert_eq!(s.nodes_explored, sol.nodes_explored());
+        // One LP per node, plus up to two strong-branch probes per root
+        // candidate — at both roots, since the canonical polish pass
+        // explores from a fresh depth-0 node of its own.
+        assert!(s.lp_solves <= s.nodes_explored + 4 * STRONG_BRANCH_CANDIDATES);
+        assert!(s.warm_start_hits <= s.warm_start_attempts);
+        assert!(s.warm_start_attempts < s.lp_solves);
+        assert!(s.phase1_solves <= s.lp_solves);
+        assert!(s.warm_hit_rate() >= 0.9, "{s:?}");
+        // Depth histogram: one bucket entry per explored node, with the
+        // polish pass's nodes folded into both sides of the equation.
+        assert_eq!(
+            s.nodes_by_depth.iter().sum::<usize>(),
+            s.nodes_explored,
+            "{s:?}"
+        );
+        assert!(s.max_depth() >= 1, "{s:?}");
+        // Phase timers: every LP landed in exactly one bucket, nested
+        // inside the solve wall-clock.
+        assert!(s.solve_time > Duration::ZERO);
+        assert!(s.lp_time() > Duration::ZERO);
+        assert!(s.solve_time >= s.presolve_time + s.lp_time(), "{s:?}");
+        assert_eq!(
+            s.branching_time() + s.presolve_time + s.lp_time(),
+            s.solve_time
+        );
     }
 
     proptest::proptest! {

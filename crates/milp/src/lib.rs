@@ -19,10 +19,8 @@
 //!   fallback to the cold primal path ([`simplex::solve_lp_warm`]),
 //! * a **branch-and-bound** tree search with best-first node selection,
 //!   most-fractional branching, parent-basis inheritance, warm-start
-//!   incumbents and wall-clock/node limits ([`branch_bound`]), optionally
-//!   running on a work-sharing worker pool ([`SolveOptions::threads`],
-//!   see the [`parallel`] module docs for the shared-incumbent design);
-//!   per-solve counters land in [`SolveStats`].
+//!   incumbents and wall-clock/node limits ([`branch_bound`]); per-solve
+//!   counters land in [`SolveStats`].
 //!
 //! The solver is *anytime*: when a limit is hit it returns the best
 //! incumbent together with the proven bound, flagged
@@ -60,7 +58,6 @@ pub mod expr;
 pub mod io;
 mod lu;
 pub mod model;
-pub mod parallel;
 pub mod presolve;
 mod pricing;
 pub mod simplex;

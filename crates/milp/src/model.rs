@@ -325,9 +325,6 @@ pub enum ModelError {
     NoSolutionFound,
     /// The simplex exceeded its iteration budget (numerical trouble).
     IterationLimit,
-    /// A worker thread of the parallel search panicked and poisoned the
-    /// shared search state; the partial results cannot be trusted.
-    PoisonedLock,
 }
 
 impl fmt::Display for ModelError {
@@ -344,9 +341,6 @@ impl fmt::Display for ModelError {
                 write!(f, "search limit reached before finding a feasible point")
             }
             ModelError::IterationLimit => write!(f, "simplex iteration limit exceeded"),
-            ModelError::PoisonedLock => {
-                write!(f, "parallel search state was poisoned by a worker panic")
-            }
         }
     }
 }

@@ -12,7 +12,7 @@
 //! which improving column enters first.
 //!
 //! The scan order and tie-breaks are deterministic, which the solver's
-//! serial-vs-parallel reproducibility tests rely on. Under the Bland
+//! trajectory pins rely on. Under the Bland
 //! anti-cycling fallback the engine bypasses this module entirely and
 //! scans all columns for the first improving index.
 

@@ -168,9 +168,9 @@ impl Basis {
 ///
 /// The dense tableau (or, on the sparse path, the factorization arenas)
 /// is the dominant allocation of an LP solve; branch and bound solves one
-/// LP per node, all of the same shape. Keeping one workspace per worker
-/// thread means those buffers are allocated once per thread instead of
-/// once per node.
+/// LP per node, all of the same shape. Keeping one workspace per search
+/// means those buffers are allocated once per search instead of once per
+/// node.
 #[derive(Debug, Default)]
 pub struct SimplexWorkspace {
     t: Vec<f64>,
@@ -914,8 +914,7 @@ pub fn solve_lp_with(
 /// Like [`solve_lp_with`], optionally warm-started from a [`Basis`]
 /// snapshot of a previous solve (typically the branch-and-bound parent
 /// node's optimum). This is the entry point branch and bound uses: one
-/// workspace per worker thread, one deadline per search, one inherited
-/// basis per node.
+/// workspace and one deadline per search, one inherited basis per node.
 ///
 /// When the snapshot matches the internal column/row structure, it is
 /// refactorized and re-optimized with the dual simplex. On any mismatch —

@@ -170,7 +170,7 @@ fn mark_reached(rows: &[InternalRow], dense: &[f64], ntot: usize, reached: &mut 
 
 /// Per-workspace scratch for the sparse engine: the CSC matrix, the LU
 /// arenas, and every dense work vector a solve needs. Embedded in
-/// [`SimplexWorkspace`] so branch and bound allocates once per thread.
+/// [`SimplexWorkspace`] so branch and bound allocates once per search.
 #[derive(Debug, Default)]
 pub(crate) struct SparseScratch {
     a: CscMatrix,

@@ -7,7 +7,7 @@
 use milp_solver::simplex::{
     solve_lp_warm, LpEngine, LpOptions, LpProblem, LpResult, LpRow, LpStatus, SimplexWorkspace,
 };
-use milp_solver::{LpEngine as RootLpEngine, Model, Sense, SolveOptions, VarType};
+use milp_solver::{LpEngine as RootLpEngine, Model, Sense, SolveOptions};
 use proptest::prelude::*;
 
 fn solve_with(p: &LpProblem, engine: LpEngine, capture: bool) -> LpResult {
@@ -303,35 +303,4 @@ fn factor_stats_flow_from_sparse_engine() {
     let dense = solve_with(&p, LpEngine::Dense, false);
     assert_eq!(dense.factor.refactorizations, 0);
     assert_eq!(dense.factor.eta_updates, 0);
-}
-
-/// Integer model exercised under both engines with threads, checking the
-/// serial-vs-parallel determinism contract holds on the sparse core.
-#[test]
-fn sparse_parallel_matches_serial() {
-    let build = || {
-        let mut m = Model::new();
-        let vars: Vec<_> = (0..10)
-            .map(|i| {
-                m.add_var(VarType::Integer, 0.0, 4.0, format!("v{i}"))
-                    .unwrap()
-            })
-            .collect();
-        for w in vars.windows(2) {
-            m.add_constraint([(w[0], 1.0), (w[1], 2.0)], Sense::Le, 7.0)
-                .unwrap();
-        }
-        let obj: Vec<_> = vars
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (v, -(1.0 + (i % 3) as f64)))
-            .collect();
-        m.set_objective(obj);
-        m
-    };
-    let serial = build().solve(&SolveOptions::default()).unwrap();
-    let parallel = build()
-        .solve(&SolveOptions::default().with_threads(4))
-        .unwrap();
-    assert!((serial.objective() - parallel.objective()).abs() < 1e-9);
 }

@@ -3,7 +3,7 @@
 //! ```text
 //! sring-cli list
 //! sring-cli synth   --benchmark mwd [--method sring|ornoc|ctoring|xring]
-//!                   [--pitch 0.26] [--threads N] [--svg out.svg]
+//!                   [--pitch 0.26] [--svg out.svg]
 //!                   [--crosstalk] [--report] [--solver-stats]
 //!                   [--no-cache] [--cache-stats] [--cache-dir DIR]
 //!                   [--trace] [--trace-json out.json]
@@ -11,7 +11,7 @@
 //!                   [--no-cache] [--cache-stats] [--cache-dir DIR]
 //!                   [--trace] [--trace-json out.json]
 //! sring-cli resynth --benchmark mwd --delta SPEC [--delta SPEC ...]
-//!                   [--verify] [--pitch 0.26] [--threads N]
+//!                   [--verify] [--pitch 0.26]
 //!                   [--no-cache] [--cache-stats] [--cache-dir DIR]
 //!                   [--trace] [--trace-json out.json]
 //! sring-cli export  --cache-dir DIR --archive FILE
@@ -20,8 +20,8 @@
 //! ```
 //!
 //! `--threads N` (default: one worker per available core) parallelizes
-//! `compare`'s method grid and SRing's MILP search in `synth`; results are
-//! identical for every thread count.
+//! `compare`'s method grid; results are identical for every thread
+//! count. `synth` and `resynth` run one design on the calling thread.
 //!
 //! Both pipeline commands run with a content-keyed artifact cache by
 //! default (`--no-cache` disables it); `--cache-stats` prints the
@@ -51,7 +51,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sring::core::{design_bytes, AssignmentStrategy, SringConfig, SringSynthesizer};
+use sring::core::{design_bytes, SringConfig, SringSynthesizer};
 use sring::ctx::ExecCtx;
 use sring::eval::comparison::{compare_grid_ctx, format_table1};
 use sring::eval::methods::Method;
@@ -65,7 +65,7 @@ use sring::units::{Millimeters, TechnologyParameters};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  sring-cli list\n  sring-cli synth --benchmark <name> [--method sring|ornoc|ctoring|xring] [--pitch <mm>] [--threads <n>] [--svg <path>] [--crosstalk] [--report] [--solver-stats] [--no-cache] [--cache-stats] [--cache-dir <dir>] [--trace] [--trace-json <path>]\n  sring-cli compare --benchmark <name> [--pitch <mm>] [--threads <n>] [--no-cache] [--cache-stats] [--cache-dir <dir>] [--trace] [--trace-json <path>]\n  sring-cli resynth --benchmark <name> --delta <spec>... [--verify] [--pitch <mm>] [--threads <n>] [--no-cache] [--cache-stats] [--cache-dir <dir>] [--trace] [--trace-json <path>]\n    delta specs: add:<src>,<dst>,<bw> | remove:<id> | retarget:<id>,<src>,<dst> | scale:<id>,<factor>\n  sring-cli export --cache-dir <dir> --archive <file>\n  sring-cli import --cache-dir <dir> --archive <file>\n  sring-cli trace-check <trace.json> [--phase <path>]..."
+        "usage:\n  sring-cli list\n  sring-cli synth --benchmark <name> [--method sring|ornoc|ctoring|xring] [--pitch <mm>] [--svg <path>] [--crosstalk] [--report] [--solver-stats] [--no-cache] [--cache-stats] [--cache-dir <dir>] [--trace] [--trace-json <path>]\n  sring-cli compare --benchmark <name> [--pitch <mm>] [--threads <n>] [--no-cache] [--cache-stats] [--cache-dir <dir>] [--trace] [--trace-json <path>]\n  sring-cli resynth --benchmark <name> --delta <spec>... [--verify] [--pitch <mm>] [--no-cache] [--cache-stats] [--cache-dir <dir>] [--trace] [--trace-json <path>]\n    delta specs: add:<src>,<dst>,<bw> | remove:<id> | retarget:<id>,<src>,<dst> | scale:<id>,<factor>\n  sring-cli export --cache-dir <dir> --archive <file>\n  sring-cli import --cache-dir <dir> --archive <file>\n  sring-cli trace-check <trace.json> [--phase <path>]..."
     );
     ExitCode::from(2)
 }
@@ -203,44 +203,16 @@ fn parse_threads(args: &Args) -> Result<usize, String> {
     }
 }
 
-/// Routes a `--threads` request into the method: only SRing's MILP search
-/// is internally parallel, the baselines are single-pass constructions.
-fn method_with_threads(method: Method, threads: usize) -> Method {
-    match method {
-        Method::Sring(strategy) => Method::Sring(match strategy {
-            AssignmentStrategy::Milp(mut options) => {
-                options.threads = threads;
-                AssignmentStrategy::Milp(options)
-            }
-            AssignmentStrategy::Auto {
-                milp_max_paths,
-                mut options,
-            } => {
-                options.threads = threads;
-                AssignmentStrategy::Auto {
-                    milp_max_paths,
-                    options,
-                }
-            }
-            other => other,
-        }),
-        other => other,
-    }
-}
-
 /// Builds the execution context for a pipeline command: the trace handle
 /// is live when `--trace` or `--trace-json` was given (disabled and
 /// zero-cost otherwise), the artifact cache is on unless `--no-cache`,
-/// `--cache-dir` attaches the persistent disk tier, and `--threads`
-/// becomes the context's thread budget. `--no-cache` disables both
-/// tiers: a run that asked for no caching must not read or write disk
-/// state either.
+/// and `--cache-dir` attaches the persistent disk tier. `--no-cache`
+/// disables both tiers: a run that asked for no caching must not read or
+/// write disk state either.
 fn ctx_from_args(args: &Args) -> Result<(ExecCtx, Option<String>), String> {
     let json_path = args.value("trace-json")?.map(str::to_string);
     let trace = Trace::enabled_if(json_path.is_some() || args.has("trace"));
-    let mut ctx = ExecCtx::cached()
-        .with_trace(trace)
-        .with_threads(parse_threads(args)?);
+    let mut ctx = ExecCtx::cached().with_trace(trace);
     if args.has("no-cache") {
         ctx = ctx.without_cache();
     } else if let Some(dir) = args.value("cache-dir")? {
@@ -328,7 +300,6 @@ fn run_synth(args: &Args, tech: &TechnologyParameters, started: Instant) -> Resu
         Some(name) => method_by_name(name)
             .ok_or_else(|| CliError::usage(format!("unknown method `{name}`")))?,
     };
-    let method = method_with_threads(method, parse_threads(args)?);
     // `--solver-stats` needs the detailed report (only SRing runs the
     // MILP solver), the plain path keeps the uniform `Method` handle.
     let (design, solver_stats) = if args.has("solver-stats") {
@@ -472,13 +443,7 @@ fn run_resynth(args: &Args, tech: &TechnologyParameters, started: Instant) -> Re
     if deltas.is_empty() {
         return Err(CliError::usage("resynth needs at least one --delta"));
     }
-    let Method::Sring(strategy) =
-        method_with_threads(Method::Sring(Default::default()), parse_threads(args)?)
-    else {
-        unreachable!("method_with_threads preserves the method");
-    };
     let synth = SringSynthesizer::with_config(SringConfig {
-        strategy,
         tech: tech.clone(),
         ..SringConfig::default()
     });
@@ -537,13 +502,14 @@ fn run_resynth(args: &Args, tech: &TechnologyParameters, started: Instant) -> Re
 
 fn run_compare(args: &Args, tech: &TechnologyParameters, started: Instant) -> Result<(), CliError> {
     let (ctx, trace_json) = ctx_from_args(args)?;
+    // `--threads` is the method grid's worker budget; each method runs
+    // serially inside its cell.
+    let ctx = ctx.with_threads(parse_threads(args)?);
     let trace = ctx.trace().clone();
     let app = {
         let _span = trace.span("load");
         load_app(args)?
     };
-    // The grid gets the workers; methods stay internally serial so the
-    // parallelism is not multiplicative.
     let cmp = compare_grid_ctx(std::slice::from_ref(&app), tech, &Method::standard(), &ctx)
         .map(|mut v| v.remove(0))
         .map_err(|e| CliError::runtime(e.to_string()))?;

@@ -84,6 +84,34 @@ fn pipeline_results_survive_a_process_restart() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The CLI's default `synth` and an in-process synthesis with the
+/// default config (the daemon's `Auto` strategy) run the same pipeline,
+/// so they must store it under the same keys: every stage the CLI wrote
+/// is a disk hit for the library, the MILP-assigned stage included.
+#[test]
+fn cli_and_library_share_every_stage_key() {
+    let dir = scratch("cli-keys");
+    let status = std::process::Command::new(env!("CARGO_BIN_EXE_sring-cli"))
+        .args(["synth", "--benchmark", "mwd", "--cache-dir"])
+        .arg(&dir)
+        .stdout(std::process::Stdio::null())
+        .status()
+        .expect("sring-cli runs");
+    assert!(status.success(), "sring-cli synth failed: {status}");
+
+    let (ctx, store) = restarted_ctx(&dir);
+    SringSynthesizer::new()
+        .synthesize_detailed_ctx(&benchmarks::mwd(), &ctx)
+        .expect("runs");
+    let stats = store.stats();
+    assert_eq!(
+        (stats.hits, stats.misses),
+        (4, 0),
+        "every stage the CLI stored must be a disk hit: {stats:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn truncated_records_are_recomputed_not_trusted() {
     let dir = scratch("truncate");

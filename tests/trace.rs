@@ -17,14 +17,10 @@ use sring::units::TechnologyParameters;
 fn traced_synthesis_counters_match_solver_stats() {
     let app = benchmarks::mwd();
     let trace = Trace::new();
-    // Serial MILP search: with one worker the solver's internal phase
-    // timers are also bounded by the enclosing span wall-clocks, which
-    // the span-tree assertions below rely on.
+    // The solver's internal phase timers are bounded by the enclosing
+    // span wall-clocks, which the span-tree assertions below rely on.
     let synth = SringSynthesizer::with_config(SringConfig {
-        strategy: AssignmentStrategy::Milp(MilpOptions {
-            threads: 1,
-            ..MilpOptions::default()
-        }),
+        strategy: AssignmentStrategy::Milp(MilpOptions::default()),
         ..SringConfig::default()
     });
     let report = synth
@@ -136,7 +132,6 @@ fn traced_polish_replays_the_search_root() {
     let trace = Trace::new();
     let synth = SringSynthesizer::with_config(SringConfig {
         strategy: AssignmentStrategy::Milp(MilpOptions {
-            threads: 1,
             time_limit: std::time::Duration::from_secs(120),
             ..MilpOptions::default()
         }),
