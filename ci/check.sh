@@ -98,6 +98,16 @@ rm -rf "$STORE_SMOKE"
     --phase synth/assign/milp/build --phase synth/assign/milp/lp \
     --phase synth/cluster/grow --phase synth/cluster/refine \
     --phase synth/cluster/inter
+# The same on D26, the largest benchmark: it has more than 30 paths, so
+# the heuristic assigns and the time is nearly all clustering. The memo
+# phase holds the keying and lookups that no construction-unit span covers.
+./target/release/sring-cli synth --benchmark d26 \
+    --trace-json "${TMPDIR:-/tmp}/sring_trace_smoke_d26.json"
+./target/release/sring-cli trace-check "${TMPDIR:-/tmp}/sring_trace_smoke_d26.json" \
+    --phase synth --phase synth/cluster --phase synth/layout \
+    --phase synth/assign --phase synth/cluster/grow \
+    --phase synth/cluster/inter --phase synth/cluster/refine \
+    --phase synth/cluster/memo
 
 # Delta smoke check: synthesize MWD, retarget one message, re-synthesize
 # incrementally and verify the result is byte-identical to a from-scratch

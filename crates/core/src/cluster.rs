@@ -17,6 +17,7 @@ use onoc_layout::Cycle;
 use onoc_units::Millimeters;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::time::Duration;
 
 /// Tuning knobs of the clustering algorithm.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,8 +46,8 @@ pub struct Cluster {
     pub ring: Option<Cycle>,
 }
 
-/// The outcome of the clustering algorithm: the valid solution with the
-/// smallest `L_max`.
+/// The outcome of the clustering algorithm: the valid solution the
+/// `L_max` search ranks best (see [`cluster`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Clustering {
     /// The clusters, each with its intra-cluster sub-ring.
@@ -218,11 +219,14 @@ fn one_way_bound(graph: &CommGraph, ev: &mut RingEval) -> Millimeters {
     };
     let msgs: Vec<(NodeId, NodeId)> = graph.messages().iter().map(|m| (m.src, m.dst)).collect();
     ev.load(ring.nodes());
-    Millimeters(ev.orientation(&msgs).1)
+    Millimeters(ev.unbounded_orientation(&msgs).1)
 }
 
-/// Runs the full clustering algorithm (paper Fig. 4) and returns the valid
-/// solution with the smallest `L_max`.
+/// Runs the full clustering algorithm (paper Fig. 4) and returns the best
+/// valid solution over all candidate `L_max` values: the one with the
+/// smallest laser-power proxy (channel congestion × 10^(longest/10)),
+/// ties broken by the shorter realized longest path and then the smaller
+/// `L_max`.
 ///
 /// # Errors
 ///
@@ -256,7 +260,7 @@ pub fn cluster_ctx(
     }
     let mut ev = RingEval::new(graph);
     let result = search_l_max(graph, config, ctx, &mut ev);
-    ctx.trace().incr("cluster/ring_evals", ev.evals);
+    ev.record(ctx);
     result
 }
 
@@ -281,9 +285,10 @@ fn search_l_max(
     // Balanced binary search over the candidate L_max values: a valid
     // clustering sends the search left (smaller L_max), an invalid one
     // right (paper Fig. 4). Among all valid candidates encountered, the
-    // one with the smallest *realized* longest signal path is kept (ties:
-    // smaller L_max) — with a greedy construction, validity is not
-    // perfectly monotone in L_max, so the realized length is the honest
+    // one with the smallest power proxy is kept (ties: the shorter
+    // *realized* longest signal path, then the smaller L_max) — with a
+    // greedy construction, validity is not perfectly monotone in L_max,
+    // so what the solution realizes, not its bound, is the honest
     // selection key.
     let mut best: Option<(Clustering, f64)> = None;
     let consider = |solution: Clustering, best: &mut Option<(Clustering, f64)>| {
@@ -339,8 +344,9 @@ fn power_proxy(solution: &Clustering, graph: &CommGraph) -> f64 {
 ///
 /// Two cluster-selection criteria are tried — preferring the largest grown
 /// cluster (fewer inter-cluster nodes) and preferring the tightest one
-/// (shortest longest path) — and the valid solution with the shorter
-/// realized longest path wins.
+/// (shortest longest path) — each under several cluster-size caps, and
+/// the valid solution with the smallest laser-power proxy wins (ties: the
+/// shorter realized longest path).
 #[must_use]
 pub fn cluster_with_l_max(graph: &CommGraph, l_max: f64) -> Option<Clustering> {
     try_cluster_with_l_max(graph, l_max).ok().flatten()
@@ -348,8 +354,9 @@ pub fn cluster_with_l_max(graph: &CommGraph, l_max: f64) -> Option<Clustering> {
 
 /// [`cluster_with_l_max`] with internal invariant violations surfaced as
 /// typed [`ClusterError`]s instead of being swallowed (or, historically,
-/// panicking). `Ok(None)` still means "no valid clustering under this
-/// bound".
+/// panicking). Selection is the same: the smallest laser-power proxy,
+/// ties broken by the shorter realized longest path. `Ok(None)` still
+/// means "no valid clustering under this bound".
 ///
 /// # Errors
 ///
@@ -375,7 +382,7 @@ pub fn try_cluster_with_l_max_ctx(
 ) -> Result<Option<Clustering>, ClusterError> {
     let mut ev = RingEval::new(graph);
     let result = cluster_under(graph, l_max, ctx, &mut ev);
-    ctx.trace().incr("cluster/ring_evals", ev.evals);
+    ev.record(ctx);
     result
 }
 
@@ -523,6 +530,38 @@ fn inter_key(
     hasher.finish()
 }
 
+/// Serves one pure construction unit from the memo tier of `ctx` under
+/// `(unit, key())`, or runs `compute` under a span named `phase` and
+/// stores its result. A hit returns exactly what the computation would,
+/// so a pass is bit-identical with or without a memo tier; an error (a
+/// deadline) returns before the put, so it is never memoized. Keying,
+/// lookup and put are timed into [`RingEval::memo_time`] when tracing is
+/// on, since no unit span covers them.
+fn memoized<T: Clone + Send + Sync + 'static>(
+    ctx: &ExecCtx,
+    ev: &mut RingEval,
+    (unit, phase): (&'static str, &str),
+    key: impl FnOnce() -> ContentKey,
+    compute: impl FnOnce(&mut RingEval) -> Result<T, ClusterError>,
+) -> Result<T, ClusterError> {
+    let watch = ctx.trace().stopwatch();
+    let key = key();
+    if let Some(hit) = ctx.memo_get::<T>(unit, key) {
+        let hit = (*hit).clone();
+        ev.memo_time += watch.elapsed();
+        return Ok(hit);
+    }
+    ev.memo_time += watch.elapsed();
+    let value = {
+        let _span = ctx.trace().span(phase);
+        compute(ev)?
+    };
+    let watch = ctx.trace().stopwatch();
+    ctx.memo_put(unit, key, value.clone());
+    ev.memo_time += watch.elapsed();
+    Ok(value)
+}
+
 fn cluster_pass(
     graph: &CommGraph,
     l_max: f64,
@@ -533,57 +572,38 @@ fn cluster_pass(
 ) -> Result<Option<Clustering>, ClusterError> {
     let n = graph.node_count();
 
-    // Memo-served wrappers for the three pure construction units. A hit
-    // returns exactly what the wrapped computation would, so the pass is
-    // bit-identical with or without a memo tier on `ctx`. Each miss is
-    // timed under its own span (`grow`, `refine`, `inter`); a deadline
-    // error returns before the put, so it is never memoized.
-    let grow_memo = |ev: &mut RingEval,
-                     initial: NodeId,
-                     unclustered: &BTreeSet<NodeId>|
-     -> Result<Option<GrownCluster>, ClusterError> {
-        let key = grow_key(graph, initial, unclustered, l_max, size_cap);
-        if let Some(hit) = ctx.memo_get::<Option<GrownCluster>>("cluster_grow", key) {
-            return Ok((*hit).clone());
-        }
-        let grown = {
-            let _span = ctx.trace().span("grow");
-            grow_intra(graph, ev, initial, unclustered, l_max, size_cap)?
-        };
-        ctx.memo_put("cluster_grow", key, grown.clone());
-        Ok(grown)
+    // Memo-served wrappers for the three pure construction units; see
+    // [`memoized`].
+    let grow_memo = |ev: &mut RingEval, initial: NodeId, unclustered: &BTreeSet<NodeId>| {
+        memoized(
+            ctx,
+            ev,
+            ("cluster_grow", "grow"),
+            || grow_key(graph, initial, unclustered, l_max, size_cap),
+            |ev| grow_intra(graph, ev, initial, unclustered, l_max, size_cap),
+        )
     };
-    let refine_memo = |ev: &mut RingEval,
-                       cycle: &Cycle,
-                       messages: &[(NodeId, NodeId)]|
-     -> Result<(Cycle, f64), ClusterError> {
-        let key = refine_key(graph, cycle, messages, l_max);
-        if let Some(hit) = ctx.memo_get::<(Cycle, f64)>("cluster_refine", key) {
-            return Ok((*hit).clone());
-        }
-        let refined = {
-            let _span = ctx.trace().span("refine");
-            improve_cycle(ev, cycle, messages, l_max, ctx)?
-        };
-        ctx.memo_put("cluster_refine", key, refined.clone());
-        Ok(refined)
+    let refine_memo = |ev: &mut RingEval, cycle: &Cycle, messages: &[(NodeId, NodeId)]| {
+        memoized(
+            ctx,
+            ev,
+            ("cluster_refine", "refine"),
+            || refine_key(graph, cycle, messages, l_max),
+            |ev| improve_cycle(ev, cycle, messages, l_max, ctx),
+        )
     };
     let inter_memo = |ev: &mut RingEval,
                       initial: NodeId,
                       v_inter: &[NodeId],
                       inter_messages: &[(NodeId, NodeId)],
-                      bound: f64|
-     -> Result<Option<(Cycle, f64)>, ClusterError> {
-        let key = inter_key(graph, initial, v_inter, inter_messages, bound);
-        if let Some(hit) = ctx.memo_get::<Option<(Cycle, f64)>>("cluster_inter", key) {
-            return Ok((*hit).clone());
-        }
-        let grown = {
-            let _span = ctx.trace().span("inter");
-            grow_inter(ev, initial, v_inter, inter_messages, bound)?
-        };
-        ctx.memo_put("cluster_inter", key, grown.clone());
-        Ok(grown)
+                      bound: f64| {
+        memoized(
+            ctx,
+            ev,
+            ("cluster_inter", "inter"),
+            || inter_key(graph, initial, v_inter, inter_messages, bound),
+            |ev| grow_inter(ev, initial, v_inter, inter_messages, bound),
+        )
     };
 
     // --- Intra-cluster construction. ---
@@ -792,6 +812,13 @@ const ABSENT: usize = usize::MAX;
 /// The reverse walk reads the forward segment lengths, which is exact
 /// because the Manhattan distance is bitwise symmetric. Once the buffers
 /// have grown, loading and scoring an order allocate nothing.
+///
+/// Both scorers take a bound from the caller and abandon a trial as soon
+/// as the messages walked so far prove it cannot pass the caller's test
+/// (see [`RingEval::orientation`] and [`RingEval::score`]). A trial that
+/// is not abandoned makes the same additions in the same order as an
+/// unbounded walk, so its result is bit-identical; an unbounded walk
+/// passes `f64::INFINITY`.
 struct RingEval {
     /// Node count of the graph; the distance table is `n × n`.
     n: usize,
@@ -805,8 +832,15 @@ struct RingEval {
     seg: Vec<f64>,
     /// Congestion difference array over the loaded order's segments.
     diff: Vec<isize>,
+    /// End positions of the on-ring messages [`RingEval::score`] walks.
+    msg_ends: Vec<(usize, usize)>,
     /// Orders evaluated so far (the `cluster/ring_evals` counter).
     evals: u64,
+    /// Evaluations abandoned on their bound (`cluster/ring_evals_cut`).
+    cut: u64,
+    /// Time spent keying, looking up and storing memo entries; counted
+    /// only when tracing is on (the `memo` phase of the clustering span).
+    memo_time: Duration,
 }
 
 impl RingEval {
@@ -823,8 +857,19 @@ impl RingEval {
             order: Vec::new(),
             seg: Vec::new(),
             diff: Vec::new(),
+            msg_ends: Vec::new(),
             evals: 0,
+            cut: 0,
+            memo_time: Duration::ZERO,
         }
+    }
+
+    /// Folds the run's tallies into the trace of `ctx`.
+    fn record(&self, ctx: &ExecCtx) {
+        let trace = ctx.trace();
+        trace.incr("cluster/ring_evals", self.evals);
+        trace.incr("cluster/ring_evals_cut", self.cut);
+        trace.add_time("memo", self.memo_time, 1);
     }
 
     /// Manhattan distance between two nodes of the graph.
@@ -882,7 +927,11 @@ impl RingEval {
     /// `messages` (messages off the ring are skipped): whether it is the
     /// reverse one (only when shorter by more than 1e-12), and its
     /// longest path. A message from a node to itself counts as ∞.
-    fn orientation(&self, messages: &[(NodeId, NodeId)]) -> (bool, f64) {
+    ///
+    /// `None` once `min(fwd, rev)` of the running maxima exceeds
+    /// `cutoff`: whichever direction wins, its longest path is at least
+    /// that, so the result would exceed `cutoff` too.
+    fn orientation(&mut self, messages: &[(NodeId, NodeId)], cutoff: f64) -> Option<(bool, f64)> {
         let (mut fwd, mut rev) = (0.0f64, 0.0f64);
         for &(s, d) in messages {
             let Some((i, j)) = self.ends(s, d) else {
@@ -895,12 +944,22 @@ impl RingEval {
             };
             fwd = fwd.max(f);
             rev = rev.max(r);
+            if fwd.min(rev) > cutoff {
+                self.cut += 1;
+                return None;
+            }
         }
-        if rev < fwd - 1e-12 {
+        Some(if rev < fwd - 1e-12 {
             (true, rev)
         } else {
             (false, fwd)
-        }
+        })
+    }
+
+    /// [`RingEval::orientation`] with no bound, so never abandoned.
+    fn unbounded_orientation(&mut self, messages: &[(NodeId, NodeId)]) -> (bool, f64) {
+        self.orientation(messages, f64::INFINITY)
+            .unwrap_or((false, f64::INFINITY))
     }
 
     /// The refinement score of the loaded order in its better direction:
@@ -908,13 +967,21 @@ impl RingEval {
     /// summed path length of the on-ring messages and `congestion` the
     /// most of them sharing one segment. `None` when a message runs from
     /// an on-ring node to itself.
-    fn score(&mut self, messages: &[(NodeId, NodeId)]) -> Option<(f64, f64, f64)> {
+    ///
+    /// Also `None` once the score provably exceeds `cap + 1e-12`, so that
+    /// it cannot beat a current score of `cap`. A first sweep, free of
+    /// lengths, finds each message's ends and both directions'
+    /// congestions, whose minimum `cong_lb` bounds the proxy's factor
+    /// whichever direction wins. The lengths are then summed, and the
+    /// walk stops when `min(fwd, rev)` of the running maxima exceeds the
+    /// length at which `cong_lb × 10^(length/10)` reaches `cap + 1e-12`
+    /// plus a relative margin of 1e-9, far above any rounding of the
+    /// `log10` here or the `powf` of the proxy.
+    fn score(&mut self, messages: &[(NodeId, NodeId)], cap: f64) -> Option<(f64, f64, f64)> {
         let len = self.seg.len();
         self.diff.clear();
         self.diff.resize(len, 0);
-        let (mut fwd, mut rev) = (0.0f64, 0.0f64);
-        let (mut total_fwd, mut total_rev) = (0.0f64, 0.0f64);
-        let mut on_ring = 0isize;
+        self.msg_ends.clear();
         for &(s, d) in messages {
             let Some((i, j)) = self.ends(s, d) else {
                 continue;
@@ -922,12 +989,7 @@ impl RingEval {
             if i == j {
                 return None;
             }
-            let (f, r) = (self.forward(i, j), self.backward(i, j));
-            fwd = fwd.max(f);
-            rev = rev.max(r);
-            total_fwd += f;
-            total_rev += r;
-            on_ring += 1;
+            self.msg_ends.push((i, j));
             // The forward path covers segments i..j (cyclically).
             self.diff[i] += 1;
             self.diff[j] -= 1;
@@ -935,25 +997,62 @@ impl RingEval {
                 self.diff[0] += 1;
             }
         }
-        let reversed = rev < fwd - 1e-12;
-        let (longest, total) = if reversed {
-            (rev, total_rev)
-        } else {
-            (fwd, total_fwd)
-        };
         // The reverse path of a message covers exactly the segments its
         // forward path leaves out, so reverse loads are `on_ring` minus
         // forward loads.
+        let on_ring = self.msg_ends.len() as isize;
         let (mut low, mut high, mut load) = (isize::MAX, 0isize, 0isize);
         for &step in &self.diff {
             load += step;
             low = low.min(load);
             high = high.max(load);
         }
+        let cong_lb = high.min(on_ring - low).max(1) as f64;
+        let cutoff = 10.0 * ((cap + 1e-12) * (1.0 + 1e-9) / cong_lb).log10();
+
+        let (mut fwd, mut rev) = (0.0f64, 0.0f64);
+        let (mut total_fwd, mut total_rev) = (0.0f64, 0.0f64);
+        let mut abandoned = false;
+        for &(i, j) in &self.msg_ends {
+            let (f, r) = (self.forward(i, j), self.backward(i, j));
+            fwd = fwd.max(f);
+            rev = rev.max(r);
+            total_fwd += f;
+            total_rev += r;
+            if fwd.min(rev) > cutoff {
+                abandoned = true;
+                break;
+            }
+        }
+        if abandoned {
+            self.cut += 1;
+            return None;
+        }
+        let reversed = rev < fwd - 1e-12;
+        let (longest, total) = if reversed {
+            (rev, total_rev)
+        } else {
+            (fwd, total_fwd)
+        };
         let congestion = if reversed { on_ring - low } else { high };
         let proxy = congestion.max(1) as f64 * 10f64.powf(longest / 10.0);
         Some((proxy, longest, total))
     }
+}
+
+/// The largest `c` with `c - base <= 1e-12` in floating point. Rounding
+/// is monotone, so every `y > c` has `y - base > 1e-12`: a trial whose
+/// longest path passes `c` can neither beat nor tie a best of `base`
+/// under the greedy's 1e-12 rules. `∞` (no bound) for `base = ∞`.
+fn loses_above(base: f64) -> f64 {
+    let mut c = base + 1e-12;
+    while c - base > 1e-12 {
+        c = c.next_down();
+    }
+    while c.next_up() - base <= 1e-12 {
+        c = c.next_up();
+    }
+    c
 }
 
 /// The insertion positions worth evaluating when absorbing `x` into the
@@ -1017,21 +1116,26 @@ fn improve_cycle(
     let mut order = cycle.nodes().to_vec();
     let n = order.len();
     ev.load(&order);
-    let mut current = ev.score(messages).ok_or(ClusterError::InvalidCycle(
-        "refinement input cycle is not scorable",
-    ))?;
+    let mut current = ev
+        .score(messages, f64::INFINITY)
+        .ok_or(ClusterError::InvalidCycle(
+            "refinement input cycle is not scorable",
+        ))?;
     let mut trial = Vec::with_capacity(n);
-    let mut accept = |trial: &mut Vec<NodeId>, order: &mut Vec<NodeId>, current: &mut _| {
-        ev.load(trial);
-        match ev.score(messages) {
-            Some(s) if better(s, *current) => {
-                std::mem::swap(order, trial);
-                *current = s;
-                true
+    // A trial scored above `current.0 + 1e-12` fails `better`, so the
+    // evaluator may abandon it early.
+    let mut accept =
+        |trial: &mut Vec<NodeId>, order: &mut Vec<NodeId>, current: &mut (f64, f64, f64)| {
+            ev.load(trial);
+            match ev.score(messages, current.0) {
+                Some(s) if better(s, *current) => {
+                    std::mem::swap(order, trial);
+                    *current = s;
+                    true
+                }
+                _ => false,
             }
-            _ => false,
-        }
-    };
+        };
     if n >= 4 {
         let mut improved = true;
         while improved {
@@ -1061,7 +1165,7 @@ fn improve_cycle(
         }
     }
     ev.load(&order);
-    let (reversed, longest) = ev.orientation(messages);
+    let (reversed, longest) = ev.unbounded_orientation(messages);
     if reversed {
         order.reverse();
     }
@@ -1125,7 +1229,7 @@ fn grow_intra(
     // The ring stays un-oriented until the first absorption.
     let mut ring = members.clone();
     ev.load(&ring);
-    let mut longest = ev.orientation(&msgs).1;
+    let mut longest = ev.unbounded_orientation(&msgs).1;
 
     let mut is_candidate = vec![false; n];
     let (mut segs, mut trial) = (Vec::new(), Vec::new());
@@ -1144,7 +1248,10 @@ fn grow_intra(
         // smallest longest signal path; ties go to the candidate with the
         // most messages into the cluster (communication affinity), which
         // keeps subsystems together. Only the winner's ring is built.
+        // A trial whose longest path passes `cutoff` fails the bound or
+        // loses to the best so far, so its evaluation may stop there.
         let mut best: Option<(f64, usize, NodeId, usize, bool)> = None;
+        let mut cutoff = l_max + 1e-12;
         for x in graph.node_ids().filter(|x| is_candidate[x.index()]) {
             let aff = graph
                 .messages()
@@ -1163,7 +1270,9 @@ fn grow_intra(
                 trial.extend_from_slice(&ring);
                 trial.insert(seg + 1, x);
                 ev.load(&trial);
-                let (reversed, l) = ev.orientation(&msgs);
+                let Some((reversed, l)) = ev.orientation(&msgs, cutoff) else {
+                    continue;
+                };
                 if l <= l_max + 1e-12 {
                     let better = match &best {
                         None => true,
@@ -1175,6 +1284,7 @@ fn grow_intra(
                     };
                     if better {
                         best = Some((l, aff, x, seg, reversed));
+                        cutoff = (l_max + 1e-12).min(loses_above(l));
                     }
                 }
             }
@@ -1229,7 +1339,9 @@ fn grow_inter(
         .filter(|&v| v != initial && v != nearest)
         .collect();
     ev.load(&ring);
-    let mut longest = ev.orientation(inter_messages).1;
+    let Some((_, mut longest)) = ev.orientation(inter_messages, l_max + 1e-12) else {
+        return Ok(None);
+    };
     if longest > l_max + 1e-12 {
         return Ok(None);
     }
@@ -1237,7 +1349,9 @@ fn grow_inter(
     let (mut segs, mut trial) = (Vec::new(), Vec::new());
     // onoc-lint: allow(L9, reason = "bounded: every round inserts one remaining node onto the ring or returns infeasible")
     while !remaining.is_empty() {
+        // As in `grow_intra`: a trial past `cutoff` cannot be chosen.
         let mut best: Option<(f64, NodeId, usize, bool)> = None;
+        let mut cutoff = l_max + 1e-12;
         for &x in &remaining {
             candidate_segments(&ring, x, &|a, b| ev.d(a, b), 8, &mut segs);
             for &(_, seg) in &segs {
@@ -1245,7 +1359,9 @@ fn grow_inter(
                 trial.extend_from_slice(&ring);
                 trial.insert(seg + 1, x);
                 ev.load(&trial);
-                let (reversed, l) = ev.orientation(inter_messages);
+                let Some((reversed, l)) = ev.orientation(inter_messages, cutoff) else {
+                    continue;
+                };
                 if l <= l_max + 1e-12 {
                     let better = match &best {
                         None => true,
@@ -1255,6 +1371,7 @@ fn grow_inter(
                     };
                     if better {
                         best = Some((l, x, seg, reversed));
+                        cutoff = (l_max + 1e-12).min(loses_above(l));
                     }
                 }
             }
@@ -1455,7 +1572,29 @@ mod tests {
                 "one {phase} span per {unit} miss"
             );
         }
-        assert!(report.counter("cluster/ring_evals").is_some_and(|n| n > 0));
+        let evals = report.counter("cluster/ring_evals").unwrap_or(0);
+        let cut = report.counter("cluster/ring_evals_cut").unwrap_or(0);
+        assert!(0 < cut && cut <= evals, "{cut} of {evals} evaluations cut");
+        assert_eq!(report.phase("memo").map(|p| p.calls), Some(1));
+    }
+
+    #[test]
+    fn ring_evaluations_are_pinned() {
+        // The number of orders the search loads on a memo-backed run, as
+        // `sring-cli synth` clusters. Pruning abandons evaluations but
+        // never skips one, so any change here means the search changed.
+        let pinned = [78_744, 279_746, 123_014, 2_260_076, 25_056, 50_037, 52_761];
+        assert_eq!(clustered().len(), pinned.len());
+        for ((b, plain), want) in clustered().iter().zip(pinned) {
+            let trace = onoc_trace::Trace::new();
+            let ctx = ExecCtx::cached().with_trace(trace.clone());
+            assert_eq!(cluster_ctx(&b.graph(), &config(), &ctx).as_ref(), Ok(plain));
+            assert_eq!(
+                trace.report().counter("cluster/ring_evals"),
+                Some(want),
+                "{b}"
+            );
+        }
     }
 
     #[test]
@@ -1656,7 +1795,7 @@ mod tests {
 
                 let mut ev = RingEval::new(&g);
                 ev.load(order);
-                let (reversed, longest) = ev.orientation(&messages);
+                let (reversed, longest) = ev.unbounded_orientation(&messages);
                 let (oriented, oracle_longest) = best_orientation(&cycle, &messages, &dist);
                 prop_assert_eq!(reversed, oriented != cycle);
                 prop_assert_eq!(longest.to_bits(), oracle_longest.to_bits());
@@ -1664,9 +1803,76 @@ mod tests {
                     s.map(|(p, l, t)| (p.to_bits(), l.to_bits(), t.to_bits()))
                 };
                 prop_assert_eq!(
-                    bits(ev.score(&messages)),
+                    bits(ev.score(&messages, f64::INFINITY)),
                     bits(oracle_score(order, &messages, &dist))
                 );
+            }
+
+            #[test]
+            fn prop_bounded_evaluation_is_exact(
+                coords in proptest::collection::vec(-7.0f64..7.0, 2 * EVAL_NODES),
+                keys in proptest::collection::vec(0u64..1_000_000, EVAL_NODES),
+                len in 3usize..21,
+                pairs in proptest::collection::vec((0usize..EVAL_NODES, 1usize..EVAL_NODES), 0..40),
+                self_message in 0usize..8,
+                scale in 0.25f64..4.0,
+            ) {
+                let mut builder = CommGraph::builder();
+                for (v, xy) in coords.chunks(2).enumerate() {
+                    builder = builder.node(format!("n{v}"), onoc_graph::Point::new(xy[0], xy[1]));
+                }
+                let g = builder.build().unwrap();
+                let mut nodes: Vec<NodeId> = g.node_ids().collect();
+                nodes.sort_by_key(|v| (keys[v.index()], *v));
+                let order = &nodes[..len];
+                let mut messages: Vec<(NodeId, NodeId)> = pairs
+                    .iter()
+                    .map(|&(s, off)| (NodeId(s), NodeId((s + off) % EVAL_NODES)))
+                    .collect();
+                if self_message == 0 {
+                    messages.push((order[len / 2], order[len / 2]));
+                }
+                let mut ev = RingEval::new(&g);
+                ev.load(order);
+                let bits = |s: Option<(f64, f64, f64)>| {
+                    s.map(|(p, l, t)| (p.to_bits(), l.to_bits(), t.to_bits()))
+                };
+
+                // Orientation: the unbounded bits, or `None` only when
+                // the unbounded longest path exceeds the cutoff.
+                let free = ev.orientation(&messages, f64::INFINITY);
+                let (_, longest) = free.expect("an unbounded walk is never abandoned");
+                for cutoff in [longest, longest.next_up(), longest.next_down(), longest * scale] {
+                    match ev.orientation(&messages, cutoff) {
+                        Some(o) => prop_assert_eq!(
+                            Some((o.0, o.1.to_bits())),
+                            free.map(|f| (f.0, f.1.to_bits()))
+                        ),
+                        None => prop_assert!(longest > cutoff, "{longest} cut at {cutoff}"),
+                    }
+                }
+                // The greedy's cutoff against a best: past it, every
+                // length loses by more than 1e-12; at it, none does.
+                let c = loses_above(longest);
+                if longest.is_finite() {
+                    prop_assert!(c - longest <= 1e-12);
+                    prop_assert!(c.next_up() - longest > 1e-12);
+                } else {
+                    prop_assert_eq!(c, f64::INFINITY);
+                }
+
+                // Score: the unbounded triple's bits, or `None` only when
+                // the unbounded result is `None` or loses to a current
+                // score of `cap` by more than 1e-12.
+                let free = ev.score(&messages, f64::INFINITY);
+                let proxy = free.map_or(1.0, |f| f.0);
+                for cap in [proxy, proxy.next_up(), proxy.next_down(), proxy * scale] {
+                    let bounded = ev.score(&messages, cap);
+                    match (bounded, free) {
+                        (None, Some(f)) => prop_assert!(f.0 - cap > 1e-12, "{} cut at {cap}", f.0),
+                        _ => prop_assert_eq!(bits(bounded), bits(free)),
+                    }
+                }
             }
 
         }

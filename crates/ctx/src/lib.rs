@@ -786,16 +786,7 @@ impl ExecCtx {
             return Ok(None);
         };
         let hit = cache.get_as::<T>(stage, key)?;
-        match &hit {
-            Some(_) => {
-                self.trace.incr("cache/hits", 1);
-                self.trace.incr(&format!("cache/{stage}/hits"), 1);
-            }
-            None => {
-                self.trace.incr("cache/misses", 1);
-                self.trace.incr(&format!("cache/{stage}/misses"), 1);
-            }
-        }
+        self.count_lookup("cache", stage, hit.is_some());
         Ok(hit)
     }
 
@@ -830,17 +821,20 @@ impl ExecCtx {
     ) -> Option<Arc<T>> {
         let memo = self.memo.as_ref()?;
         let hit = memo.get_as::<T>(unit, key).ok().flatten();
-        match &hit {
-            Some(_) => {
-                self.trace.incr("memo/hits", 1);
-                self.trace.incr(&format!("memo/{unit}/hits"), 1);
-            }
-            None => {
-                self.trace.incr("memo/misses", 1);
-                self.trace.incr(&format!("memo/{unit}/misses"), 1);
-            }
-        }
+        self.count_lookup("memo", unit, hit.is_some());
         hit
+    }
+
+    /// Counts one `tier` lookup for `stage` as `{tier}/hits` and
+    /// `{tier}/{stage}/hits` (or `misses`). The per-stage name is only
+    /// built when tracing is on, so an untraced lookup allocates nothing.
+    fn count_lookup(&self, tier: &str, stage: &str, hit: bool) {
+        if !self.trace.is_enabled() {
+            return;
+        }
+        let outcome = if hit { "hits" } else { "misses" };
+        self.trace.incr(&format!("{tier}/{outcome}"), 1);
+        self.trace.incr(&format!("{tier}/{stage}/{outcome}"), 1);
     }
 
     /// Stores a typed memo entry under `(unit, key)` and returns the

@@ -198,6 +198,14 @@ impl Trace {
         record(registry, &full, elapsed, calls);
     }
 
+    /// Starts a [`Stopwatch`] that reads the clock only when this handle
+    /// is enabled, for timing scattered work that no single span covers
+    /// and folding the total in once with [`Trace::add_time`].
+    #[must_use]
+    pub fn stopwatch(&self) -> Stopwatch {
+        Stopwatch(self.registry.as_ref().map(|_| Instant::now()))
+    }
+
     /// Adds `delta` to the counter named `name` (flat namespace — not
     /// affected by span nesting, so totals aggregate identically no
     /// matter which thread or span recorded them).
@@ -242,6 +250,19 @@ fn record(registry: &Mutex<Registry>, path: &str, elapsed: Duration, calls: u64)
     stat.max = stat.max.max(elapsed);
 }
 
+/// A running timer from [`Trace::stopwatch`]; on a disabled trace it
+/// never reads the clock and always reads zero.
+#[derive(Debug, Clone, Copy)]
+pub struct Stopwatch(Option<Instant>);
+
+impl Stopwatch {
+    /// Time since the stopwatch started; zero on a disabled trace.
+    #[must_use]
+    pub fn elapsed(&self) -> Duration {
+        self.0.map_or(Duration::ZERO, |start| start.elapsed())
+    }
+}
+
 /// RAII guard for one timed scope; see [`Trace::span`].
 #[derive(Debug)]
 pub struct Span {
@@ -284,6 +305,7 @@ mod tests {
         trace.incr("events", 3);
         trace.gauge("g", 1.0);
         trace.add_time("p", Duration::from_millis(1), 1);
+        assert_eq!(trace.stopwatch().elapsed(), Duration::ZERO);
         let report = trace.report();
         assert!(report.phases.is_empty());
         assert!(report.counters.is_empty());
