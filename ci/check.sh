@@ -115,6 +115,11 @@ rm -rf "$STORE_SMOKE"
 # non-zero on divergence).
 ./target/release/sring-cli resynth --benchmark mwd \
     --delta retarget:0,0,3 --verify
+# The same on D26, whose time is nearly all clustering: the incremental
+# run reuses the memo entries (and their L_max intervals) of the first,
+# so this is the smoke that exercises interval reuse across runs.
+./target/release/sring-cli resynth --benchmark d26 \
+    --delta retarget:0,0,5 --delta scale:3,2.0 --verify
 
 # Incremental re-synthesis smoke check: the 16-edit interactive mix on
 # MWD/VOPD/MPEG must stay bit-identical and >= 5x faster incrementally

@@ -17,6 +17,7 @@ use onoc_layout::Cycle;
 use onoc_units::Millimeters;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Tuning knobs of the clustering algorithm.
@@ -24,8 +25,11 @@ use std::time::Duration;
 pub struct ClusteringConfig {
     /// Height `h` of the balanced binary search tree over candidate
     /// `L_max` values: the tree holds `2^h − 1` equidistant candidates
-    /// (paper footnote *b*). All candidates are evaluated, so `h` trades
-    /// resolution against runtime.
+    /// (paper footnote *b*). All candidates are evaluated, but with a
+    /// memo tier ([`cluster_ctx`]) a candidate does not cost a full
+    /// clustering run: each construction unit is served at every bound
+    /// its recorded interval admits, so a candidate recomputes only the
+    /// units whose bound tests come out differently under it.
     pub tree_height: u32,
 }
 
@@ -242,7 +246,8 @@ pub fn cluster(graph: &CommGraph, config: &ClusteringConfig) -> Result<Clusterin
 /// ([`ExecCtx::memo`]), the pure sub-ring construction units — greedy
 /// cluster growth, cycle refinement, and inter-ring growth — are
 /// content-keyed by exactly the input slice each depends on and served
-/// from the memo on repeat invocations. A memo hit returns precisely what
+/// from the memo on repeat invocations, under every `L_max` candidate
+/// their recorded bound interval admits. A memo hit returns precisely what
 /// recomputation would, so results are bit-identical with or without the
 /// memo; this is what makes incremental re-synthesis fast without a
 /// separate (and potentially divergent) incremental algorithm.
@@ -264,13 +269,8 @@ pub fn cluster_ctx(
     result
 }
 
-/// The `L_max` search of [`cluster_ctx`], on one shared evaluator.
-fn search_l_max(
-    graph: &CommGraph,
-    config: &ClusteringConfig,
-    ctx: &ExecCtx,
-    ev: &mut RingEval,
-) -> Result<Clustering, ClusterError> {
+/// The `2^h − 1` equidistant candidate `L_max` values over `[d₁, d₂]`.
+fn l_max_candidates(graph: &CommGraph, config: &ClusteringConfig, ev: &mut RingEval) -> Vec<f64> {
     let d1 = graph.max_communicating_distance().0;
     let d2 = one_way_bound(graph, ev).0.max(d1);
     let count = (1usize << config.tree_height) - 1;
@@ -281,7 +281,16 @@ fn search_l_max(
             d1 + (d2 - d1) * k as f64 / (count - 1) as f64
         }
     };
+    (0..count).map(candidate).collect()
+}
 
+/// The `L_max` search of [`cluster_ctx`], on one shared evaluator.
+fn search_l_max(
+    graph: &CommGraph,
+    config: &ClusteringConfig,
+    ctx: &ExecCtx,
+    ev: &mut RingEval,
+) -> Result<Clustering, ClusterError> {
     // Balanced binary search over the candidate L_max values: a valid
     // clustering sends the search left (smaller L_max), an invalid one
     // right (paper Fig. 4). Among all valid candidates encountered, the
@@ -312,8 +321,8 @@ fn search_l_max(
     // this implementation evaluates every tree node (2^h − 1 equidistant
     // candidates) and keeps the best — exhaustive over the same candidate
     // set, immune to a single misleading branch decision.
-    for k in 0..count {
-        if let Some(solution) = cluster_under(graph, candidate(k), ctx, ev)? {
+    for l_max in l_max_candidates(graph, config, ev) {
+        if let Some(solution) = cluster_under(graph, l_max, ctx, ev)? {
             consider(solution, &mut best);
         }
     }
@@ -458,17 +467,17 @@ fn hash_node(graph: &CommGraph, v: NodeId, hasher: &mut ContentHasher) {
 /// Memo key for [`grow_intra`]: the growth is a pure function of the
 /// initial vertex, the unclustered set (with positions), the messages
 /// restricted to that set (its neighbor, affinity, and path evaluations
-/// never look outside it), and the `(l_max, size_cap)` bounds.
+/// never look outside it), the size cap and the `l_max` bound. The bound
+/// is left out of the key: it selects among the entry's intervals (see
+/// [`memoized`]).
 fn grow_key(
     graph: &CommGraph,
     initial: NodeId,
     unclustered: &BTreeSet<NodeId>,
-    l_max: f64,
     size_cap: usize,
 ) -> ContentKey {
     let mut hasher = ContentHasher::new();
     hasher.write_usize(initial.index());
-    hasher.write_f64(l_max);
     hasher.write_usize(size_cap);
     hasher.write_usize(unclustered.len());
     for &v in unclustered {
@@ -485,15 +494,9 @@ fn grow_key(
 
 /// Memo key for [`improve_cycle`]: the refinement depends on the cycle's
 /// visiting order, the message list it scores (in order, with endpoint
-/// positions), and the bound.
-fn refine_key(
-    graph: &CommGraph,
-    cycle: &Cycle,
-    messages: &[(NodeId, NodeId)],
-    l_max: f64,
-) -> ContentKey {
+/// positions), and the bound, which is left out as in [`grow_key`].
+fn refine_key(graph: &CommGraph, cycle: &Cycle, messages: &[(NodeId, NodeId)]) -> ContentKey {
     let mut hasher = ContentHasher::new();
-    hasher.write_f64(l_max);
     hasher.write_usize(cycle.len());
     for &v in cycle.nodes() {
         hash_node(graph, v, &mut hasher);
@@ -507,17 +510,16 @@ fn refine_key(
 }
 
 /// Memo key for [`grow_inter`]: the initial vertex, the full `v_inter`
-/// list (with positions), the cross-cluster messages, and the bound.
+/// list (with positions), the cross-cluster messages, and the bound,
+/// which is left out as in [`grow_key`].
 fn inter_key(
     graph: &CommGraph,
     initial: NodeId,
     v_inter: &[NodeId],
     inter_messages: &[(NodeId, NodeId)],
-    l_max: f64,
 ) -> ContentKey {
     let mut hasher = ContentHasher::new();
     hasher.write_usize(initial.index());
-    hasher.write_f64(l_max);
     hasher.write_usize(v_inter.len());
     for &v in v_inter {
         hash_node(graph, v, &mut hasher);
@@ -530,36 +532,170 @@ fn inter_key(
     hasher.finish()
 }
 
-/// Serves one pure construction unit from the memo tier of `ctx` under
-/// `(unit, key())`, or runs `compute` under a span named `phase` and
-/// stores its result. A hit returns exactly what the computation would,
-/// so a pass is bit-identical with or without a memo tier; an error (a
-/// deadline) returns before the put, so it is never memoized. Keying,
-/// lookup and put are timed into [`RingEval::memo_time`] when tracing is
-/// on, since no unit span covers them.
+/// Serves one pure construction unit from the memo tier of `ctx`, or runs
+/// `compute` under a span named `phase` and stores its result.
+///
+/// A unit's result depends on its `bound` (`L_max`) only through the
+/// bound tests it runs, so `compute` narrows an [`Exact`] interval to the
+/// bounds under which every one of those tests comes out as it did under
+/// `bound`. The entry under `(unit, key())` — a key without the bound —
+/// holds a short list of `(interval, result)` pairs, and a lookup hits
+/// only when a stored interval admits its bound. A hit therefore returns
+/// exactly what recomputation would, so a pass is bit-identical with or
+/// without a memo tier; an error (a deadline) returns before the put, so
+/// it is never memoized. Keying, lookup and put are timed into
+/// [`RingEval::memo_time`] when tracing is on, since no unit span covers
+/// them.
+///
+/// Extending a list reads it and stores a longer copy, so two workers
+/// sharing the memo tier can race and lose one of the two appended pairs.
+/// That costs one later miss and never a wrong hit: every stored pair is
+/// exact on its own.
 fn memoized<T: Clone + Send + Sync + 'static>(
     ctx: &ExecCtx,
     ev: &mut RingEval,
     (unit, phase): (&'static str, &str),
+    bound: f64,
     key: impl FnOnce() -> ContentKey,
-    compute: impl FnOnce(&mut RingEval) -> Result<T, ClusterError>,
+    compute: impl FnOnce(&mut RingEval, &mut Exact) -> Result<T, ClusterError>,
 ) -> Result<T, ClusterError> {
     let watch = ctx.trace().stopwatch();
     let key = key();
-    if let Some(hit) = ctx.memo_get::<T>(unit, key) {
-        let hit = (*hit).clone();
-        ev.memo_time += watch.elapsed();
-        return Ok(hit);
-    }
+    let found = ctx.memo_get(unit, key, |list: &Arc<Vec<(Exact, T)>>| {
+        let admitted = list.iter().find(|(exact, _)| exact.admits(bound));
+        admitted.map(|(_, hit)| hit.clone())
+    });
     ev.memo_time += watch.elapsed();
+    let stored = match found {
+        Ok(hit) => return Ok(hit),
+        Err(stored) => stored,
+    };
+    let mut exact = Exact::ALL;
     let value = {
         let _span = ctx.trace().span(phase);
-        compute(ev)?
+        compute(ev, &mut exact)?
     };
+    debug_assert!(exact.admits(bound), "{exact:?} must admit {bound}");
     let watch = ctx.trace().stopwatch();
-    ctx.memo_put(unit, key, value.clone());
+    let mut list = stored.map_or_else(Vec::new, |list| Vec::clone(&list));
+    list.push((exact, value.clone()));
+    ctx.memo_put(unit, key, list);
     ev.memo_time += watch.elapsed();
     Ok(value)
+}
+
+/// The closed interval `[lo, hi]` of bounds under which every bound test a
+/// construction unit ran comes out as it did under the caller's bound.
+/// Each test has the form `x <= bound + slack` (a failure is the same test
+/// coming out false), and floating-point addition is monotone, so the
+/// bounds that pass it are exactly those at or above [`least_bound`]. A
+/// NaN `x` fails under every bound and leaves the interval as it is
+/// (`f64::max`/`min` ignore NaN).
+#[derive(Debug, Clone, Copy)]
+struct Exact {
+    lo: f64,
+    hi: f64,
+}
+
+impl Exact {
+    /// No test run yet: every bound, `∞` included.
+    const ALL: Exact = Exact {
+        lo: f64::NEG_INFINITY,
+        hi: f64::INFINITY,
+    };
+
+    fn admits(self, bound: f64) -> bool {
+        self.lo <= bound && bound <= self.hi
+    }
+
+    /// Records that the test `x <= bound + slack` held.
+    fn held(&mut self, x: f64, slack: f64) {
+        self.lo = self.lo.max(least_bound(x, slack));
+    }
+
+    /// Records that the test `x <= bound + slack` failed.
+    fn failed(&mut self, x: f64, slack: f64) {
+        self.hi = self.hi.min(least_bound(x, slack).next_down());
+    }
+}
+
+/// The smallest bound `b` with `x <= b + slack` in floating point; `x`
+/// itself when it is not finite (only `b = ∞` passes `x = ∞`).
+fn least_bound(x: f64, slack: f64) -> f64 {
+    if !x.is_finite() {
+        return x;
+    }
+    let mut b = x - slack;
+    while x > b + slack {
+        b = b.next_up();
+    }
+    while x <= b.next_down() + slack {
+        b = b.next_down();
+    }
+    b
+}
+
+/// The bound tests of one greedy absorption round of [`grow_intra`] or
+/// [`grow_inter`], and the cutoff at which the evaluator may abandon a
+/// trial: past it, a trial fails the bound or loses to the best so far.
+struct Round {
+    l_max: f64,
+    cutoff: f64,
+    /// The largest longest path of a trial that was ever the round's best.
+    led: Option<f64>,
+    /// The smallest longest path, or abandonment bound, of a trial that
+    /// failed the bound.
+    failed: Option<f64>,
+}
+
+impl Round {
+    fn new(l_max: f64) -> Self {
+        Round {
+            l_max,
+            cutoff: l_max + 1e-12,
+            led: None,
+            failed: None,
+        }
+    }
+
+    /// The better direction and longest path of the loaded trial when it
+    /// keeps the bound; `None` when it fails the bound or was abandoned.
+    fn trial(&mut self, ev: &mut RingEval, messages: &[(NodeId, NodeId)]) -> Option<(bool, f64)> {
+        let l = match ev.orientation(messages, self.cutoff) {
+            Ok((reversed, l)) if l <= self.l_max + 1e-12 => return Some((reversed, l)),
+            Ok((_, l)) | Err(l) => l,
+        };
+        // An abandoned trial's longest path is at least `l`; one abandoned
+        // at or below the bound lost to the best so far instead.
+        if l > self.l_max + 1e-12 {
+            self.failed = Some(self.failed.map_or(l, |f| f.min(l)));
+        }
+        None
+    }
+
+    /// Makes a trial of longest path `l` the round's best.
+    fn lead(&mut self, l: f64) {
+        self.led = Some(self.led.map_or(l, |m| m.max(l)));
+        self.cutoff = (self.l_max + 1e-12).min(loses_above(l));
+    }
+
+    /// Narrows `exact` to the bounds under which the round ends as it did.
+    /// Under a smaller bound only trials that never led can drop out, so
+    /// the fold is unchanged while every leader keeps the bound. Under a
+    /// larger one the failed trials come in: they cannot win when the
+    /// bound clears every leader by a relative margin of 1e-9 (DESIGN.md
+    /// §16), and otherwise the bound must stay below the smallest of them.
+    fn close(self, exact: &mut Exact) {
+        if let Some(led) = self.led {
+            exact.held(led, 1e-12);
+        }
+        let clears = self
+            .led
+            .is_some_and(|led| self.l_max + 1e-12 > (led + 1e-12) * (1.0 + 1e-9));
+        if let (false, Some(failed)) = (clears, self.failed) {
+            exact.failed(failed, 1e-12);
+        }
+    }
 }
 
 fn cluster_pass(
@@ -579,8 +715,9 @@ fn cluster_pass(
             ctx,
             ev,
             ("cluster_grow", "grow"),
-            || grow_key(graph, initial, unclustered, l_max, size_cap),
-            |ev| grow_intra(graph, ev, initial, unclustered, l_max, size_cap),
+            l_max,
+            || grow_key(graph, initial, unclustered, size_cap),
+            |ev, exact| grow_intra(graph, ev, initial, unclustered, l_max, size_cap, exact),
         )
     };
     let refine_memo = |ev: &mut RingEval, cycle: &Cycle, messages: &[(NodeId, NodeId)]| {
@@ -588,8 +725,9 @@ fn cluster_pass(
             ctx,
             ev,
             ("cluster_refine", "refine"),
-            || refine_key(graph, cycle, messages, l_max),
-            |ev| improve_cycle(ev, cycle, messages, l_max, ctx),
+            l_max,
+            || refine_key(graph, cycle, messages),
+            |ev, exact| improve_cycle(ev, cycle, messages, l_max, ctx, exact),
         )
     };
     let inter_memo = |ev: &mut RingEval,
@@ -601,8 +739,9 @@ fn cluster_pass(
             ctx,
             ev,
             ("cluster_inter", "inter"),
-            || inter_key(graph, initial, v_inter, inter_messages, bound),
-            |ev| grow_inter(ev, initial, v_inter, inter_messages, bound),
+            bound,
+            || inter_key(graph, initial, v_inter, inter_messages),
+            |ev, exact| grow_inter(ev, initial, v_inter, inter_messages, bound, exact),
         )
     };
 
@@ -928,10 +1067,15 @@ impl RingEval {
     /// reverse one (only when shorter by more than 1e-12), and its
     /// longest path. A message from a node to itself counts as ∞.
     ///
-    /// `None` once `min(fwd, rev)` of the running maxima exceeds
-    /// `cutoff`: whichever direction wins, its longest path is at least
-    /// that, so the result would exceed `cutoff` too.
-    fn orientation(&mut self, messages: &[(NodeId, NodeId)], cutoff: f64) -> Option<(bool, f64)> {
+    /// `Err` once `min(fwd, rev)` of the running maxima exceeds
+    /// `cutoff`, carrying that minimum: whichever direction wins, its
+    /// longest path is at least that, so the result would exceed `cutoff`
+    /// too.
+    fn orientation(
+        &mut self,
+        messages: &[(NodeId, NodeId)],
+        cutoff: f64,
+    ) -> Result<(bool, f64), f64> {
         let (mut fwd, mut rev) = (0.0f64, 0.0f64);
         for &(s, d) in messages {
             let Some((i, j)) = self.ends(s, d) else {
@@ -946,10 +1090,10 @@ impl RingEval {
             rev = rev.max(r);
             if fwd.min(rev) > cutoff {
                 self.cut += 1;
-                return None;
+                return Err(fwd.min(rev));
             }
         }
-        Some(if rev < fwd - 1e-12 {
+        Ok(if rev < fwd - 1e-12 {
             (true, rev)
         } else {
             (false, fwd)
@@ -1097,20 +1241,32 @@ fn improve_cycle(
     messages: &[(NodeId, NodeId)],
     l_max: f64,
     ctx: &ExecCtx,
+    exact: &mut Exact,
 ) -> Result<(Cycle, f64), ClusterError> {
     // Score: the same laser-power proxy the L_max search uses —
     // congestion × 10^(longest/10) — then longest, then total path
     // length. Moves may trade a slightly longer worst path (still within
     // L_max) for materially lower congestion.
-    let better = |a: (f64, f64, f64), b: (f64, f64, f64)| {
-        // A move must keep the L_max bound (or strictly shrink an already
-        // violating longest path, for the unrestricted fallback).
-        if a.1 > l_max + 1e-12 && a.1 >= b.1 - 1e-12 {
-            return false;
-        }
+    let scores_better = |a: (f64, f64, f64), b: (f64, f64, f64)| {
         a.0 < b.0 - 1e-12
             || ((a.0 - b.0).abs() <= 1e-12
                 && (a.1 < b.1 - 1e-12 || ((a.1 - b.1).abs() <= 1e-12 && a.2 < b.2 - 1e-12)))
+    };
+    // A move must also keep the L_max bound (or strictly shrink an already
+    // violating longest path, for the unrestricted fallback). This is the
+    // one bound test, so it is recorded in `exact`.
+    let mut better = |a: (f64, f64, f64), b: (f64, f64, f64)| {
+        if !scores_better(a, b) {
+            return false;
+        }
+        if a.1 >= b.1 - 1e-12 {
+            if a.1 > l_max + 1e-12 {
+                exact.failed(a.1, 1e-12);
+                return false;
+            }
+            exact.held(a.1, 1e-12);
+        }
+        true
     };
 
     let mut order = cycle.nodes().to_vec();
@@ -1185,6 +1341,7 @@ fn grow_intra(
     unclustered: &BTreeSet<NodeId>,
     l_max: f64,
     size_cap: usize,
+    exact: &mut Exact,
 ) -> Result<Option<GrownCluster>, ClusterError> {
     // Initial cluster: the nearest unclustered communication partner.
     let nearest = graph
@@ -1204,9 +1361,12 @@ fn grow_intra(
             longest: 0.0,
         }));
     };
-    if ev.d(initial, first) > l_max {
+    let d = ev.d(initial, first);
+    if d > l_max {
+        exact.failed(d, 0.0);
         return Ok(None);
     }
+    exact.held(d, 0.0);
 
     let n = graph.node_count();
     let mut members = vec![initial, first];
@@ -1248,10 +1408,8 @@ fn grow_intra(
         // smallest longest signal path; ties go to the candidate with the
         // most messages into the cluster (communication affinity), which
         // keeps subsystems together. Only the winner's ring is built.
-        // A trial whose longest path passes `cutoff` fails the bound or
-        // loses to the best so far, so its evaluation may stop there.
         let mut best: Option<(f64, usize, NodeId, usize, bool)> = None;
-        let mut cutoff = l_max + 1e-12;
+        let mut round = Round::new(l_max);
         for x in graph.node_ids().filter(|x| is_candidate[x.index()]) {
             let aff = graph
                 .messages()
@@ -1270,25 +1428,23 @@ fn grow_intra(
                 trial.extend_from_slice(&ring);
                 trial.insert(seg + 1, x);
                 ev.load(&trial);
-                let Some((reversed, l)) = ev.orientation(&msgs, cutoff) else {
+                let Some((reversed, l)) = round.trial(ev, &msgs) else {
                     continue;
                 };
-                if l <= l_max + 1e-12 {
-                    let better = match &best {
-                        None => true,
-                        Some((bl, ba, bx, _, _)) => {
-                            l < *bl - 1e-12
-                                || ((l - *bl).abs() <= 1e-12
-                                    && (aff > *ba || (aff == *ba && x < *bx)))
-                        }
-                    };
-                    if better {
-                        best = Some((l, aff, x, seg, reversed));
-                        cutoff = (l_max + 1e-12).min(loses_above(l));
+                let better = match &best {
+                    None => true,
+                    Some((bl, ba, bx, _, _)) => {
+                        l < *bl - 1e-12
+                            || ((l - *bl).abs() <= 1e-12 && (aff > *ba || (aff == *ba && x < *bx)))
                     }
+                };
+                if better {
+                    best = Some((l, aff, x, seg, reversed));
+                    round.lead(l);
                 }
             }
         }
+        round.close(exact);
         let Some((l, _, x, seg, reversed)) = best else {
             break;
         };
@@ -1319,6 +1475,7 @@ fn grow_inter(
     v_inter: &[NodeId],
     inter_messages: &[(NodeId, NodeId)],
     l_max: f64,
+    exact: &mut Exact,
 ) -> Result<Option<(Cycle, f64)>, ClusterError> {
     let Some(nearest) = v_inter
         .iter()
@@ -1339,19 +1496,19 @@ fn grow_inter(
         .filter(|&v| v != initial && v != nearest)
         .collect();
     ev.load(&ring);
-    let Some((_, mut longest)) = ev.orientation(inter_messages, l_max + 1e-12) else {
-        return Ok(None);
-    };
+    // An abandoned walk's bound exceeds the cutoff, so it fails too.
+    let (Ok((_, mut longest)) | Err(mut longest)) = ev.orientation(inter_messages, l_max + 1e-12);
     if longest > l_max + 1e-12 {
+        exact.failed(longest, 1e-12);
         return Ok(None);
     }
+    exact.held(longest, 1e-12);
 
     let (mut segs, mut trial) = (Vec::new(), Vec::new());
     // onoc-lint: allow(L9, reason = "bounded: every round inserts one remaining node onto the ring or returns infeasible")
     while !remaining.is_empty() {
-        // As in `grow_intra`: a trial past `cutoff` cannot be chosen.
         let mut best: Option<(f64, NodeId, usize, bool)> = None;
-        let mut cutoff = l_max + 1e-12;
+        let mut round = Round::new(l_max);
         for &x in &remaining {
             candidate_segments(&ring, x, &|a, b| ev.d(a, b), 8, &mut segs);
             for &(_, seg) in &segs {
@@ -1359,23 +1516,22 @@ fn grow_inter(
                 trial.extend_from_slice(&ring);
                 trial.insert(seg + 1, x);
                 ev.load(&trial);
-                let Some((reversed, l)) = ev.orientation(inter_messages, cutoff) else {
+                let Some((reversed, l)) = round.trial(ev, inter_messages) else {
                     continue;
                 };
-                if l <= l_max + 1e-12 {
-                    let better = match &best {
-                        None => true,
-                        Some((bl, bx, _, _)) => {
-                            l < *bl - 1e-12 || ((l - *bl).abs() <= 1e-12 && x < *bx)
-                        }
-                    };
-                    if better {
-                        best = Some((l, x, seg, reversed));
-                        cutoff = (l_max + 1e-12).min(loses_above(l));
+                let better = match &best {
+                    None => true,
+                    Some((bl, bx, _, _)) => {
+                        l < *bl - 1e-12 || ((l - *bl).abs() <= 1e-12 && x < *bx)
                     }
+                };
+                if better {
+                    best = Some((l, x, seg, reversed));
+                    round.lead(l);
                 }
             }
         }
+        round.close(exact);
         let Some((l, x, seg, reversed)) = best else {
             return Ok(None);
         };
@@ -1385,9 +1541,6 @@ fn grow_inter(
             ring.reverse();
         }
         longest = l;
-    }
-    if longest > l_max + 1e-12 {
-        return Ok(None);
     }
     let ring =
         Cycle::new(ring).map_err(|_| ClusterError::InvalidCycle("grown ring repeats a node"))?;
@@ -1582,8 +1735,10 @@ mod tests {
     fn ring_evaluations_are_pinned() {
         // The number of orders the search loads on a memo-backed run, as
         // `sring-cli synth` clusters. Pruning abandons evaluations but
-        // never skips one, so any change here means the search changed.
-        let pinned = [78_744, 279_746, 123_014, 2_260_076, 25_056, 50_037, 52_761];
+        // never skips one, and a unit is recomputed exactly when no stored
+        // interval admits its bound, so any change here means the search
+        // or the intervals changed.
+        let pinned = [21_961, 106_179, 56_755, 1_922_408, 5_544, 10_275, 9_923];
         assert_eq!(clustered().len(), pinned.len());
         for ((b, plain), want) in clustered().iter().zip(pinned) {
             let trace = onoc_trace::Trace::new();
@@ -1838,17 +1993,21 @@ mod tests {
                     s.map(|(p, l, t)| (p.to_bits(), l.to_bits(), t.to_bits()))
                 };
 
-                // Orientation: the unbounded bits, or `None` only when
-                // the unbounded longest path exceeds the cutoff.
+                // Orientation: the unbounded bits, or `Err` only when the
+                // unbounded longest path exceeds the cutoff, carrying a
+                // bound between the two.
                 let free = ev.orientation(&messages, f64::INFINITY);
                 let (_, longest) = free.expect("an unbounded walk is never abandoned");
                 for cutoff in [longest, longest.next_up(), longest.next_down(), longest * scale] {
                     match ev.orientation(&messages, cutoff) {
-                        Some(o) => prop_assert_eq!(
-                            Some((o.0, o.1.to_bits())),
+                        Ok(o) => prop_assert_eq!(
+                            Ok((o.0, o.1.to_bits())),
                             free.map(|f| (f.0, f.1.to_bits()))
                         ),
-                        None => prop_assert!(longest > cutoff, "{longest} cut at {cutoff}"),
+                        Err(at_least) => prop_assert!(
+                            cutoff < at_least && at_least <= longest,
+                            "{longest} cut at {cutoff} with bound {at_least}"
+                        ),
                     }
                 }
                 // The greedy's cutoff against a best: past it, every
@@ -1875,6 +2034,142 @@ mod tests {
                 }
             }
 
+        }
+
+        /// One memoized construction unit with inputs fixed independently
+        /// of the bound, as the exactness property runs it.
+        enum Unit {
+            Grow(NodeId, BTreeSet<NodeId>, usize),
+            Refine(Cycle, Vec<(NodeId, NodeId)>),
+            Inter(NodeId, Vec<NodeId>, Vec<(NodeId, NodeId)>),
+        }
+
+        impl Unit {
+            /// The unit's result under `bound` as bits, with its interval.
+            fn run(&self, g: &CommGraph, ev: &mut RingEval, bound: f64) -> (String, Exact) {
+                let ids = |v: &[NodeId]| v.iter().map(|n| n.index()).collect::<Vec<_>>();
+                let ring = |c: &Cycle, l: f64| format!("{:?} {:x}", ids(c.nodes()), l.to_bits());
+                let mut exact = Exact::ALL;
+                let ctx = ExecCtx::new();
+                let bits = match self {
+                    Unit::Grow(initial, unclustered, cap) => {
+                        grow_intra(g, ev, *initial, unclustered, bound, *cap, &mut exact)
+                            .unwrap()
+                            .map(|c| {
+                                let r = c.ring.map(|r| ids(r.nodes()));
+                                format!("{:?} {r:?} {:x}", ids(&c.members), c.longest.to_bits())
+                            })
+                    }
+                    Unit::Refine(cycle, msgs) => {
+                        let (c, l) =
+                            improve_cycle(ev, cycle, msgs, bound, &ctx, &mut exact).unwrap();
+                        Some(ring(&c, l))
+                    }
+                    Unit::Inter(initial, v_inter, msgs) => {
+                        grow_inter(ev, *initial, v_inter, msgs, bound, &mut exact)
+                            .unwrap()
+                            .map(|(c, l)| ring(&c, l))
+                    }
+                };
+                (format!("{bits:?}"), exact)
+            }
+        }
+
+        /// The units the exactness property checks on `g`: growth from
+        /// every vertex over all nodes (two size caps) and over `subset`,
+        /// inter-ring growth from every communicating vertex, and the
+        /// refinement of a few unbounded rings.
+        fn units(g: &CommGraph, ev: &mut RingEval, subset: &BTreeSet<NodeId>) -> Vec<Unit> {
+            let n = g.node_count();
+            let all: BTreeSet<NodeId> = g.node_ids().collect();
+            let msgs: Vec<(NodeId, NodeId)> = g.messages().iter().map(|m| (m.src, m.dst)).collect();
+            let v_inter: Vec<NodeId> = g
+                .node_ids()
+                .filter(|&v| !g.neighbors(v).is_empty())
+                .collect();
+            let mut units = Vec::new();
+            for v in g.node_ids() {
+                units.push(Unit::Grow(v, all.clone(), n));
+                units.push(Unit::Grow(v, all.clone(), n.div_ceil(3)));
+                if subset.contains(&v) {
+                    units.push(Unit::Grow(v, subset.clone(), n));
+                }
+            }
+            for &v in &v_inter {
+                units.push(Unit::Inter(v, v_inter.clone(), msgs.clone()));
+            }
+            let mut exact = Exact::ALL;
+            for v in g.node_ids().step_by(5) {
+                if let Ok(Some(GrownCluster {
+                    members,
+                    ring: Some(ring),
+                    ..
+                })) = grow_intra(g, ev, v, &all, f64::INFINITY, n, &mut exact)
+                {
+                    let on: Vec<(NodeId, NodeId)> = msgs
+                        .iter()
+                        .copied()
+                        .filter(|(s, d)| members.contains(s) && members.contains(d))
+                        .collect();
+                    units.push(Unit::Refine(ring, on));
+                }
+            }
+            if let Ok(Some((ring, _))) =
+                grow_inter(ev, v_inter[0], &v_inter, &msgs, f64::INFINITY, &mut exact)
+            {
+                units.push(Unit::Refine(ring, msgs.clone()));
+            }
+            units
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn prop_unit_intervals_are_exact(
+                nodes in 6usize..17,
+                density in 0usize..3,
+                seed in 0u64..1_000_000,
+                mask in 0u64..u64::MAX,
+                first in 0usize..1_000,
+                then in 0usize..1_000,
+                other in 0usize..1_000,
+            ) {
+                // Whenever a unit's interval under bound `a` admits bound
+                // `b`, the unit recomputed under `b` gives the same bits.
+                // `a` is a candidate L_max, or an end of an interval
+                // recorded under one (or a neighbouring float), where
+                // path lengths sit right at the bound's thresholds; `b`
+                // is each of the interval's own ends, and a draw from the
+                // same pool.
+                let messages = (nodes * (2 + density)).min(nodes * (nodes - 1));
+                let g = synth::random_app(nodes, messages, seed, Millimeters(0.3));
+                let subset: BTreeSet<NodeId> =
+                    g.node_ids().filter(|v| mask >> (v.index() % 64) & 1 == 1).collect();
+                let mut ev = RingEval::new(&g);
+                let units = units(&g, &mut ev, &subset);
+                let mut pool = l_max_candidates(&g, &ClusteringConfig::default(), &mut ev);
+                pool.push(f64::INFINITY);
+                let a0 = pool[first % pool.len()];
+                for unit in &units {
+                    let (_, e) = unit.run(&g, &mut ev, a0);
+                    for end in [e.lo, e.hi] {
+                        pool.extend([end, end.next_up(), end.next_down()]);
+                    }
+                }
+                let a = pool[then % pool.len()];
+                let b = pool[other % pool.len()];
+                for unit in &units {
+                    let (bits, e) = unit.run(&g, &mut ev, a);
+                    prop_assert!(e.admits(a), "{e:?} must admit its own bound {a}");
+                    for b in [e.lo, e.hi, b] {
+                        if e.admits(b) {
+                            let (again, _) = unit.run(&g, &mut ev, b);
+                            prop_assert_eq!(&again, &bits, "bound {} admitted by {:?} from {}", b, e, a);
+                        }
+                    }
+                }
+            }
         }
 
         proptest! {

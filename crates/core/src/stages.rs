@@ -395,8 +395,10 @@ impl Stage for LayoutStage<'_> {
         let mut route_ring = |layout: &mut Layout, cycle: &Cycle| -> WaveguideId {
             hash_cycle(cycle, &mut prefix);
             let key = prefix.finish();
-            if let Some(hit) = ctx.memo_get::<RoutedWaveguide>("layout_ring", key) {
-                return layout.push_waveguide((*hit).clone());
+            if let Ok(hit) = ctx.memo_get("layout_ring", key, |w: &Arc<RoutedWaveguide>| {
+                Some(RoutedWaveguide::clone(w))
+            }) {
+                return layout.push_waveguide(hit);
             }
             let wg = layout.route_cycle(cycle);
             ctx.memo_put("layout_ring", key, layout.waveguide(wg).clone());
@@ -582,8 +584,10 @@ impl Stage for RouteStage<'_> {
                          ring_idx: usize|
          -> Vec<Vec<Candidate>> {
             let key = unit_key(tag, ring_idx, indices);
-            if let Some(hit) = ctx.memo_get::<Vec<Vec<Candidate>>>("route_ring", key) {
-                return (*hit).clone();
+            if let Ok(hit) = ctx.memo_get("route_ring", key, |u: &Arc<Vec<Vec<Candidate>>>| {
+                Some(Vec::clone(u))
+            }) {
+                return hit;
             }
             let unit = build_unit(indices, home);
             ctx.memo_put("route_ring", key, unit.clone());

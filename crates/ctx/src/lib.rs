@@ -323,6 +323,9 @@ struct CacheEntry {
 
 struct CacheInner {
     map: BTreeMap<(&'static str, ContentKey), CacheEntry>,
+    /// Every entry of `map` under its `last_used` tick, so the LRU victim
+    /// is the first entry here instead of the result of a scan.
+    by_use: BTreeMap<u64, (&'static str, ContentKey)>,
     tick: u64,
     // Counters live *inside* the lock-protected state, not in separate
     // atomics: a `stats` snapshot taken under the lock is then coherent
@@ -337,13 +340,31 @@ struct CacheInner {
     gets: u64,
 }
 
+impl CacheInner {
+    /// The next use tick; ticks are strictly monotonic, so no two entries
+    /// ever share one.
+    fn next_tick(&mut self) -> u64 {
+        self.tick += 1;
+        self.tick
+    }
+
+    /// Removes `(stage, key)` from the map and the use index.
+    fn remove(&mut self, slot: (&'static str, ContentKey)) {
+        if let Some(entry) = self.map.remove(&slot) {
+            self.by_use.remove(&entry.last_used);
+        }
+    }
+}
+
 /// A thread-safe content-addressed artifact store with LRU eviction.
 ///
 /// Entries are keyed by a `(stage, key)` pair: the stage name namespaces
 /// keys so two stages with identical inputs never alias each other's
 /// artifacts. The map is a `BTreeMap`, so no behaviour — including the
 /// eviction victim, which is chosen by a strictly monotonic use tick —
-/// depends on randomized iteration order.
+/// depends on randomized iteration order. A second `BTreeMap` orders the
+/// entries by that tick, so finding the victim costs a logarithmic
+/// update per lookup and insert instead of a scan of the whole map.
 pub struct ArtifactCache {
     capacity: usize,
     inner: Mutex<CacheInner>,
@@ -375,6 +396,7 @@ impl ArtifactCache {
             capacity: capacity.max(1),
             inner: Mutex::new(CacheInner {
                 map: BTreeMap::new(),
+                by_use: BTreeMap::new(),
                 tick: 0,
                 hits: 0,
                 misses: 0,
@@ -394,27 +416,7 @@ impl ArtifactCache {
         stage: &'static str,
         key: ContentKey,
     ) -> Result<Option<Artifact>, CacheError> {
-        let mut inner = self.inner.lock().map_err(|_| CacheError::Poisoned)?;
-        inner.tick += 1;
-        let tick = inner.tick;
-        // Counters tick while the lock is held so a `stats` snapshot
-        // (which also takes the lock) always sees hit/miss totals
-        // consistent with the entry count.
-        inner.gets += 1;
-        match inner.map.get_mut(&(stage, key)) {
-            Some(entry) => {
-                entry.last_used = tick;
-                let value = entry.value.clone();
-                inner.hits += 1;
-                drop(inner);
-                Ok(Some(value))
-            }
-            None => {
-                inner.misses += 1;
-                drop(inner);
-                Ok(None)
-            }
-        }
+        Ok(self.lookup(stage, key, Some, |v| Some(v.clone()))?.ok())
     }
 
     /// Looks up the artifact stored for `(stage, key)` at type `T`.
@@ -434,30 +436,65 @@ impl ArtifactCache {
         stage: &'static str,
         key: ContentKey,
     ) -> Result<Option<Arc<T>>, CacheError> {
+        Ok(self.select_as(stage, key, |v| Some(Arc::clone(v)))?.ok())
+    }
+
+    /// [`get_as`](Self::get_as) for an artifact that answers only some
+    /// lookups: `select` picks this lookup's answer from the stored
+    /// artifact, and a stored artifact it picks nothing from counts as a
+    /// miss. Returns the answer, or on a miss the stored artifact (if
+    /// any), so that the caller can extend it and store it again. `select`
+    /// runs under the cache lock.
+    ///
+    /// # Errors
+    ///
+    /// [`CacheError::Poisoned`] when the cache lock was poisoned.
+    pub fn select_as<T: Send + Sync + 'static, R>(
+        &self,
+        stage: &'static str,
+        key: ContentKey,
+        select: impl FnOnce(&Arc<T>) -> Option<R>,
+    ) -> Result<Result<R, Option<Arc<T>>>, CacheError> {
+        self.lookup(stage, key, |a| a.downcast::<T>().ok(), select)
+    }
+
+    /// The one lookup behind [`get`](Self::get) and
+    /// [`select_as`](Self::select_as): `cast` views the stored artifact
+    /// (`None` evicts it as the wrong type) and `select` answers from it.
+    fn lookup<V, R>(
+        &self,
+        stage: &'static str,
+        key: ContentKey,
+        cast: impl FnOnce(Artifact) -> Option<V>,
+        select: impl FnOnce(&V) -> Option<R>,
+    ) -> Result<Result<R, Option<V>>, CacheError> {
         let mut inner = self.inner.lock().map_err(|_| CacheError::Poisoned)?;
-        inner.tick += 1;
-        let tick = inner.tick;
+        let tick = inner.next_tick();
+        // Counters tick while the lock is held so a `stats` snapshot
+        // (which also takes the lock) always sees hit/miss totals
+        // consistent with the entry count.
         inner.gets += 1;
-        match inner.map.get_mut(&(stage, key)) {
-            Some(entry) => match entry.value.clone().downcast::<T>() {
-                Ok(value) => {
-                    entry.last_used = tick;
-                    inner.hits += 1;
-                    drop(inner);
-                    Ok(Some(value))
-                }
-                Err(_) => {
-                    inner.map.remove(&(stage, key));
-                    inner.misses += 1;
-                    inner.evictions += 1;
-                    drop(inner);
-                    Ok(None)
-                }
-            },
+        let Some(entry) = inner.map.get_mut(&(stage, key)) else {
+            inner.misses += 1;
+            return Ok(Err(None));
+        };
+        let Some(value) = cast(entry.value.clone()) else {
+            inner.remove((stage, key));
+            inner.misses += 1;
+            inner.evictions += 1;
+            return Ok(Err(None));
+        };
+        let used = std::mem::replace(&mut entry.last_used, tick);
+        inner.by_use.remove(&used);
+        inner.by_use.insert(tick, (stage, key));
+        match select(&value) {
+            Some(answer) => {
+                inner.hits += 1;
+                Ok(Ok(answer))
+            }
             None => {
                 inner.misses += 1;
-                drop(inner);
-                Ok(None)
+                Ok(Err(Some(value)))
             }
         }
     }
@@ -475,8 +512,8 @@ impl ArtifactCache {
         value: Artifact,
     ) -> Result<(), CacheError> {
         let mut inner = self.inner.lock().map_err(|_| CacheError::Poisoned)?;
-        inner.tick += 1;
-        let tick = inner.tick;
+        let tick = inner.next_tick();
+        inner.remove((stage, key));
         inner.map.insert(
             (stage, key),
             CacheEntry {
@@ -484,25 +521,14 @@ impl ArtifactCache {
                 last_used: tick,
             },
         );
-        let mut evicted = 0u64;
+        inner.by_use.insert(tick, (stage, key));
         while inner.map.len() > self.capacity {
-            // The use ticks are strictly monotonic, so the victim is
-            // unique and independent of map iteration order.
-            let victim = inner
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k);
-            match victim {
-                Some(k) => {
-                    inner.map.remove(&k);
-                    evicted += 1;
-                }
-                None => break,
-            }
+            let Some((_, victim)) = inner.by_use.pop_first() else {
+                break;
+            };
+            inner.map.remove(&victim);
+            inner.evictions += 1;
         }
-        inner.evictions += evicted;
-        drop(inner);
         Ok(())
     }
 
@@ -809,20 +835,31 @@ impl ExecCtx {
         Ok(arc)
     }
 
-    /// Looks up a typed memo entry for `(unit, key)` and counts the
-    /// hit/miss as `memo/...` trace counters. A detached memo tier is a
-    /// silent miss; a poisoned memo lock is treated as a miss as well —
-    /// memoization is an accelerator, never a failure source.
-    #[must_use]
-    pub fn memo_get<T: Send + Sync + 'static>(
+    /// Looks up the typed memo entry for `(unit, key)` and lets `select`
+    /// pick this lookup's answer from it (see
+    /// [`ArtifactCache::select_as`]). The hit/miss is counted as `memo/...`
+    /// trace counters, and a stored entry that `select` picks nothing from
+    /// counts as a miss, so hits plus misses are the lookups. Returns the
+    /// answer, or on a miss the stored entry (if any) for the caller to
+    /// extend. A detached memo tier is a silent miss; a poisoned memo lock
+    /// is treated as a miss as well — memoization is an accelerator, never
+    /// a failure source.
+    ///
+    /// # Errors
+    ///
+    /// `Err` is a miss, not a failure: it carries the stored entry, if any.
+    pub fn memo_get<T: Send + Sync + 'static, R>(
         &self,
         unit: &'static str,
         key: ContentKey,
-    ) -> Option<Arc<T>> {
-        let memo = self.memo.as_ref()?;
-        let hit = memo.get_as::<T>(unit, key).ok().flatten();
-        self.count_lookup("memo", unit, hit.is_some());
-        hit
+        select: impl FnOnce(&Arc<T>) -> Option<R>,
+    ) -> Result<R, Option<Arc<T>>> {
+        let Some(memo) = &self.memo else {
+            return Err(None);
+        };
+        let found = memo.select_as(unit, key, select).unwrap_or(Err(None));
+        self.count_lookup("memo", unit, found.is_ok());
+        found
     }
 
     /// Counts one `tier` lookup for `stage` as `{tier}/hits` and
@@ -997,6 +1034,90 @@ mod tests {
         assert_eq!(stats.hits, 3);
         assert_eq!(stats.misses, 2);
         assert!((stats.hit_rate() - 0.6).abs() < 1e-12);
+    }
+
+    #[test]
+    fn lru_index_matches_a_reference_model() {
+        // Random lookups and inserts past capacity against a plain LRU
+        // list (front = least recently used): every answer, every counter
+        // and the surviving entries must agree. A lookup that finds its
+        // entry touches it, whether at the wrong type (which evicts it),
+        // rejected by `select` (a miss) or a hit.
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |n: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % n
+        };
+        for capacity in 1..=6usize {
+            let cache = ArtifactCache::new(capacity);
+            let mut model: Vec<((&'static str, ContentKey), u64)> = Vec::new();
+            let (mut hits, mut misses, mut evictions) = (0u64, 0u64, 0u64);
+            for step in 0..2_000u64 {
+                let stage = ["a", "b"][next(2) as usize];
+                let slot = (stage, ContentKey([next(9), 0]));
+                let found = model.iter().position(|(s, _)| *s == slot);
+                match next(4) {
+                    0 => {
+                        cache.insert(slot.0, slot.1, Arc::new(step)).unwrap();
+                        if let Some(i) = found {
+                            model.remove(i);
+                        }
+                        model.push((slot, step));
+                        if model.len() > capacity {
+                            model.remove(0);
+                            evictions += 1;
+                        }
+                    }
+                    1 => {
+                        // The wrong type: a miss that evicts the entry.
+                        let got = cache.get_as::<String>(slot.0, slot.1).unwrap();
+                        assert!(got.is_none());
+                        misses += 1;
+                        if let Some(i) = found {
+                            model.remove(i);
+                            evictions += 1;
+                        }
+                    }
+                    op => {
+                        // `select` accepts even values only on op 3.
+                        let got = cache
+                            .select_as(slot.0, slot.1, |v: &Arc<u64>| {
+                                (op == 2 || v.is_multiple_of(2)).then_some(**v)
+                            })
+                            .unwrap();
+                        let want = found.map(|i| {
+                            let entry = model.remove(i);
+                            model.push(entry);
+                            entry.1
+                        });
+                        match (got, want) {
+                            (Ok(v), Some(w)) => {
+                                assert_eq!(v, w);
+                                hits += 1;
+                            }
+                            (Err(Some(v)), Some(w)) => {
+                                assert_eq!((*v, op, w % 2), (w, 3, 1));
+                                misses += 1;
+                            }
+                            (Err(None), None) => misses += 1,
+                            other => panic!("step {step}: {other:?}"),
+                        }
+                    }
+                }
+                let stats = cache.stats();
+                assert_eq!(
+                    (stats.hits, stats.misses, stats.evictions, stats.entries),
+                    (hits, misses, evictions, model.len()),
+                    "capacity {capacity}, step {step}"
+                );
+            }
+            for (slot, value) in model {
+                let got = cache.get_as::<u64>(slot.0, slot.1).unwrap();
+                assert_eq!(got.as_deref(), Some(&value));
+            }
+        }
     }
 
     #[test]
