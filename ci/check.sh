@@ -30,6 +30,10 @@ diff -u lint-baseline.toml "$LINT_BASELINE"
 
 cargo build --release --workspace
 cargo test --workspace -q
+# The LP engine against its exact oracles at release speed and 2048
+# random cases per property (the vendored proptest honours
+# PROPTEST_CASES), far deeper than the default run above.
+PROPTEST_CASES=2048 cargo test --release -p milp-solver --test lp_oracle
 # The benchmark's own tests (perfbench is a separate package, outside the
 # workspace, so the workspace run above does not reach them).
 cargo test --release --offline --manifest-path perfbench/Cargo.toml

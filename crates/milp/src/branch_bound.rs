@@ -10,8 +10,7 @@
 
 use crate::model::{Model, ModelError, VarType};
 use crate::simplex::{
-    solve_lp_warm, Basis, LpEngine, LpOptions, LpProblem, LpResult, LpRow, LpStatus,
-    SimplexWorkspace,
+    solve_lp_warm, Basis, LpOptions, LpProblem, LpResult, LpRow, LpStatus, SimplexWorkspace,
 };
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -36,9 +35,6 @@ pub struct SolveOptions {
     /// validates against the model it becomes the initial incumbent,
     /// letting the search prune from the start.
     pub warm_start: Option<Vec<f64>>,
-    /// Stop when `(incumbent − bound) ≤ gap · max(1, |incumbent|)`.
-    /// Zero (the default) demands full optimality.
-    pub relative_gap: f64,
     /// Run the conservative presolve reductions before the search
     /// (default `true`; see the [`presolve`](mod@crate::presolve) module).
     pub presolve: bool,
@@ -48,11 +44,6 @@ pub struct SolveOptions {
     /// measure the cold-start baseline. Either setting reaches the same
     /// optima — warm starting only changes how each node LP is solved.
     pub warm_basis: bool,
-    /// Which LP engine solves the node relaxations (default
-    /// [`LpEngine::Sparse`]; the dense tableau is retained as a reference
-    /// implementation). Both engines honor the same warm-start and
-    /// determinism contracts.
-    pub lp_engine: LpEngine,
     /// A basis snapshot from a prior solve — typically
     /// [`MilpSolution::root_basis`] of a structurally similar model — used
     /// to warm-start the *root* LP relaxation when `warm_basis` is on.
@@ -70,10 +61,8 @@ impl Default for SolveOptions {
             time_limit: None,
             node_limit: None,
             warm_start: None,
-            relative_gap: 0.0,
             presolve: true,
             warm_basis: true,
-            lp_engine: LpEngine::default(),
             root_basis: None,
         }
     }
@@ -118,13 +107,6 @@ impl SolveOptions {
     #[must_use]
     pub fn with_warm_basis(mut self, warm_basis: bool) -> Self {
         self.warm_basis = warm_basis;
-        self
-    }
-
-    /// Selects the LP engine for node relaxations (default sparse).
-    #[must_use]
-    pub fn with_lp_engine(mut self, lp_engine: LpEngine) -> Self {
-        self.lp_engine = lp_engine;
         self
     }
 
@@ -696,7 +678,6 @@ impl WorkerScratch {
         let lp_options = LpOptions {
             deadline: ctx.deadline,
             capture_basis: ctx.options.warm_basis,
-            engine: ctx.options.lp_engine,
         };
         // onoc-lint: allow(L4, reason = "per-LP timing feeds SolveStats; milp-solver is dependency-free by design and cannot use onoc-trace")
         let lp_start = Instant::now();
@@ -1014,7 +995,6 @@ fn assemble(ctx: &SearchCtx<'_>, end: SearchEnd) -> Result<MilpSolution, ModelEr
     if end.root_unbounded && end.incumbent.is_none() {
         return Err(ModelError::Unbounded);
     }
-    let options = ctx.options;
     match end.incumbent {
         Some((obj, values)) => {
             let exhausted = end.open_bound.is_infinite() && !end.limit_hit;
@@ -1023,12 +1003,11 @@ fn assemble(ctx: &SearchCtx<'_>, end: SearchEnd) -> Result<MilpSolution, ModelEr
             } else {
                 end.open_bound.min(obj)
             };
-            let status =
-                if exhausted || obj - bound <= options.relative_gap * obj.abs().max(1.0) + 1e-9 {
-                    Status::Optimal
-                } else {
-                    Status::Feasible
-                };
+            let status = if exhausted || obj - bound <= 1e-9 {
+                Status::Optimal
+            } else {
+                Status::Feasible
+            };
             let mut stats = end.stats;
             stats.nodes_explored = end.nodes_explored;
             Ok(MilpSolution {
@@ -1248,9 +1227,9 @@ fn search(ctx: &SearchCtx<'_>, root: Node, mut incumbent: Option<(f64, Vec<f64>)
         // Prune against the incumbent (best-first: once the best open bound
         // cannot improve, the search is done).
         if let Some((inc_obj, _)) = &incumbent {
-            let gap_ok =
-                *inc_obj - node.bound <= ctx.options.relative_gap * inc_obj.abs().max(1.0) + 1e-9;
-            if node.bound >= *inc_obj - 1e-9 || gap_ok {
+            // The two tests round differently at the 1e-9 edge; both are
+            // kept so the pruning decision stays bit-identical.
+            if node.bound >= *inc_obj - 1e-9 || *inc_obj - node.bound <= 1e-9 {
                 break;
             }
         }

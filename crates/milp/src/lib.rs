@@ -10,9 +10,8 @@
 //!   storage, an LU-factorized basis with product-form eta updates and
 //!   refactorize-on-drift, partial pricing and a Harris two-pass ratio
 //!   test — with bounded variables handled natively (bound flips, no
-//!   extra rows) and Bland's-rule anti-cycling; the original dense
-//!   two-phase tableau is retained as a cross-checked reference engine
-//!   ([`simplex::LpEngine`]),
+//!   extra rows) and Bland's-rule anti-cycling ([`simplex`]); the tests
+//!   check it against an exact vertex-enumeration oracle,
 //! * a warm-startable **dual simplex** that re-optimizes a parent-optimal
 //!   basis after a bound tightening — the move branch and bound makes at
 //!   every child node — with a bound-flipping ratio test and automatic
@@ -68,4 +67,4 @@ pub use branch_bound::{MilpSolution, SolveOptions, SolveStats, Status};
 pub use expr::{LinExpr, Var};
 pub use model::{Model, ModelError, Sense, VarType};
 pub use presolve::{presolve, Presolved};
-pub use simplex::{Basis, LpEngine};
+pub use simplex::Basis;

@@ -1,11 +1,11 @@
 //! Sparse revised simplex engine: CSC column storage, LU-factorized
 //! basis with product-form updates, partial pricing, Harris ratio test.
 //!
-//! This is the default [`crate::simplex::LpEngine`]. It consumes the same
-//! [`InternalForm`] as the dense tableau and honors the same contract —
-//! warm [`Basis`] snapshots, deadline polling, deterministic scan orders,
-//! identical terminal statuses — but its per-iteration cost scales with
-//! the *nonzeros* of the constraint matrix rather than `m × n`:
+//! This is the solver's only LP engine. It consumes the [`InternalForm`]
+//! built by [`crate::simplex`] and honors the contract documented there —
+//! warm [`Basis`] snapshots, deadline polling, deterministic scan orders —
+//! and its per-iteration cost scales with the *nonzeros* of the
+//! constraint matrix rather than `m × n`:
 //!
 //! * the matrix is stored once in compressed sparse column form
 //!   ([`CscMatrix`]) and never modified by pivots;
@@ -21,23 +21,31 @@
 //!   relaxes bounds by [`HARRIS_RELAX`] to widen the pivot pool, pass two
 //!   picks the largest pivot within the relaxed step — degeneracy-driven
 //!   tiny steps get a numerically safer pivot without losing
-//!   feasibility. The Bland fallback reverts to the dense engine's exact
-//!   textbook test.
+//!   feasibility. The Bland fallback reverts to the exact textbook test.
 //!
-//! The warm dual path mirrors the dense engine's bound-flipping ratio
-//! test (Maros; Koberstein): flips accumulate into one row-space vector
-//! and cost a single extra `ftran`, not one per flip.
+//! The warm dual path uses a bound-flipping ratio test (Maros;
+//! Koberstein): flips accumulate into one row-space vector and cost a
+//! single extra `ftran`, not one per flip.
 
 use crate::lu::{LuFactors, REFACTOR_INTERVAL};
 use crate::pricing::PartialPricing;
 use crate::simplex::{
     lp_terminal, recover_values, Basis, BasisCol, FactorStats, InternalForm, InternalRow,
-    LpOptions, LpProblem, LpResult, LpStatus, Recover, SimplexWorkspace, VarStatus,
+    LpOptions, LpProblem, LpResult, LpStatus, Recover, SimplexWorkspace,
 };
 use crate::tolerances::{
     COST_TOL, DRIFT_TOL, DUAL_PERTURB, FEAS_TOL, HARRIS_RELAX, PIVOT_TOL, SINGULAR_TOL,
 };
 use std::time::Instant;
+
+/// Where a column of the internal form currently sits: basic in a row
+/// slot, or nonbasic at one of its bounds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum VarStatus {
+    Basic(usize),
+    AtLower,
+    AtUpper,
+}
 
 /// Compressed-sparse-column constraint matrix over the internal form:
 /// structural + slack columns first, then one unit column per row that
@@ -503,7 +511,6 @@ impl Rev<'_> {
 
     /// Bland-mode ratio test: exact textbook rule, smallest leaving index
     /// on ties (the entering variable's own bound counts as index `j`).
-    /// This mirrors the dense engine's anti-cycling path line for line.
     fn ratio_test_bland(&self, j: usize, dir: f64) -> Limit {
         let mut delta = self.ub[j];
         let mut limit: Option<(usize, bool)> = None;
@@ -658,9 +665,10 @@ impl Rev<'_> {
         }
     }
 
-    /// Dual simplex with the bound-flipping ratio test — the revised
-    /// counterpart of the dense engine's `dual_optimize`, with identical
-    /// candidate ordering and termination semantics. Bound flips
+    /// Dual simplex with the bound-flipping ratio test: the leaving slot
+    /// is the largest bound violation, entering candidates are walked in
+    /// ratio order (ties by pivot size, then column), and an empty
+    /// candidate set is an exact infeasibility certificate. Bound flips
     /// accumulate into one row-space vector and are applied to `beta`
     /// with a single `ftran` before the entering pivot.
     fn dual_optimize(&mut self, cost: &[f64], max_iterations: usize) -> Result<(), LpStatus> {
@@ -885,8 +893,7 @@ fn finish(
 }
 
 /// The sparse revised simplex engine: warm dual attempt, then cold
-/// two-phase primal — the revised counterpart of the dense path, with
-/// the same fallback ladder and terminal statuses.
+/// two-phase primal.
 pub(crate) fn solve_sparse(
     problem: &LpProblem,
     form: &mut InternalForm,

@@ -1,12 +1,8 @@
-//! Named numerical tolerances shared by the dense and sparse LP engines.
+//! Named numerical tolerances of the LP engine.
 //!
-//! Both simplex implementations ([`crate::simplex`]'s dense tableau and
-//! the private `sparse` module's revised method) must agree on what
-//! counts as zero:
-//! a pivot that one engine accepts and the other rejects would make the
-//! equivalence guarantees between them meaningless, and historically these
-//! constants were scattered as inline literals through `simplex.rs`. They
-//! live here so the two paths cannot drift.
+//! The internal-form builder ([`crate::simplex`]), the revised simplex
+//! (the private `sparse` module) and its LU layer must agree on what
+//! counts as zero, so each threshold is named once here.
 
 /// Smallest tableau/column entry usable as a pivot in the ratio test.
 /// Entries below this are treated as structural zeros.

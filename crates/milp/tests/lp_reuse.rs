@@ -8,8 +8,7 @@
 //! counts.
 
 use milp_solver::simplex::{
-    solve_lp_warm, Basis, LpEngine, LpOptions, LpProblem, LpResult, LpRow, LpStatus,
-    SimplexWorkspace,
+    solve_lp_warm, Basis, LpOptions, LpProblem, LpResult, LpRow, LpStatus, SimplexWorkspace,
 };
 use milp_solver::Sense;
 use proptest::prelude::*;
@@ -79,10 +78,9 @@ fn fingerprint(r: &LpResult) -> String {
 /// their parent's basis, branching on the most fractional variable — and
 /// solves every node LP twice: on a workspace that has just solved other
 /// LPs (the tree so far, plus `noise` now and then) and on a fresh one.
-fn check_tree(p: &LpProblem, noise: &LpProblem, engine: LpEngine) -> Result<(), TestCaseError> {
+fn check_tree(p: &LpProblem, noise: &LpProblem) -> Result<(), TestCaseError> {
     let options = LpOptions {
         capture_basis: true,
-        engine,
         ..LpOptions::default()
     };
     let mut used = SimplexWorkspace::new();
@@ -138,7 +136,6 @@ proptest! {
         p in arb_milp(4..24, 2..10),
         noise in arb_milp(24..40, 10..16),
     ) {
-        check_tree(&p, &noise, LpEngine::Sparse)?;
-        check_tree(&p, &noise, LpEngine::Dense)?;
+        check_tree(&p, &noise)?;
     }
 }

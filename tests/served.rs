@@ -1,7 +1,7 @@
 //! Failure-mode and lifecycle tests for the `sring-served` daemon: happy
 //! path with cross-request cache sharing, queue-full rejection, deadline
-//! enforcement, malformed frames, client disconnect mid-job and the
-//! drain-on-shutdown guarantee.
+//! enforcement (on a sleep and inside a MILP synthesis), malformed
+//! frames, client disconnect mid-job and the drain-on-shutdown guarantee.
 
 use sring::served::proto::{
     DeltaSpec, JobSpec, Outcome, RejectReason, Response, StrategySpec, Workload, FRAME_MAGIC,
@@ -228,6 +228,44 @@ fn a_job_missing_its_deadline_reports_deadline_exceeded() {
     );
     let stats = server.shutdown();
     assert_eq!(stats.deadline_exceeded, 1);
+    assert_eq!(stats.completed, 0);
+}
+
+/// How far past its deadline a daemon job may be answered: the margin
+/// `tests/deadline.rs` allows an in-process synthesis.
+const DEADLINE_MARGIN: Duration = Duration::from_millis(250);
+
+#[test]
+fn a_milp_job_past_its_deadline_is_aborted_within_the_margin() {
+    // MPEG's MILP model build alone outlasts both deadlines, so each one
+    // lapses inside the synthesis on a worker, not in the queue or in a
+    // sleep: the abort must come from the pipeline's own deadline polls.
+    let mut server = server_with(ServerConfig::default());
+    let mut client = client_of(&server);
+    for millis in [25, 100] {
+        let deadline = Duration::from_millis(millis);
+        let mut spec = JobSpec::new(Workload::Benchmark("MPEG".into()));
+        spec.strategy = StrategySpec::Milp;
+        spec.deadline = Some(deadline);
+        let started = Instant::now();
+        let Response::Job(result) = submitted(&mut client, spec) else {
+            panic!("MPEG job under {deadline:?} not answered");
+        };
+        let elapsed = started.elapsed();
+        let Outcome::DeadlineExceeded { overdue_ns } = result.outcome else {
+            panic!("MPEG under {deadline:?}: {:?}", result.outcome);
+        };
+        assert!(
+            Duration::from_nanos(overdue_ns) < DEADLINE_MARGIN,
+            "MPEG under {deadline:?} was detected {overdue_ns} ns overdue"
+        );
+        assert!(
+            elapsed <= deadline + DEADLINE_MARGIN,
+            "MPEG under {deadline:?} was answered after {elapsed:?}"
+        );
+    }
+    let stats = server.shutdown();
+    assert_eq!(stats.deadline_exceeded, 2);
     assert_eq!(stats.completed, 0);
 }
 
