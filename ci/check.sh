@@ -92,8 +92,8 @@ rm -rf "$STORE_SMOKE"
     --phase synth/assign/milp/build --phase synth/assign/milp/lp \
     --phase synth/cluster/grow --phase synth/cluster/refine \
     --phase synth/cluster/inter
-# The same on 8PM-24, the one tracked MILP whose canonical polish pass
-# runs (it replays the search's root LPs).
+# The same on 8PM-24, the tracked MILP whose optimum the search finds
+# itself rather than inheriting from the heuristic incumbent.
 ./target/release/sring-cli synth --benchmark 8pm-24 \
     --trace-json "${TMPDIR:-/tmp}/sring_trace_smoke_8pm24.json"
 ./target/release/sring-cli trace-check "${TMPDIR:-/tmp}/sring_trace_smoke_8pm24.json" \

@@ -19,8 +19,8 @@ use milp_solver::SolveStats;
 use onoc_bench::{finish_trace, harness_ctx, harness_tech, harness_trace, take_trace_flag};
 use onoc_ctx::ExecCtx;
 use onoc_graph::benchmarks::Benchmark;
+use onoc_trace::json::Value;
 use sring_core::{AssignmentStrategy, MilpOptions, SringConfig, SringSynthesizer};
-use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
@@ -71,50 +71,49 @@ fn non_root_warm_rate(s: &SolveStats) -> f64 {
     rate
 }
 
-fn json_run(out: &mut String, label: &str, run: &Run) {
+/// A JSON object with `members` in order.
+fn object<const N: usize>(members: [(&str, Value); N]) -> Value {
+    Value::Object(members.map(|(k, v)| (k.to_owned(), v)).into())
+}
+
+#[allow(clippy::cast_precision_loss)]
+fn count(n: usize) -> Value {
+    Value::Number(n as f64)
+}
+
+fn secs(d: Duration) -> Value {
+    Value::Number(d.as_secs_f64())
+}
+
+/// One solve's record in `BENCH_milp.json`.
+fn run_json(run: &Run) -> Value {
     let s = &run.stats;
-    let _ = write!(
-        out,
-        "    \"{label}\": {{\n      \"wall_s\": {:.6},\n      \"objective\": {:.6},\n      \
-         \"proven_optimal\": {},\n      \"nodes_explored\": {},\n      \"lp_solves\": {},\n      \
-         \"lp_reused\": {},\n      \
-         \"total_pivots\": {},\n      \"primal_pivots\": {},\n      \"dual_pivots\": {},\n      \
-         \"phase1_solves\": {},\n      \"warm_start_attempts\": {},\n      \
-         \"warm_start_hits\": {},\n      \"non_root_warm_rate\": {:.4},\n      \
-         \"lp_time_s\": {:.6},\n      \"time_in_dual_s\": {:.6},\n      \
-         \"time_in_primal_s\": {:.6},\n      \"presolve_time_s\": {:.6},\n      \
-         \"solve_time_s\": {:.6},\n      \"max_depth\": {},\n      \
-         \"refactorizations\": {},\n      \"eta_updates\": {},\n      \
-         \"max_eta_chain\": {},\n      \"max_fill_in\": {},\n      \
-         \"presolve_cols_removed\": {},\n      \"polish_nodes\": {},\n      \
-         \"polish_pivots\": {}\n    }}",
-        run.wall_s,
-        run.objective,
-        run.proven_optimal,
-        s.nodes_explored,
-        s.lp_solves,
-        s.lp_reused,
-        s.total_pivots(),
-        s.primal_pivots,
-        s.dual_pivots,
-        s.phase1_solves,
-        s.warm_start_attempts,
-        s.warm_start_hits,
-        non_root_warm_rate(s),
-        s.lp_time().as_secs_f64(),
-        s.time_in_dual.as_secs_f64(),
-        s.time_in_primal.as_secs_f64(),
-        s.presolve_time.as_secs_f64(),
-        s.solve_time.as_secs_f64(),
-        s.max_depth(),
-        s.refactorizations,
-        s.eta_updates,
-        s.max_eta_chain,
-        s.max_fill_in,
-        s.presolve_cols_removed,
-        s.polish_nodes,
-        s.polish_pivots,
-    );
+    object([
+        ("wall_s", Value::Number(run.wall_s)),
+        ("objective", Value::Number(run.objective)),
+        ("proven_optimal", Value::Bool(run.proven_optimal)),
+        ("nodes_explored", count(s.nodes_explored)),
+        ("lp_solves", count(s.lp_solves)),
+        ("lp_reused", count(s.lp_reused)),
+        ("total_pivots", count(s.total_pivots())),
+        ("primal_pivots", count(s.primal_pivots)),
+        ("dual_pivots", count(s.dual_pivots)),
+        ("phase1_solves", count(s.phase1_solves)),
+        ("warm_start_attempts", count(s.warm_start_attempts)),
+        ("warm_start_hits", count(s.warm_start_hits)),
+        ("non_root_warm_rate", Value::Number(non_root_warm_rate(s))),
+        ("lp_time_s", secs(s.lp_time())),
+        ("time_in_dual_s", secs(s.time_in_dual)),
+        ("time_in_primal_s", secs(s.time_in_primal)),
+        ("presolve_time_s", secs(s.presolve_time)),
+        ("solve_time_s", secs(s.solve_time)),
+        ("max_depth", count(s.max_depth())),
+        ("refactorizations", count(s.refactorizations)),
+        ("eta_updates", count(s.eta_updates)),
+        ("max_eta_chain", count(s.max_eta_chain)),
+        ("max_fill_in", count(s.max_fill_in)),
+        ("presolve_cols_removed", count(s.presolve_cols_removed)),
+    ])
 }
 
 fn main() -> ExitCode {
@@ -244,16 +243,16 @@ fn main() -> ExitCode {
             ratio,
             non_root_warm_rate(&warm.stats) * 100.0
         );
-        let mut entry = String::new();
-        let _ = write!(entry, "  {{\n    \"benchmark\": \"{}\",\n", b.name());
-        json_run(&mut entry, "warm", &warm);
-        entry.push_str(",\n");
-        json_run(&mut entry, "cold", &cold);
-        let _ = write!(entry, ",\n    \"pivot_ratio\": {ratio:.4}\n  }}");
-        entries.push(entry);
+        entries.push(object([
+            ("benchmark", Value::String(b.name().to_owned())),
+            ("warm", run_json(&warm)),
+            ("cold", run_json(&cold)),
+            ("pivot_ratio", Value::Number(ratio)),
+        ]));
     }
 
-    let doc = format!("{{\n\"benchmarks\": [\n{}\n]\n}}\n", entries.join(",\n"));
+    let mut doc = object([("benchmarks", Value::Array(entries))]).to_json();
+    doc.push('\n');
     if let Err(e) = std::fs::write(&out_path, doc) {
         eprintln!("error: cannot write {out_path}: {e}");
         return ExitCode::FAILURE;

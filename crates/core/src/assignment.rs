@@ -11,7 +11,7 @@
 //! `α = β = γ = 1`.
 
 use milp_solver::{
-    Basis, Model, ModelError, Sense, SolveOptions as MilpSolveOptions, SolveStats, Status, VarType,
+    Model, ModelError, Sense, SolveOptions as MilpSolveOptions, SolveStats, Status, VarType,
 };
 use onoc_ctx::{DeadlineExceeded, ExecCtx};
 use onoc_graph::NodeId;
@@ -19,7 +19,6 @@ use onoc_trace::Trace;
 use onoc_units::{Decibels, Wavelength};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// One signal path as seen by the wavelength assigner.
@@ -305,64 +304,6 @@ pub fn assign_ctx(
     strategy: &AssignmentStrategy,
     ctx: &ExecCtx,
 ) -> Result<Assignment, AssignError> {
-    assign_inner(problem, strategy, ctx, None).map(|(assignment, _)| assignment)
-}
-
-/// Cross-run warm-start state for incremental re-assignment.
-///
-/// Produced by [`assign_ctx_warm`] after each solve and fed back into the
-/// next one. The `incumbent` is the previous run's wavelength vector; if it
-/// is still collision-free on the new problem and no worse than the fresh
-/// heuristic, it replaces the heuristic as the MILP warm start. The
-/// `root_basis` is the previous search's root LP basis; the solver
-/// re-validates it on load and falls back to a cold start on any mismatch,
-/// so stale snapshots are always safe.
-///
-/// Warm starting never changes *whether* the search proves optimality, but
-/// it can change *which* of several equally optimal solutions is returned —
-/// callers that need byte-identical output against a from-scratch run must
-/// not pass surviving state (see `resynthesize`'s default path).
-#[derive(Debug, Clone, Default)]
-pub struct AssignWarmStart {
-    /// Wavelength vector of a previous solve of a similar problem.
-    pub incumbent: Option<Vec<Wavelength>>,
-    /// Root-node LP basis snapshot from a previous branch-and-bound run.
-    pub root_basis: Option<Arc<Basis>>,
-}
-
-impl AssignWarmStart {
-    /// `true` when there is nothing to warm start from.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.incumbent.is_none() && self.root_basis.is_none()
-    }
-}
-
-/// [`assign_ctx`] with surviving warm-start state from a previous solve.
-///
-/// Returns the assignment together with refreshed [`AssignWarmStart`] state
-/// (this run's wavelengths and root basis) for chaining across an edit
-/// sequence. Counter `assign/incumbent_warm_starts` records how often the
-/// previous incumbent beat the fresh heuristic as the MILP warm vector.
-///
-/// # Errors
-///
-/// Same contract as [`assign`].
-pub fn assign_ctx_warm(
-    problem: &AssignmentProblem,
-    strategy: &AssignmentStrategy,
-    ctx: &ExecCtx,
-    warm: &AssignWarmStart,
-) -> Result<(Assignment, AssignWarmStart), AssignError> {
-    assign_inner(problem, strategy, ctx, Some(warm))
-}
-
-fn assign_inner(
-    problem: &AssignmentProblem,
-    strategy: &AssignmentStrategy,
-    ctx: &ExecCtx,
-    warm: Option<&AssignWarmStart>,
-) -> Result<(Assignment, AssignWarmStart), AssignError> {
     let trace = ctx.trace();
     if problem.paths.is_empty() {
         return Err(AssignError::Empty);
@@ -380,56 +321,20 @@ fn assign_inner(
         } => (problem.paths.len() <= *milp_max_paths).then_some(options),
     };
     match use_milp {
-        None => {
-            let assignment = finish(problem, heuristic, false, None);
-            let next = AssignWarmStart {
-                incumbent: Some(assignment.wavelengths.clone()),
-                root_basis: None,
-            };
-            Ok((assignment, next))
-        }
+        None => Ok(finish(problem, heuristic, false, None)),
         Some(opts) => {
-            // A surviving incumbent replaces the heuristic as the MILP warm
-            // vector only when it is still feasible on the edited problem and
-            // scores no worse — the pool is sized from the warm vector, so a
-            // weaker incumbent would needlessly shrink or grow the search.
-            let prior = warm.and_then(|w| w.incumbent.as_deref()).filter(|inc| {
-                inc.len() == problem.paths.len()
-                    && problem.is_collision_free(inc)
-                    && problem.objective(inc) <= problem.objective(&heuristic) + 1e-9
-            });
-            let warm_vec: &[Wavelength] = match prior {
-                Some(inc) => {
-                    trace.incr("assign/incumbent_warm_starts", 1);
-                    inc
-                }
-                None => &heuristic,
-            };
-            let root_basis = warm.and_then(|w| w.root_basis.clone());
-            let solved = {
+            let (wavelengths, optimal, stats) = {
                 let _span = trace.span("milp");
-                milp_assignment(problem, warm_vec, opts, root_basis, ctx)
+                milp_assignment(problem, &heuristic, opts, ctx).map_err(AssignError::Solver)?
             };
-            match solved {
-                Ok((wavelengths, optimal, stats, new_basis)) => {
-                    record_solver_stats(trace, &stats);
-                    // Keep whichever of heuristic/MILP scores better (the MILP
-                    // explores a bounded pool, so the heuristic can in corner
-                    // cases win).
-                    let assignment = if problem.objective(&wavelengths)
-                        <= problem.objective(&heuristic) + 1e-9
-                    {
-                        finish(problem, wavelengths, optimal, Some(stats))
-                    } else {
-                        finish(problem, heuristic, false, Some(stats))
-                    };
-                    let next = AssignWarmStart {
-                        incumbent: Some(assignment.wavelengths.clone()),
-                        root_basis: new_basis,
-                    };
-                    Ok((assignment, next))
-                }
-                Err(e) => Err(AssignError::Solver(e)),
+            record_solver_stats(trace, &stats);
+            // Keep whichever of heuristic/MILP scores better (the MILP
+            // explores a bounded pool, so the heuristic can in corner
+            // cases win).
+            if problem.objective(&wavelengths) <= problem.objective(&heuristic) + 1e-9 {
+                Ok(finish(problem, wavelengths, optimal, Some(stats)))
+            } else {
+                Ok(finish(problem, heuristic, false, Some(stats)))
             }
         }
     }
@@ -474,10 +379,6 @@ fn record_solver_stats(trace: &Trace, stats: &SolveStats) {
         "milp/presolve_cols_removed",
         stats.presolve_cols_removed as u64,
     );
-    // The canonical polish pass's share of the work above. Counters, not a
-    // phase: its LP time is already inside `lp/dual`.
-    trace.incr("milp/polish_nodes", stats.polish_nodes as u64);
-    trace.incr("milp/polish_pivots", stats.polish_pivots as u64);
     for (depth, &count) in stats.nodes_by_depth.iter().enumerate() {
         if count > 0 {
             trace.incr(&format!("milp/nodes_at_depth/{depth:02}"), count as u64);
@@ -1081,9 +982,8 @@ fn loss_cut_sets(problem: &AssignmentProblem, cliques: &[Vec<usize>]) -> Vec<Vec
 }
 
 /// What `milp_assignment` hands back: the wavelength vector, whether
-/// optimality (over the offered pool) was proven, solver statistics, and
-/// the root LP basis for warm-starting the next edit's solve.
-type MilpSolved = (Vec<Wavelength>, bool, SolveStats, Option<Arc<Basis>>);
+/// optimality (over the offered pool) was proven, and solver statistics.
+type MilpSolved = (Vec<Wavelength>, bool, SolveStats);
 
 /// Builds and solves the paper's MILP. Returns the wavelength vector and
 /// whether optimality (over the offered pool) was proven.
@@ -1095,7 +995,6 @@ fn milp_assignment(
     problem: &AssignmentProblem,
     warm: &[Wavelength],
     opts: &MilpOptions,
-    root_basis: Option<Arc<Basis>>,
     ctx: &ExecCtx,
 ) -> Result<MilpSolved, ModelError> {
     let build = ctx.trace().span("build");
@@ -1340,15 +1239,12 @@ fn milp_assignment(
     let time_limit = ctx
         .remaining()
         .map_or(opts.time_limit, |remaining| remaining.min(opts.time_limit));
-    let mut options = MilpSolveOptions::default()
+    let options = MilpSolveOptions::default()
         .with_time_limit(time_limit)
         .with_node_limit(opts.node_limit)
         .with_warm_basis(opts.warm_basis)
         .with_presolve(opts.presolve)
         .with_warm_start(start);
-    if let Some(basis) = root_basis {
-        options = options.with_root_basis(basis);
-    }
     let sol = m.solve(&options)?;
 
     let mut wavelengths = Vec::with_capacity(n);
@@ -1362,7 +1258,6 @@ fn milp_assignment(
         wavelengths,
         sol.status() == Status::Optimal,
         sol.stats().clone(),
-        sol.root_basis().cloned(),
     ))
 }
 

@@ -49,15 +49,14 @@ pub mod stages;
 pub mod synthesis;
 
 pub use assignment::{
-    assign, assign_ctx, assign_ctx_warm, AssignPath, AssignWarmStart, Assignment,
-    AssignmentProblem, AssignmentStrategy, MilpOptions,
+    assign, assign_ctx, AssignPath, Assignment, AssignmentProblem, AssignmentStrategy, MilpOptions,
 };
 pub use cluster::{
     cluster, cluster_ctx, try_cluster_with_l_max, try_cluster_with_l_max_ctx, ClusterError,
     Clustering, ClusteringConfig,
 };
 pub use depmap::{dirty_rings, home_ring, DirtyStats, RingRef};
-pub use resynth::{design_bytes, ResynthError, ResynthOptions, ResynthReport};
+pub use resynth::{design_bytes, ResynthError, ResynthReport};
 pub use stages::{
     assign_key, assign_problem_key, cluster_key, route_key, run_stage, AssignStage, ClusterStage,
     LayoutArtifact, LayoutStage, RouteArtifact, RouteStage, Stage,

@@ -379,8 +379,6 @@ fn put_solve_stats(enc: &mut Encoder, s: &SolveStats) {
         eta_updates,
         max_eta_chain,
         max_fill_in,
-        polish_nodes,
-        polish_pivots,
         nodes_by_depth,
         time_in_dual,
         time_in_primal,
@@ -400,8 +398,6 @@ fn put_solve_stats(enc: &mut Encoder, s: &SolveStats) {
     enc.put_usize(*eta_updates);
     enc.put_usize(*max_eta_chain);
     enc.put_usize(*max_fill_in);
-    enc.put_usize(*polish_nodes);
-    enc.put_usize(*polish_pivots);
     nodes_by_depth.persist(enc);
     time_in_dual.persist(enc);
     time_in_primal.persist(enc);
@@ -424,8 +420,6 @@ fn take_solve_stats(dec: &mut Decoder<'_>) -> Result<SolveStats, DecodeError> {
         eta_updates: dec.take_usize()?,
         max_eta_chain: dec.take_usize()?,
         max_fill_in: dec.take_usize()?,
-        polish_nodes: dec.take_usize()?,
-        polish_pivots: dec.take_usize()?,
         nodes_by_depth: Vec::<usize>::restore(dec)?,
         time_in_dual: std::time::Duration::restore(dec)?,
         time_in_primal: std::time::Duration::restore(dec)?,

@@ -20,16 +20,10 @@
 //! lookups whose hits are byte-identical to what recomputation would
 //! produce. Therefore `resynthesize(prev, deltas)` equals
 //! `synthesize(apply_deltas(prev_graph, deltas))` byte for byte, always.
-//!
-//! **Warm start (opt-in).** With [`ResynthOptions::warm_start`] the assign
-//! stage additionally seeds the MILP branch-and-bound with the previous
-//! run's incumbent wavelength vector and surviving root-basis snapshot
-//! (see [`AssignWarmStart`]). This can only speed the proof up, but an
-//! equally-optimal *different* vertex may be returned, so the warm path
-//! bypasses the assign artifact cache and forfeits bit-identity — it
-//! trades the guarantee for solver time, explicitly.
+//! Nothing from the previous run reaches the assignment MILP except
+//! through those lookups, so among tied optima it returns the same vector
+//! a cold run would.
 
-use crate::assignment::AssignWarmStart;
 use crate::depmap::{dirty_rings, DirtyStats};
 use crate::synthesis::{SringError, SringReport, SringSynthesizer};
 use onoc_ctx::ExecCtx;
@@ -37,20 +31,6 @@ use onoc_graph::{CommDelta, CommGraph, DeltaError, NodeId};
 use onoc_photonics::RouterDesign;
 use onoc_store::Encoder;
 use std::fmt;
-
-/// Options for one [`SringSynthesizer::resynthesize_with`] call.
-#[derive(Debug, Clone, Default)]
-pub struct ResynthOptions {
-    /// Seed the assignment MILP from the previous incumbent and root
-    /// basis. Defaults to `false`: the default path is byte-identical to
-    /// from-scratch synthesis, the warm path is not (see module docs).
-    pub warm_start: bool,
-    /// Surviving warm state from a previous [`ResynthReport`], for
-    /// chaining across an edit sequence. Ignored unless `warm_start` is
-    /// set; when `None`, the incumbent is seeded from the previous
-    /// report's assignment (no basis snapshot survives a cold boundary).
-    pub warm: Option<AssignWarmStart>,
-}
 
 /// Outcome of one incremental re-synthesis.
 #[derive(Debug, Clone)]
@@ -62,9 +42,6 @@ pub struct ResynthReport {
     /// Which sub-rings of the *previous* design the edits dirtied
     /// (predictor; see [`crate::depmap`]).
     pub dirty: DirtyStats,
-    /// Refreshed warm-start state for the next edit, when the warm path
-    /// ran; empty on the default path.
-    pub warm: AssignWarmStart,
 }
 
 /// Error from [`SringSynthesizer::resynthesize`].
@@ -127,23 +104,6 @@ impl SringSynthesizer {
         deltas: &[CommDelta],
         ctx: &ExecCtx,
     ) -> Result<ResynthReport, ResynthError> {
-        self.resynthesize_with(prev_graph, prev, deltas, ctx, &ResynthOptions::default())
-    }
-
-    /// [`SringSynthesizer::resynthesize`] with explicit options (MILP warm
-    /// start; see [`ResynthOptions`]).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`SringSynthesizer::resynthesize`].
-    pub fn resynthesize_with(
-        &self,
-        prev_graph: &CommGraph,
-        prev: &SringReport,
-        deltas: &[CommDelta],
-        ctx: &ExecCtx,
-        opts: &ResynthOptions,
-    ) -> Result<ResynthReport, ResynthError> {
         let edited = prev_graph
             .apply_deltas(deltas)
             .map_err(|(index, source)| ResynthError::Delta { index, source })?;
@@ -155,23 +115,11 @@ impl SringSynthesizer {
         trace.gauge("resynth/dirty_rings", dirty.dirty.len() as f64);
         trace.gauge("resynth/dirty_fraction", dirty.dirty_fraction());
 
-        let (report, warm) = if opts.warm_start {
-            let seed = opts.warm.clone().unwrap_or_else(|| AssignWarmStart {
-                incumbent: Some(prev.assignment.wavelengths.clone()),
-                root_basis: None,
-            });
-            let (report, next) = self.synthesize_pipeline(&edited, ctx, Some(&seed))?;
-            (report, next.unwrap_or_default())
-        } else {
-            let (report, _) = self.synthesize_pipeline(&edited, ctx, None)?;
-            (report, AssignWarmStart::default())
-        };
-
+        let report = self.synthesize_detailed_ctx(&edited, ctx)?;
         Ok(ResynthReport {
             report,
             graph: edited,
             dirty,
-            warm,
         })
     }
 }
@@ -362,38 +310,5 @@ mod tests {
             stats.hits >= 4,
             "expected cluster/layout/route/assign hits, got {stats:?}"
         );
-    }
-
-    #[test]
-    fn warm_start_path_produces_a_valid_design_and_chains_state() {
-        let app = benchmarks::mwd();
-        let s = SringSynthesizer::new(); // default Auto strategy: MILP on MWD
-        let ctx = ExecCtx::cached();
-        let prev = s.synthesize_detailed_ctx(&app, &ctx).unwrap();
-
-        let delta = retarget_of_first_message(&app);
-        let opts = ResynthOptions {
-            warm_start: true,
-            warm: None,
-        };
-        let incr = s
-            .resynthesize_with(&app, &prev, &[delta], &ctx, &opts)
-            .unwrap();
-        incr.report.design.validate_against(&incr.graph).unwrap();
-        assert!(
-            incr.warm.incumbent.is_some(),
-            "warm path must return chaining state"
-        );
-
-        // Chain a second edit through the surviving state.
-        let second = retarget_of_first_message(&incr.graph);
-        let opts2 = ResynthOptions {
-            warm_start: true,
-            warm: Some(incr.warm.clone()),
-        };
-        let incr2 = s
-            .resynthesize_with(&incr.graph, &incr.report, &[second], &ctx, &opts2)
-            .unwrap();
-        incr2.report.design.validate_against(&incr2.graph).unwrap();
     }
 }

@@ -1,10 +1,7 @@
 //! The end-to-end SRing synthesis pipeline: clustering → physical
 //! implementation → wavelength assignment → router design.
 
-use crate::assignment::{
-    assign_ctx_warm, AssignError, AssignWarmStart, Assignment, AssignmentProblem,
-    AssignmentStrategy,
-};
+use crate::assignment::{AssignError, Assignment, AssignmentStrategy};
 use crate::cluster::{ClusterError, Clustering, ClusteringConfig};
 use crate::stages::{run_stage, AssignStage, ClusterStage, LayoutStage, RouteStage};
 use onoc_ctx::{CacheError, DeadlineExceeded, ExecCtx};
@@ -13,7 +10,6 @@ use onoc_photonics::{DesignError, PdnDesign, PdnStyle, RouterDesign};
 use onoc_units::TechnologyParameters;
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Configuration of the SRing synthesizer.
@@ -224,24 +220,6 @@ impl SringSynthesizer {
         app: &CommGraph,
         ctx: &ExecCtx,
     ) -> Result<SringReport, SringError> {
-        self.synthesize_pipeline(app, ctx, None)
-            .map(|(report, _)| report)
-    }
-
-    /// The shared pipeline body behind both the from-scratch entry points
-    /// and [`crate::resynth`]. With `warm: None` this is the
-    /// byte-reproducible default path. With `warm: Some(state)` the assign
-    /// stage bypasses the artifact cache entirely and is computed through
-    /// [`assign_ctx_warm`], seeded from the surviving incumbent and root
-    /// basis; the refreshed state comes back for chaining. Warm assignment
-    /// can land on a different equally-optimal vertex than a cold solve,
-    /// which is why it never touches the cache and is strictly opt-in.
-    pub(crate) fn synthesize_pipeline(
-        &self,
-        app: &CommGraph,
-        ctx: &ExecCtx,
-        warm: Option<&AssignWarmStart>,
-    ) -> Result<(SringReport, Option<AssignWarmStart>), SringError> {
         // Fail fast: a deadline that is already past at construction must
         // not run the full pipeline only to have its result discarded.
         ctx.check_deadline()?;
@@ -274,32 +252,15 @@ impl SringSynthesizer {
                 layout: &layout,
             },
         )?;
-        let (assignment, next_warm) = match warm {
-            None => (
-                run_stage(
-                    ctx,
-                    &AssignStage {
-                        app,
-                        config: &self.config,
-                        route: &route,
-                        cacheable: ctx.deadline().is_none(),
-                    },
-                )?,
-                None,
-            ),
-            Some(state) => {
-                ctx.check_deadline()?;
-                let _span = trace.span("assign");
-                let problem = AssignmentProblem::new(
-                    app.node_count(),
-                    route.assign_paths.clone(),
-                    self.config.tech.splitter_loss(),
-                );
-                let (assignment, next) =
-                    assign_ctx_warm(&problem, &self.config.strategy, ctx, state)?;
-                (Arc::new(assignment), Some(next))
-            }
-        };
+        let assignment = run_stage(
+            ctx,
+            &AssignStage {
+                app,
+                config: &self.config,
+                route: &route,
+                cacheable: ctx.deadline().is_none(),
+            },
+        )?;
 
         // --- PDN (construction of ref. [22]) and final assembly. ---
         // Uncached: the assembled design embeds every upstream artifact,
@@ -338,15 +299,12 @@ impl SringSynthesizer {
         trace.gauge("synth/wavelengths", assignment.wavelength_count as f64);
         trace.gauge("synth/sub_rings", clustering.sub_ring_count() as f64);
         ctx.publish_cache_stats();
-        Ok((
-            SringReport {
-                design,
-                clustering: (*clustering).clone(),
-                assignment: (*assignment).clone(),
-                runtime: start.elapsed(),
-            },
-            next_warm,
-        ))
+        Ok(SringReport {
+            design,
+            clustering: (*clustering).clone(),
+            assignment: (*assignment).clone(),
+            runtime: start.elapsed(),
+        })
     }
 }
 

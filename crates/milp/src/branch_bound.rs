@@ -44,15 +44,6 @@ pub struct SolveOptions {
     /// measure the cold-start baseline. Either setting reaches the same
     /// optima — warm starting only changes how each node LP is solved.
     pub warm_basis: bool,
-    /// A basis snapshot from a prior solve — typically
-    /// [`MilpSolution::root_basis`] of a structurally similar model — used
-    /// to warm-start the *root* LP relaxation when `warm_basis` is on.
-    /// Like per-node basis inheritance, this only changes how the root LP
-    /// is solved, never which optimum the search proves: the snapshot's
-    /// validity (column count, row count, nonsingularity, dual
-    /// feasibility) is re-checked on load and any mismatch falls back to
-    /// the cold start.
-    pub root_basis: Option<Arc<Basis>>,
 }
 
 impl Default for SolveOptions {
@@ -63,7 +54,6 @@ impl Default for SolveOptions {
             warm_start: None,
             presolve: true,
             warm_basis: true,
-            root_basis: None,
         }
     }
 }
@@ -109,14 +99,6 @@ impl SolveOptions {
         self.warm_basis = warm_basis;
         self
     }
-
-    /// Seeds the root LP relaxation with a surviving basis snapshot from a
-    /// prior solve (see [`SolveOptions::root_basis`]).
-    #[must_use]
-    pub fn with_root_basis(mut self, basis: Arc<Basis>) -> Self {
-        self.root_basis = Some(basis);
-        self
-    }
 }
 
 /// How the search ended.
@@ -129,8 +111,7 @@ pub enum Status {
     Feasible,
 }
 
-/// Aggregate solver statistics for one MILP solve: the search's and the
-/// polish pass's counters, merged at the end.
+/// Aggregate solver statistics for one MILP solve.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SolveStats {
     /// Branch-and-bound nodes whose LP relaxation was solved.
@@ -140,9 +121,7 @@ pub struct SolveStats {
     pub lp_solves: usize,
     /// LPs taken from an earlier solve of exactly the same call instead
     /// of solving again: a root child whose LP root strong branching
-    /// already solved, and the polish pass's root and its probes when
-    /// they repeat the search's cold root. They add no pivots and no LP
-    /// time.
+    /// already solved. They add no pivots and no LP time.
     pub lp_reused: usize,
     /// Primal simplex iterations (pivots and bound flips, both phases)
     /// across all node LPs.
@@ -173,13 +152,6 @@ pub struct SolveStats {
     /// Peak LU fill-in any node LP saw: nonzeros in `L + U` beyond the
     /// basis matrix's own (sparse engine).
     pub max_fill_in: usize,
-    /// Nodes evaluated by the deterministic canonical polish pass that
-    /// re-derives a search-found optimum (included in `nodes_explored`
-    /// when the pass succeeds; zero when it did not run).
-    pub polish_nodes: usize,
-    /// Simplex iterations, primal and dual, of the polish pass (included
-    /// in `primal_pivots`/`dual_pivots`).
-    pub polish_pivots: usize,
     /// Explored nodes bucketed by tree depth (`nodes_by_depth[d]` =
     /// nodes at depth `d`); sums to `nodes_explored`.
     pub nodes_by_depth: Vec<usize>,
@@ -270,34 +242,6 @@ impl SolveStats {
         }
         self.nodes_by_depth[depth] += 1;
     }
-
-    fn merge(&mut self, other: &SolveStats) {
-        self.nodes_explored += other.nodes_explored;
-        self.lp_solves += other.lp_solves;
-        self.lp_reused += other.lp_reused;
-        self.primal_pivots += other.primal_pivots;
-        self.dual_pivots += other.dual_pivots;
-        self.phase1_solves += other.phase1_solves;
-        self.warm_start_attempts += other.warm_start_attempts;
-        self.warm_start_hits += other.warm_start_hits;
-        self.presolve_cols_removed += other.presolve_cols_removed;
-        self.refactorizations += other.refactorizations;
-        self.eta_updates += other.eta_updates;
-        self.max_eta_chain = self.max_eta_chain.max(other.max_eta_chain);
-        self.max_fill_in = self.max_fill_in.max(other.max_fill_in);
-        self.polish_nodes += other.polish_nodes;
-        self.polish_pivots += other.polish_pivots;
-        if self.nodes_by_depth.len() < other.nodes_by_depth.len() {
-            self.nodes_by_depth.resize(other.nodes_by_depth.len(), 0);
-        }
-        for (mine, theirs) in self.nodes_by_depth.iter_mut().zip(&other.nodes_by_depth) {
-            *mine += theirs;
-        }
-        self.time_in_dual += other.time_in_dual;
-        self.time_in_primal += other.time_in_primal;
-        self.presolve_time += other.presolve_time;
-        self.solve_time += other.solve_time;
-    }
 }
 
 /// The result of a MILP solve.
@@ -307,9 +251,7 @@ pub struct MilpSolution {
     objective: f64,
     bound: f64,
     values: Vec<f64>,
-    nodes_explored: usize,
     stats: SolveStats,
-    root_basis: Option<Arc<Basis>>,
 }
 
 impl MilpSolution {
@@ -358,7 +300,7 @@ impl MilpSolution {
     /// Number of branch-and-bound nodes explored.
     #[must_use]
     pub fn nodes_explored(&self) -> usize {
-        self.nodes_explored
+        self.stats.nodes_explored
     }
 
     /// Solver statistics: pivot counts, phase-1 solves, warm-start hit
@@ -366,17 +308,6 @@ impl MilpSolution {
     #[must_use]
     pub fn stats(&self) -> &SolveStats {
         &self.stats
-    }
-
-    /// The optimal basis of the root LP relaxation, captured when the
-    /// search branched at the root with basis inheritance enabled (`None`
-    /// when the root solved integrally, was pruned, or `warm_basis` was
-    /// off). Feed it to [`SolveOptions::with_root_basis`] on a later solve
-    /// of a structurally similar model — an incremental re-solve after a
-    /// small edit — to start that root LP from this optimum.
-    #[must_use]
-    pub fn root_basis(&self) -> Option<&Arc<Basis>> {
-        self.root_basis.as_ref()
     }
 }
 
@@ -406,10 +337,9 @@ struct Node {
     /// Solving this node's LP attributes `(lp_obj − bound) / frac` to the
     /// branch variable's pseudocost.
     frac: f64,
-    /// The result of this node's LP call when it was already made
-    /// elsewhere — a root strong-branch probe, or the search's cold root
-    /// for the polish pass's root. [`evaluate_node`] takes it instead of
-    /// solving. Only [`reusable`] results are carried.
+    /// The result of this node's LP call when a root strong-branch probe
+    /// already made it. [`evaluate_node`] takes it instead of solving.
+    /// Only [`reusable`] results are carried.
     lp: Option<Arc<LpResult>>,
 }
 
@@ -424,30 +354,6 @@ fn reusable(result: &LpResult) -> bool {
 /// Down and up child LP results carried from root strong branching.
 type ChildLps = (Option<Arc<LpResult>>, Option<Arc<LpResult>>);
 
-/// The LP results of a root node solved cold. The canonical polish pass
-/// starts from the same cold root, so it replays these instead of
-/// solving them again: the root relaxation, what strong branching read
-/// of each probe, and the full results of the branch variable's two
-/// probes, which became the root's children. The other probes keep only
-/// their status and objective, so the record stays small.
-#[derive(Default)]
-struct RootRecord {
-    lp: Option<Arc<LpResult>>,
-    /// `(var, is_upper, status, objective)` per probe, in probe order.
-    probes: Vec<(usize, bool, LpStatus, f64)>,
-    /// The branch variable and its down and up probe results.
-    branch: Option<(usize, ChildLps)>,
-}
-
-impl RootRecord {
-    fn probe(&self, var: usize, is_upper: bool) -> Option<(LpStatus, f64)> {
-        self.probes
-            .iter()
-            .find(|&&(j, up, _, _)| j == var && up == is_upper)
-            .map(|&(_, _, status, objective)| (status, objective))
-    }
-}
-
 /// Per-variable branching pseudocosts: the running average LP-bound
 /// degradation per unit of fractional distance, kept separately for the
 /// down and up directions. Variables without observations borrow the
@@ -455,8 +361,8 @@ impl RootRecord {
 /// directions default to the same constant — which makes the product
 /// score collapse to `f·(1 − f)`, i.e. plain most-fractional branching.
 ///
-/// The table lives in the search's [`WorkerScratch`], so the canonical
-/// polish pass, which gets a fresh scratch, starts uninformed.
+/// The table lives in the search's [`WorkerScratch`], so every solve
+/// starts uninformed.
 #[derive(Default)]
 struct Pseudocosts {
     down_sum: Vec<f64>,
@@ -589,8 +495,7 @@ fn build_lp(model: &Model) -> LpProblem {
     }
 }
 
-/// Immutable per-search context shared by the search and the polish
-/// pass.
+/// Immutable per-search context.
 struct SearchCtx<'a> {
     model: &'a Model,
     lp: &'a LpProblem,
@@ -647,17 +552,13 @@ struct Branch {
 
 /// Mutable state of one tree walk: the reusable simplex workspace, the
 /// bound vectors reconstructed from each node's delta chain, and the
-/// walk's solver statistics (the polish pass keeps its own and merges
-/// them into the search's at the end).
+/// walk's solver statistics.
 struct WorkerScratch {
     workspace: SimplexWorkspace,
     lower: Vec<f64>,
     upper: Vec<f64>,
     stats: SolveStats,
     pseudo: Pseudocosts,
-    /// Filled when this walk evaluates a cold root; the polish pass
-    /// seeds it with the search's record so its root probes replay.
-    root: RootRecord,
 }
 
 impl WorkerScratch {
@@ -668,7 +569,6 @@ impl WorkerScratch {
             upper: Vec::new(),
             stats: SolveStats::default(),
             pseudo: Pseudocosts::default(),
-            root: RootRecord::default(),
         }
     }
 
@@ -733,9 +633,6 @@ fn evaluate_node(
     } else {
         None
     };
-    // Only a cold root is recorded: a root warm-started from a prior
-    // solve's basis is a different call from the polish pass's cold one.
-    let cold_root = node.depth == 0 && warm.is_none();
     let result = match &node.lp {
         Some(lp) => {
             scratch.stats.lp_reused += 1;
@@ -744,9 +641,6 @@ fn evaluate_node(
         None => scratch.solve_loaded(ctx, warm),
     };
     scratch.stats.record_node(node.depth);
-    if cold_root && reusable(&result) {
-        scratch.root.lp = Some(Arc::clone(&result));
-    }
     match result.status {
         LpStatus::Infeasible => return NodeOutcome::Infeasible,
         LpStatus::Unbounded => return NodeOutcome::Unbounded,
@@ -829,43 +723,27 @@ fn evaluate_node(
                 break;
             }
             let x = result.values[j];
-            // Replay a recorded probe, or tighten one bound, solve,
-            // restore. Depth 0 means the effective bounds are the root
-            // LP's, so restoring from `ctx.lp` is exact.
+            // Tighten one bound, solve, restore. Depth 0 means the
+            // effective bounds are the root LP's, so restoring from
+            // `ctx.lp` is exact.
             let mut probe = |is_upper: bool, value: f64| -> (f64, Option<Arc<LpResult>>) {
-                let recorded = if cold_root {
-                    scratch.root.probe(j, is_upper)
+                if is_upper {
+                    scratch.upper[j] = value;
                 } else {
-                    None
-                };
-                let (status, objective, lp) = if let Some((status, objective)) = recorded {
-                    scratch.stats.lp_reused += 1;
-                    (status, objective, None)
+                    scratch.lower[j] = value;
+                }
+                let res = scratch.solve_loaded(ctx, warm_root);
+                if is_upper {
+                    scratch.upper[j] = ctx.lp.upper[j];
                 } else {
-                    if is_upper {
-                        scratch.upper[j] = value;
-                    } else {
-                        scratch.lower[j] = value;
-                    }
-                    let res = scratch.solve_loaded(ctx, warm_root);
-                    if is_upper {
-                        scratch.upper[j] = ctx.lp.upper[j];
-                    } else {
-                        scratch.lower[j] = ctx.lp.lower[j];
-                    }
-                    let keep = reusable(&res);
-                    if cold_root && keep {
-                        let probe = (j, is_upper, res.status, res.objective);
-                        scratch.root.probes.push(probe);
-                    }
-                    (res.status, res.objective, keep.then_some(res))
-                };
-                let degrade = match status {
-                    LpStatus::Optimal => (objective - lp_obj).max(0.0),
+                    scratch.lower[j] = ctx.lp.lower[j];
+                }
+                let degrade = match res.status {
+                    LpStatus::Optimal => (res.objective - lp_obj).max(0.0),
                     LpStatus::Infeasible => f64::INFINITY,
                     _ => 0.0,
                 };
-                (degrade, lp)
+                (degrade, reusable(&res).then_some(res))
             };
             let (d_down, down_lp) = probe(true, x.floor());
             let (d_up, up_lp) = probe(false, x.ceil());
@@ -887,14 +765,6 @@ fn evaluate_node(
         if let Some((j, score, lps)) = best {
             branch_var = Some((j, score));
             child_lps = lps;
-            // A replayed root picks the recorded branch variable again and
-            // takes its children's results; a first cold root records them.
-            if cold_root {
-                match &scratch.root.branch {
-                    Some((var, lps)) if *var == j => child_lps = lps.clone(),
-                    _ => scratch.root.branch = Some((j, child_lps.clone())),
-                }
-            }
         }
     }
 
@@ -980,12 +850,6 @@ struct SearchEnd {
     root_unbounded: bool,
     root_iteration_limit: bool,
     stats: SolveStats,
-    /// The root node's optimal basis, when it was captured (see
-    /// [`MilpSolution::root_basis`]).
-    root_basis: Option<Arc<Basis>>,
-    /// The root's LP results when the root started cold (empty
-    /// otherwise), for the polish pass to replay.
-    root_record: RootRecord,
 }
 
 fn assemble(ctx: &SearchCtx<'_>, end: SearchEnd) -> Result<MilpSolution, ModelError> {
@@ -1015,9 +879,7 @@ fn assemble(ctx: &SearchCtx<'_>, end: SearchEnd) -> Result<MilpSolution, ModelEr
                 objective: obj + ctx.obj_constant,
                 bound: bound + ctx.obj_constant,
                 values,
-                nodes_explored: end.nodes_explored,
                 stats,
-                root_basis: end.root_basis,
             })
         }
         None => {
@@ -1081,130 +943,14 @@ pub(crate) fn solve(model: &Model, options: &SolveOptions) -> Result<MilpSolutio
         depth: 0,
         seq: 0,
         changes: None,
-        // A surviving snapshot from a prior solve seeds the root LP; it is
-        // re-validated on load, so a stale or mismatched basis just cold
-        // starts.
-        basis: if options.warm_basis {
-            options.root_basis.clone()
-        } else {
-            None
-        },
+        basis: None,
         frac: 0.0,
         lp: None,
     };
 
-    let warm_obj = incumbent.as_ref().map(|(obj, _)| *obj);
-    let mut end = search(&ctx, root, incumbent);
-    // A search-found optimum is re-derived as a pure function of the model
-    // (see `polish_canonical`): among tied optima, which one the search
-    // happens to keep depends on warm hints (root basis, prior incumbents)
-    // carried in from earlier solves, so the raw incumbent vector is not
-    // reproducible even though its objective is. A warm-start incumbent
-    // the search never improved is returned as-is — it came from the
-    // caller, not from the search.
-    let search_found = match (&end.incumbent, warm_obj) {
-        (Some((obj, _)), Some(w)) => *obj < w - 1e-12,
-        (Some(_), None) => true,
-        (None, _) => false,
-    };
-    let polish_target = end.incumbent.as_ref().map(|(obj, _)| *obj);
-    let root_record = std::mem::take(&mut end.root_record);
-    let mut sol = assemble(&ctx, end)?;
-    // A single-node solve (pure LP, or an integral root) is already a
-    // pure function of the model unless a warm root basis steered the
-    // simplex to one of several optimal vertices — skip the polish there.
-    let root_only = sol.nodes_explored == 1 && options.root_basis.is_none();
-    if search_found && !root_only && sol.status() == Status::Optimal {
-        if let Some(target) = polish_target {
-            if let Some((values, nodes)) =
-                polish_canonical(&ctx, target, root_record, &mut sol.stats)
-            {
-                sol.objective = model.objective.evaluate(&values);
-                sol.values = values;
-                // The polish's nodes fold into the explored total so the
-                // depth histogram keeps summing to it.
-                sol.nodes_explored += nodes;
-                sol.stats.nodes_explored = sol.nodes_explored;
-            }
-        }
-    }
+    let mut sol = assemble(&ctx, search(&ctx, root, incumbent))?;
     sol.stats.solve_time = start.elapsed();
     Ok(sol)
-}
-
-/// Re-derives a proven-optimal solution vector as a pure function of the
-/// model, erasing the warm-hint dependence of the search's own incumbent.
-/// A fresh best-first pass, seeded with the proven objective `target`,
-/// prunes every strictly worse subtree (ties survive the `1e-9`
-/// tolerance) and accepts the first integral solution matching `target`
-/// in the fixed `(bound, depth, seq)` order — the same canonical vector
-/// on every run, whatever hints the search started from. The pass starts
-/// cold (no root basis, fresh pseudocosts) so nothing from the search or
-/// from prior solves can steer it. When the search's root also started
-/// cold, `root_record` holds that root's LP and probe results: the pass
-/// makes the very same calls, so it takes those results instead of
-/// solving again (an empty record just means every LP is solved). On
-/// success returns the vector together with the pass's node count, which
-/// the caller folds into the explored total. Returns `None` — keep the
-/// search's own incumbent, forfeiting reproducibility — when a deadline,
-/// the node limit, or LP trouble interrupts the pass; with pruning at
-/// full strength from the first node the pass is far cheaper than the
-/// optimality proof that preceded it, so that is a deadline-pressure
-/// corner, not the norm.
-fn polish_canonical(
-    ctx: &SearchCtx<'_>,
-    target: f64,
-    root_record: RootRecord,
-    stats: &mut SolveStats,
-) -> Option<(Vec<f64>, usize)> {
-    let mut heap = BinaryHeap::new();
-    heap.push(Node {
-        bound: f64::NEG_INFINITY,
-        depth: 0,
-        seq: 0,
-        changes: None,
-        basis: None,
-        frac: 0.0,
-        lp: root_record.lp.clone(),
-    });
-    let mut next_seq = 0usize;
-    let mut scratch = WorkerScratch::new();
-    scratch.root = root_record;
-    let mut nodes = 0usize;
-    // Offset so `evaluate_node`'s `lp_obj >= inc - 1e-9` prune keeps
-    // target ties alive while cutting everything strictly worse.
-    let pseudo_incumbent = target + 2e-9;
-    let mut found = None;
-    while let Some(node) = heap.pop() {
-        if node.bound >= target + 1e-9 || ctx.time_limit_reached() || ctx.node_limit_reached(nodes)
-        {
-            break;
-        }
-        nodes += 1;
-        match evaluate_node(ctx, &node, Some(pseudo_incumbent), &mut scratch) {
-            NodeOutcome::Infeasible | NodeOutcome::PrunedByBound => {}
-            NodeOutcome::LpTrouble(_) | NodeOutcome::Unbounded => break,
-            NodeOutcome::Integral { obj, values } => {
-                if obj <= target + 1e-9 {
-                    found = Some(values);
-                    break;
-                }
-            }
-            NodeOutcome::Branched(branch) => {
-                let (down, up) = make_children(&node, branch, &scratch, &mut next_seq);
-                if let Some(child) = down {
-                    heap.push(child);
-                }
-                if let Some(child) = up {
-                    heap.push(child);
-                }
-            }
-        }
-    }
-    scratch.stats.polish_nodes = nodes;
-    scratch.stats.polish_pivots = scratch.stats.total_pivots();
-    stats.merge(&scratch.stats);
-    found.map(|values| (values, nodes))
 }
 
 fn search(ctx: &SearchCtx<'_>, root: Node, mut incumbent: Option<(f64, Vec<f64>)>) -> SearchEnd {
@@ -1221,7 +967,6 @@ fn search(ctx: &SearchCtx<'_>, root: Node, mut incumbent: Option<(f64, Vec<f64>)
     let mut lost_bound = f64::INFINITY;
     let mut root_unbounded = false;
     let mut root_iteration_limit = false;
-    let mut root_basis: Option<Arc<Basis>> = None;
 
     while let Some(node) = heap.pop() {
         // Prune against the incumbent (best-first: once the best open bound
@@ -1274,9 +1019,6 @@ fn search(ctx: &SearchCtx<'_>, root: Node, mut incumbent: Option<(f64, Vec<f64>)
                 }
             }
             NodeOutcome::Branched(branch) => {
-                if node.depth == 0 {
-                    root_basis.clone_from(&branch.basis);
-                }
                 let (down, up) = make_children(&node, branch, &scratch, &mut next_seq);
                 if let Some(child) = down {
                     heap.push(child);
@@ -1300,8 +1042,6 @@ fn search(ctx: &SearchCtx<'_>, root: Node, mut incumbent: Option<(f64, Vec<f64>)
         root_unbounded,
         root_iteration_limit,
         stats: scratch.stats,
-        root_basis,
-        root_record: scratch.root,
     }
 }
 
@@ -1710,12 +1450,9 @@ mod tests {
         );
         // The warm run must actually warm-start: every non-root node
         // carries a parent basis on this model, and inheriting it skips
-        // phase 1. One cold root solve, not two: the search finds its own
-        // incumbent here, so the canonical polish pass runs, but its cold
-        // root is the search's and is replayed, not solved again.
+        // phase 1: the root is the only cold solve.
         let ws = warm.stats();
         assert!(ws.lp_solves > 1, "model too easy: {ws:?}");
-        assert!(ws.polish_nodes > 0, "{ws:?}");
         assert_eq!(ws.phase1_solves, 1, "{ws:?}");
         assert_eq!(ws.warm_start_attempts, ws.lp_solves - ws.phase1_solves);
         assert_eq!(ws.warm_start_hits, ws.warm_start_attempts, "{ws:?}");
@@ -1746,15 +1483,13 @@ mod tests {
         let s = sol.stats();
         assert_eq!(s.nodes_explored, sol.nodes_explored());
         // One LP per node, plus up to two strong-branch probes per root
-        // candidate — at both roots, since the canonical polish pass
-        // explores from a fresh depth-0 node of its own.
-        assert!(s.lp_solves <= s.nodes_explored + 4 * STRONG_BRANCH_CANDIDATES);
+        // candidate.
+        assert!(s.lp_solves <= s.nodes_explored + 2 * STRONG_BRANCH_CANDIDATES);
         assert!(s.warm_start_hits <= s.warm_start_attempts);
         assert!(s.warm_start_attempts < s.lp_solves);
         assert!(s.phase1_solves <= s.lp_solves);
         assert!(s.warm_hit_rate() >= 0.9, "{s:?}");
-        // Depth histogram: one bucket entry per explored node, with the
-        // polish pass's nodes folded into both sides of the equation.
+        // Depth histogram: one bucket entry per explored node.
         assert_eq!(
             s.nodes_by_depth.iter().sum::<usize>(),
             s.nodes_explored,

@@ -1,7 +1,6 @@
 //! The property branch and bound relies on when it hands a root
-//! strong-branch probe's LP result to the child it previews, and when the
-//! canonical polish pass replays the search's cold root: an LP solve is a
-//! pure function of its problem, bounds, options and warm basis. The
+//! strong-branch probe's LP result to the child it previews: an LP solve
+//! is a pure function of its problem, bounds, options and warm basis. The
 //! reusable workspace it runs on must carry nothing over from the LPs it
 //! solved before, so solving on a fresh workspace and on a used one gives
 //! the same status, objective and value bits, basis snapshot and pivot

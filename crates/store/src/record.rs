@@ -6,7 +6,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic  "ONOC"
-//! 4       4     format version (u32 LE, currently 2)
+//! 4       4     format version (u32 LE, [`FORMAT_VERSION`])
 //! 8       8+s   stage name (u64 LE length prefix + UTF-8 bytes)
 //! ..      16    content key (2 × u64 LE)
 //! ..      8     payload length (u64 LE)
@@ -25,8 +25,9 @@
 //!
 //! Version history: 1 = initial layout; 2 = `SolveStats` payloads gained
 //! the presolve column-elimination and sparse-LU factorization counters;
-//! 3 = `SolveStats` payloads gained the polish-pass node and pivot
-//! counters; 4 = `SolveStats` payloads gained the reused-LP counter.
+//! 3 = `SolveStats` payloads gained the canonical-pass node and pivot
+//! counters; 4 = `SolveStats` payloads gained the reused-LP counter;
+//! 5 = `SolveStats` payloads dropped the canonical-pass counters.
 
 use crate::codec::{Decoder, Encoder};
 use onoc_ctx::{ContentHasher, ContentKey};
@@ -36,7 +37,7 @@ use std::fmt;
 pub const RECORD_MAGIC: [u8; 4] = *b"ONOC";
 
 /// The format version this build reads and writes.
-pub const FORMAT_VERSION: u32 = 4;
+pub const FORMAT_VERSION: u32 = 5;
 
 /// One decoded record: the `(stage, key)` address and the raw payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -229,18 +230,22 @@ mod tests {
 
     #[test]
     fn future_versions_are_skipped_not_trusted() {
-        let mut bytes = sample();
-        // Bump the version field (bytes 4..8) past the supported one and
-        // re-stamp the checksum so *only* the version is wrong.
-        bytes[4] = (FORMAT_VERSION + 1) as u8;
-        let end = bytes.len() - 16;
-        let digest = checksum_of(&bytes[..end]);
-        bytes[end..end + 8].copy_from_slice(&digest.0[0].to_le_bytes());
-        bytes[end + 8..].copy_from_slice(&digest.0[1].to_le_bytes());
-        assert_eq!(
-            decode_record(&bytes),
-            Err(RecordError::UnsupportedVersion(FORMAT_VERSION + 1))
-        );
+        // A newer version, and the previous one — what a disk cache
+        // written before the last bump holds — are both rejected.
+        for version in [FORMAT_VERSION + 1, FORMAT_VERSION - 1] {
+            let mut bytes = sample();
+            // Set the version field (bytes 4..8) and re-stamp the checksum
+            // so *only* the version is wrong.
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            let end = bytes.len() - 16;
+            let digest = checksum_of(&bytes[..end]);
+            bytes[end..end + 8].copy_from_slice(&digest.0[0].to_le_bytes());
+            bytes[end + 8..].copy_from_slice(&digest.0[1].to_le_bytes());
+            assert_eq!(
+                decode_record(&bytes),
+                Err(RecordError::UnsupportedVersion(version))
+            );
+        }
     }
 
     #[test]

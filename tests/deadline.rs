@@ -9,8 +9,7 @@
 //! solve). The clustering probes are D26 (the longest clustering of the
 //! benchmark set), 8PM-44 and VOPD under the heuristic strategy. MWD,
 //! VOPD and 8PM-24 under the MILP strategy put the deadline inside branch
-//! and bound: root strong branching, the node LPs and the canonical
-//! polish pass.
+//! and bound: root strong branching and the node LPs.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
