@@ -1,10 +1,10 @@
 #!/usr/bin/env sh
 # The gate every PR must pass, runnable locally: `sh ci/check.sh`.
-# Formatting, lints-as-errors, the workspace's own static analysis
-# (onoc-lint), a release build (bins + benches compile), the full
-# workspace test suite, and a fast MILP solver smoke check. The slow
-# dynamic-analysis pass (TSan/Miri) lives in ci/sanitize.sh and runs
-# nightly, non-blocking.
+# Formatting, lints-as-errors (clippy, whose unfulfilled `#[expect]`s
+# fail too), a release build, the full workspace test suite (which runs
+# the workspace's own static analysis, onoc-lint, as a test), and a
+# fast MILP solver smoke check. The slow dynamic-analysis pass
+# (TSan/Miri) lives in ci/sanitize.sh and runs nightly, non-blocking.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -12,23 +12,8 @@ cd "$(dirname "$0")/.."
 cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
 
-# Workspace static analysis (rules L1-L10, see DESIGN.md §12): blocking.
-# Exit 1 means a new finding beyond lint-baseline.toml, a stale baseline
-# entry, or a malformed suppression pragma. The JSON outcome is kept as a
-# CI artifact and must parse as a single object.
-LINT_JSON="${TMPDIR:-/tmp}/onoc_lint_outcome.json"
-cargo run -q -p onoc-lint -- --format json | tee "$LINT_JSON"
-grep -q '"clean": true' "$LINT_JSON"
-
-# Baseline drift gate: a freshly regenerated baseline must be
-# byte-identical to the committed one. Catches debt paid down but not
-# recorded (the ratchet would also fail, but this points at the fix:
-# commit the regenerated file) and any divergence in entry ordering.
-LINT_BASELINE="${TMPDIR:-/tmp}/onoc_lint_baseline.toml"
-cargo run -q -p onoc-lint -- --write-baseline --baseline "$LINT_BASELINE"
-diff -u lint-baseline.toml "$LINT_BASELINE"
-
 cargo build --release --workspace
+# Includes onoc-lint's `the_real_workspace_lints_clean` (DESIGN.md §12).
 cargo test --workspace -q
 # The LP engine against its exact oracles at release speed and 2048
 # random cases per property (the vendored proptest honours
@@ -81,37 +66,29 @@ grep -q "1 skipped" "$STORE_SMOKE/import.log"
 ./target/release/sring-cli synth --benchmark mwd --cache-dir "$STORE_SMOKE/dst"
 rm -rf "$STORE_SMOKE"
 
-# Trace smoke check: a traced synthesis must emit a JSON report that
-# parses, names the expected pipeline phases, and whose top-level span
-# times sum to the recorded runtime within tolerance.
-./target/release/sring-cli synth --benchmark mwd \
-    --trace-json "${TMPDIR:-/tmp}/sring_trace_smoke.json"
-./target/release/sring-cli trace-check "${TMPDIR:-/tmp}/sring_trace_smoke.json" \
-    --phase synth --phase synth/cluster --phase synth/layout \
-    --phase synth/assign --phase synth/assign/milp \
-    --phase synth/assign/milp/build --phase synth/assign/milp/lp \
-    --phase synth/cluster/grow --phase synth/cluster/refine \
-    --phase synth/cluster/inter
-# The same on 8PM-24, the tracked MILP whose optimum the search finds
-# itself rather than inheriting from the heuristic incumbent.
-./target/release/sring-cli synth --benchmark 8pm-24 \
-    --trace-json "${TMPDIR:-/tmp}/sring_trace_smoke_8pm24.json"
-./target/release/sring-cli trace-check "${TMPDIR:-/tmp}/sring_trace_smoke_8pm24.json" \
-    --phase synth --phase synth/cluster --phase synth/layout \
-    --phase synth/assign --phase synth/assign/milp \
-    --phase synth/assign/milp/build --phase synth/assign/milp/lp \
-    --phase synth/cluster/grow --phase synth/cluster/refine \
-    --phase synth/cluster/inter
-# The same on D26, the largest benchmark: it has more than 30 paths, so
-# the heuristic assigns and the time is nearly all clustering. The memo
-# phase holds the keying and lookups that no construction-unit span covers.
-./target/release/sring-cli synth --benchmark d26 \
-    --trace-json "${TMPDIR:-/tmp}/sring_trace_smoke_d26.json"
-./target/release/sring-cli trace-check "${TMPDIR:-/tmp}/sring_trace_smoke_d26.json" \
-    --phase synth --phase synth/cluster --phase synth/layout \
-    --phase synth/assign --phase synth/cluster/grow \
-    --phase synth/cluster/inter --phase synth/cluster/refine \
-    --phase synth/cluster/memo
+# Trace smoke check: a traced synthesis of every benchmark must emit a
+# JSON report that parses, names the expected pipeline phases, and whose
+# top-level span times sum to the recorded runtime within tolerance.
+# Every run clusters (the memo phase holds the keying and lookups that no
+# construction-unit span covers); the four benchmarks small enough for
+# the exact MILP also name its model build and LP phases. D26, 8PM-32
+# and 8PM-44 have more than 30 paths, so the heuristic assigns there.
+COMMON_PHASES="synth synth/cluster synth/layout synth/assign synth/cluster/grow
+    synth/cluster/refine synth/cluster/inter synth/cluster/memo"
+MILP_PHASES="synth/assign/milp synth/assign/milp/build synth/assign/milp/lp"
+for BENCH in mwd vopd mpeg 8pm-24 8pm-32 8pm-44 d26; do
+    PHASES=$COMMON_PHASES
+    case "$BENCH" in
+        mwd|vopd|mpeg|8pm-24) PHASES="$PHASES $MILP_PHASES" ;;
+    esac
+    TRACE="${TMPDIR:-/tmp}/sring_trace_smoke_$BENCH.json"
+    ./target/release/sring-cli synth --benchmark "$BENCH" --trace-json "$TRACE"
+    set --
+    for PHASE in $PHASES; do
+        set -- "$@" --phase "$PHASE"
+    done
+    ./target/release/sring-cli trace-check "$TRACE" "$@"
+done
 
 # Delta smoke check: synthesize MWD, retarget one message, re-synthesize
 # incrementally and verify the result is byte-identical to a from-scratch

@@ -1,9 +1,9 @@
 #!/usr/bin/env sh
 # Dynamic-analysis pass for the concurrency layer, runnable locally:
 # `sh ci/sanitize.sh` (or `sh ci/sanitize.sh tsan` / `sh ci/sanitize.sh miri`
-# to run one half). Complements the static pass (`cargo run -p onoc-lint`):
-# the lint proves the locking *idioms* are right, this proves the actual
-# interleavings and memory accesses are.
+# to run one half). Complements the static pass (clippy, plus onoc-lint
+# run by `cargo test -p onoc-lint`): the lint proves the locking *idioms*
+# are right, this proves the actual interleavings and memory accesses are.
 #
 # 1. ThreadSanitizer over the concurrency-heavy integration suites
 #    (tests/cache.rs, tests/trace.rs, tests/served.rs):

@@ -470,6 +470,10 @@ fn heuristic_assignment(
                 best = Some((score, w));
             }
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "`w = max_used` is fresh: no path holds it, so it never clashes"
+        )]
         let (_, w) = best.expect("a fresh wavelength never clashes");
         assignment[p] = w;
         max_used = max_used.max(w.index() + 1);
@@ -1081,7 +1085,10 @@ fn milp_assignment(
             let mut row: Vec<(milp_solver::Var, f64)> = il_max.iter().map(|&v| (v, 1.0)).collect();
             let mut rhs = 0.0;
             for &s in &set {
-                // onoc-lint: allow(L1, reason = "every path src is in sender_nodes, so its bsp var exists by construction")
+                #[expect(
+                    clippy::expect_used,
+                    reason = "every path src is in sender_nodes, which all have a bsp var"
+                )]
                 let node_bsp = bsp[problem.paths[s].src.index()].expect("sender has bsp");
                 row.push((node_bsp, -l_sp));
                 rhs += problem.paths[s].loss.0;
@@ -1130,6 +1137,10 @@ fn milp_assignment(
     // segment); the pairwise intra×inter form below is the exact general
     // statement and never cuts a valid assignment.
     for &node in &sender_nodes {
+        #[expect(
+            clippy::expect_used,
+            reason = "bsp holds a var for every node of sender_nodes"
+        )]
         let node_bsp = bsp[node.index()].expect("sender node has a bsp var");
         let intra: Vec<usize> = (0..n)
             .filter(|&s| problem.paths[s].src == node && !problem.paths[s].is_inter)
@@ -1147,6 +1158,10 @@ fn milp_assignment(
     }
     // Eqs. 5–6 (with il_s substituted): il_smax ≥ L_s + b_sp·L_sp.
     for s in 0..n {
+        #[expect(
+            clippy::expect_used,
+            reason = "every path src is in sender_nodes, which all have a bsp var"
+        )]
         let node_bsp = bsp[problem.paths[s].src.index()].expect("sender node has a bsp var");
         m.add_constraint(
             [(il_smax, 1.0), (node_bsp, -l_sp)],
@@ -1161,6 +1176,10 @@ fn milp_assignment(
     // gives a strictly tighter LP relaxation — the branch-and-bound tree
     // shrinks by an order of magnitude on VOPD/MPEG.
     for s in 0..n {
+        #[expect(
+            clippy::expect_used,
+            reason = "every path src is in sender_nodes, which all have a bsp var"
+        )]
         let node_bsp = bsp[problem.paths[s].src.index()].expect("sender node has a bsp var");
         let xi_s = problem.paths[s].loss.0 + l_sp;
         for l in 0..pool {
@@ -1214,6 +1233,10 @@ fn milp_assignment(
             }
     };
     for &node in &sender_nodes {
+        #[expect(
+            clippy::expect_used,
+            reason = "bsp holds a var for every node of sender_nodes"
+        )]
         if split[node.index()] {
             start[bsp[node.index()].expect("sender").index()] = 1.0;
         }
@@ -1249,6 +1272,10 @@ fn milp_assignment(
 
     let mut wavelengths = Vec::with_capacity(n);
     for bs in &b {
+        #[expect(
+            clippy::expect_used,
+            reason = "Eq. 1 gives every path exactly one wavelength in any feasible solution"
+        )]
         let l = (0..pool)
             .find(|&l| sol.value(bs[l]) > 0.5)
             .expect("Eq. 1 guarantees one wavelength");

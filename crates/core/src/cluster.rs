@@ -1393,7 +1393,8 @@ fn grow_intra(
 
     let mut is_candidate = vec![false; n];
     let (mut segs, mut trial) = (Vec::new(), Vec::new());
-    // onoc-lint: allow(L9, reason = "bounded: every round absorbs one node or breaks on an empty candidate set, capped at size_cap")
+    // Bounded: every round absorbs one node or breaks on an empty
+    // candidate set, capped at size_cap.
     while members.len() < size_cap {
         // Candidates: unvisited communication partners of any member.
         is_candidate.fill(false);
@@ -1505,7 +1506,8 @@ fn grow_inter(
     exact.held(longest, 1e-12);
 
     let (mut segs, mut trial) = (Vec::new(), Vec::new());
-    // onoc-lint: allow(L9, reason = "bounded: every round inserts one remaining node onto the ring or returns infeasible")
+    // Bounded: every round inserts one remaining node onto the ring or
+    // returns infeasible.
     while !remaining.is_empty() {
         let mut best: Option<(f64, NodeId, usize, bool)> = None;
         let mut round = Round::new(l_max);

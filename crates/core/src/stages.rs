@@ -474,6 +474,10 @@ impl Stage for RouteStage<'_> {
                                dst: NodeId,
                                is_inter: bool|
          -> Candidate {
+            #[expect(
+                clippy::expect_used,
+                reason = "candidates are built only on rings that hold both message endpoints"
+            )]
             let range = cycle
                 .path_segments(src, dst)
                 .expect("message endpoints lie on the chosen ring");
@@ -538,11 +542,19 @@ impl Stage for RouteStage<'_> {
                     let mut options = Vec::with_capacity(2);
                     match home {
                         Some(c) => {
+                            #[expect(
+                                clippy::expect_used,
+                                reason = "same-cluster messages imply a multi-node, ringed cluster"
+                            )]
                             let ring = clustering.clusters[c]
                                 .ring
                                 .as_ref()
                                 .expect("a same-cluster message implies a multi-node cluster");
                             options.push(build_candidate(
+                                #[expect(
+                                    clippy::expect_used,
+                                    reason = "the rings of multi-node clusters are all routed"
+                                )]
                                 intra_wg[c].expect("multi-node clusters are routed"),
                                 ring,
                                 msg.src,
@@ -563,7 +575,15 @@ impl Stage for RouteStage<'_> {
                         }
                         None => {
                             options.push(build_candidate(
+                                #[expect(
+                                    clippy::expect_used,
+                                    reason = "cross-cluster messages imply a routed inter ring"
+                                )]
                                 inter_wg.expect("cross-cluster messages imply an inter ring"),
+                                #[expect(
+                                    clippy::expect_used,
+                                    reason = "cross-cluster messages imply an inter ring"
+                                )]
                                 clustering
                                     .inter_ring
                                     .as_ref()
@@ -640,6 +660,10 @@ impl Stage for RouteStage<'_> {
                 .then(a.cmp(&b))
         });
         for i in flexible {
+            #[expect(
+                clippy::expect_used,
+                reason = "every message has at least one candidate"
+            )]
             let best = candidates[i]
                 .iter()
                 .enumerate()
@@ -667,6 +691,7 @@ impl Stage for RouteStage<'_> {
         let mut assign_paths = Vec::with_capacity(app.message_count());
         for (i, id) in app.message_ids().enumerate() {
             let msg = app.message(id);
+            #[expect(clippy::expect_used, reason = "the loops above route every message")]
             let cand = &candidates[i][chosen[i].expect("all messages routed")];
             let loss = insertion_loss(&cand.geometry, &self.config.tech);
             assign_paths.push(AssignPath {

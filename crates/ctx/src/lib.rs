@@ -27,6 +27,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 use onoc_trace::{lock_or_recover, Trace};
 use std::any::Any;
@@ -45,7 +46,6 @@ use std::time::{Duration, Instant};
 #[must_use]
 pub fn resolve_threads(requested: usize) -> usize {
     match requested {
-        // onoc-lint: allow(L3, reason = "the one sanctioned probe of machine parallelism")
         0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         n => n,
     }
@@ -942,10 +942,9 @@ impl ExecCtx {
 /// `HashMap`/`HashSet` iteration order is the hasher's and varies between
 /// processes, so any output-producing path that walks a hash map must
 /// route through this adapter (or use a `BTreeMap` outright) to keep the
-/// byte-identity contract of DESIGN.md §16. `onoc-lint`'s L7 rule
-/// enforces exactly that: iterating a hash container directly in an
-/// output-producing crate is a finding; iterating the `Vec` this returns
-/// is not.
+/// byte-identity contract of DESIGN.md §16. `clippy::iter_over_hash_type`,
+/// warned in every output-producing crate, enforces that for `for` loops
+/// over a hash container; iterating the `Vec` this returns is fine.
 #[must_use]
 pub fn sorted_entries<K: Ord, V, S>(map: &std::collections::HashMap<K, V, S>) -> Vec<(&K, &V)> {
     let mut entries: Vec<(&K, &V)> = map.iter().collect();

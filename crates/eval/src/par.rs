@@ -29,6 +29,7 @@ where
         let f = &f;
         let handles: Vec<_> = (0..threads)
             .map(|t| {
+                // onoc-lint: allow(L3, reason = "the eval worker pool: sized by onoc_ctx::resolve_threads, joined in-scope")
                 scope.spawn(move || {
                     let mut out = Vec::new();
                     let mut i = t;
@@ -41,6 +42,10 @@ where
             })
             .collect();
         for handle in handles {
+            #[expect(
+                clippy::expect_used,
+                reason = "a panicking job re-raises its panic here, as `f` would on the serial path"
+            )]
             for (i, value) in handle.join().expect("eval worker panicked") {
                 slots[i] = Some(value);
             }
@@ -48,7 +53,13 @@ where
     });
     slots
         .into_iter()
-        .map(|slot| slot.expect("strided assignment covers every job"))
+        .map(
+            #[expect(
+                clippy::expect_used,
+                reason = "the strided workers cover every index in 0..len"
+            )]
+            |slot| slot.expect("strided assignment covers every job"),
+        )
         .collect()
 }
 

@@ -217,6 +217,7 @@ fn draw_one(
     }
 
     // Sub-rings: sequential connection in the random order.
+    #[expect(clippy::expect_used, reason = "cluster members are distinct nodes")]
     let intra_rings: Vec<Option<Cycle>> = clusters
         .iter()
         .map(|members| {
@@ -232,6 +233,10 @@ fn draw_one(
                 .any(|&w| cluster_of[v.index()] != cluster_of[w.index()])
         })
         .collect();
+    #[expect(
+        clippy::expect_used,
+        reason = "v_inter filters a permutation of the nodes, so its nodes are distinct"
+    )]
     let inter_ring = (v_inter.len() >= 2).then(|| Cycle::new(v_inter).expect("distinct nodes"));
 
     // Signal paths with random wavelengths. Ring id: cluster index for

@@ -169,6 +169,10 @@ pub fn mwd() -> CommGraph {
 
 /// [`mwd`] with a custom tile pitch.
 #[must_use]
+#[expect(
+    clippy::expect_used,
+    reason = "a fixed benchmark table; every benchmark is built under test"
+)]
 pub fn mwd_with_pitch(pitch: Millimeters) -> CommGraph {
     let grid = GridPlacement::new(4, 3, pitch);
     // Layout (col,row), row 0 at the bottom:
@@ -215,6 +219,10 @@ pub fn vopd() -> CommGraph {
 
 /// [`vopd`] with a custom tile pitch.
 #[must_use]
+#[expect(
+    clippy::expect_used,
+    reason = "a fixed benchmark table; every benchmark is built under test"
+)]
 pub fn vopd_with_pitch(pitch: Millimeters) -> CommGraph {
     let grid = GridPlacement::new(4, 4, pitch);
     let nodes = [
@@ -273,6 +281,10 @@ pub fn mpeg() -> CommGraph {
 
 /// [`mpeg`] with a custom tile pitch.
 #[must_use]
+#[expect(
+    clippy::expect_used,
+    reason = "a fixed benchmark table; every benchmark is built under test"
+)]
 pub fn mpeg_with_pitch(pitch: Millimeters) -> CommGraph {
     let grid = GridPlacement::new(4, 3, pitch);
     let nodes = [
@@ -320,6 +332,10 @@ pub fn d26() -> CommGraph {
 
 /// [`d26`] with a custom tile pitch.
 #[must_use]
+#[expect(
+    clippy::expect_used,
+    reason = "a fixed benchmark table; every benchmark is built under test"
+)]
 pub fn d26_with_pitch(pitch: Millimeters) -> CommGraph {
     let grid = GridPlacement::new(6, 5, pitch);
     // SunFloor-style co-designed placement: the video pipeline snakes up
@@ -465,6 +481,10 @@ pub fn pm8_44() -> CommGraph {
 ///
 /// Panics if `messages` is not 24, 32 or 44.
 #[must_use]
+#[expect(
+    clippy::expect_used,
+    reason = "a fixed benchmark table; every benchmark is built under test"
+)]
 pub fn pm8_with_pitch(messages: usize, pitch: Millimeters) -> CommGraph {
     assert!(
         matches!(messages, 24 | 32 | 44),
@@ -534,6 +554,10 @@ pub fn pm8_with_pitch(messages: usize, pitch: Millimeters) -> CommGraph {
 /// intra-cluster absorption method. Positions are in abstract units (pitch
 /// 1 mm) to keep the worked example's arithmetic readable.
 #[must_use]
+#[expect(
+    clippy::expect_used,
+    reason = "a fixed benchmark table; every benchmark is built under test"
+)]
 pub fn dsp_example() -> CommGraph {
     CommGraph::builder()
         .name("DSP-6")

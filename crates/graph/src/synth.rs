@@ -29,6 +29,10 @@ use onoc_units::Millimeters;
 /// assert_eq!(app.message_count(), 6); // 5 chain hops + feedback
 /// ```
 #[must_use]
+#[expect(
+    clippy::expect_used,
+    reason = "the fn's asserts admit only distinct nodes and distinct, non-self-loop messages"
+)]
 pub fn pipeline(stages: usize, pitch: Millimeters) -> CommGraph {
     assert!(stages >= 2, "a pipeline needs at least two stages");
     let cols = (stages as f64).sqrt().ceil() as usize;
@@ -53,6 +57,10 @@ pub fn pipeline(stages: usize, pitch: Millimeters) -> CommGraph {
 ///
 /// Panics if `spokes == 0` or `pitch` is not positive.
 #[must_use]
+#[expect(
+    clippy::expect_used,
+    reason = "the fn's asserts admit only distinct nodes and distinct, non-self-loop messages"
+)]
 pub fn hub_spoke(spokes: usize, pitch: Millimeters) -> CommGraph {
     assert!(spokes >= 1, "hub-and-spoke needs at least one spoke");
     let n = spokes + 1;
@@ -92,6 +100,10 @@ pub fn hub_spoke(spokes: usize, pitch: Millimeters) -> CommGraph {
 ///
 /// Panics if the grid has fewer than two tiles or `pitch` is not positive.
 #[must_use]
+#[expect(
+    clippy::expect_used,
+    reason = "the fn's asserts admit only distinct nodes and distinct, non-self-loop messages"
+)]
 pub fn neighbor_mesh(cols: usize, rows: usize, pitch: Millimeters) -> CommGraph {
     assert!(cols * rows >= 2, "mesh needs at least two nodes");
     let grid = GridPlacement::new(cols, rows, pitch);
@@ -124,6 +136,10 @@ pub fn neighbor_mesh(cols: usize, rows: usize, pitch: Millimeters) -> CommGraph 
 /// Panics if `nodes < 2`, `pitch` is not positive, or `messages` exceeds
 /// the `nodes·(nodes−1)` distinct directed pairs.
 #[must_use]
+#[expect(
+    clippy::expect_used,
+    reason = "the fn's asserts admit only distinct nodes and distinct, non-self-loop messages"
+)]
 pub fn random_app(nodes: usize, messages: usize, seed: u64, pitch: Millimeters) -> CommGraph {
     assert!(nodes >= 2, "random app needs at least two nodes");
     assert!(

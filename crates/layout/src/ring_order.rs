@@ -58,6 +58,10 @@ pub fn tour_order(positions: &[Point]) -> Vec<NodeId> {
                 best = Some((j, d));
             }
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "the loop runs n-1 times, so an unused node remains on each pass"
+        )]
         let (j, _) = best.expect("an unused node remains");
         used[j] = true;
         order.push(NodeId(j));

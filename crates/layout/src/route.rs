@@ -262,6 +262,10 @@ impl Layout {
                     best = Some((crossings, bends, spans));
                 }
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "Orientation::BOTH is non-empty, so one orientation is always evaluated"
+            )]
             let (_, bends, spans) = best.expect("at least one orientation evaluated");
             segments.push(SegmentGeometry {
                 length: from.manhattan(to),

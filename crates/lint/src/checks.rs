@@ -1,5 +1,5 @@
-//! Token-pattern detectors for the lexical and determinism rules
-//! (L1–L7) and the `Persist` symmetry rule (L10).
+//! Token-pattern detectors for the lexical rules (L2–L4) and the
+//! `Persist` symmetry rule (L10).
 //!
 //! Detectors run on a [`FileModel`] and return *raw* findings — rule
 //! applicability (file kind, test regions, per-rule path allowlists)
@@ -9,9 +9,8 @@
 use crate::lex::TokenKind;
 use crate::model::{FileModel, Item, ItemKind};
 use crate::rules::Rule;
-use std::collections::BTreeSet;
 
-/// A finding before applicability/pragma/baseline filtering.
+/// A finding before applicability and pragma filtering.
 #[derive(Debug, Clone)]
 pub struct RawFinding {
     /// 1-based line.
@@ -40,50 +39,34 @@ impl RawFinding {
     }
 }
 
-/// Map/set methods whose iteration order is the hasher's.
-const UNORDERED_ITER_METHODS: [&str; 7] = [
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "drain",
-    "into_iter",
-];
-
 /// Runs every per-file token check.
 #[must_use]
 pub fn check_file(m: &FileModel) -> Vec<RawFinding> {
     let mut out = Vec::new();
     lexical_rules(m, &mut out);
-    unordered_iteration(m, &mut out);
     persist_symmetry(m, &mut out);
     out.sort_by_key(|f| (f.line, f.rule));
     out
 }
 
-/// L1–L5 (and the L6 split of L1): straight token patterns.
+/// L2–L4: straight token patterns.
 fn lexical_rules(m: &FileModel, out: &mut Vec<RawFinding>) {
+    // Index of the `)` closing the `thread::scope(…)` calls seen so far:
+    // a `.spawn(` before it is a scoped spawn.
+    let mut scope_end = 0;
     for k in 0..m.len() {
         let t = m.tok(k);
         if t.kind != TokenKind::Ident {
             continue;
         }
         let line = t.line;
+        let after_path = |seg: &str| {
+            k >= 3
+                && punct_at(m, k - 1, ':')
+                && punct_at(m, k - 2, ':')
+                && m.tok(k - 3).is_ident(seg)
+        };
         match t.text.as_str() {
-            // `.unwrap()` / `.expect(` — L6 when chained off `.lock()`.
-            "unwrap" | "expect"
-                if punct_at(m, k + 1, '(') && punct_at(m, k.wrapping_sub(1), '.') =>
-            {
-                let off_lock = k >= 4
-                    && punct_at(m, k - 2, ')')
-                    && punct_at(m, k - 3, '(')
-                    && m.tok(k - 4).is_ident("lock");
-                out.push(RawFinding::new(
-                    line,
-                    if off_lock { Rule::L6 } else { Rule::L1 },
-                ));
-            }
             // `.partial_cmp(` or `f64::partial_cmp` as a value.
             "partial_cmp" => {
                 let method = punct_at(m, k.wrapping_sub(1), '.');
@@ -92,32 +75,18 @@ fn lexical_rules(m: &FileModel, out: &mut Vec<RawFinding>) {
                     out.push(RawFinding::new(line, Rule::L2));
                 }
             }
-            // `thread::spawn` and `available_parallelism`.
-            "spawn"
-                if k >= 3
-                    && punct_at(m, k - 1, ':')
-                    && punct_at(m, k - 2, ':')
-                    && m.tok(k - 3).is_ident("thread") =>
-            {
+            // `thread::spawn`, `available_parallelism`, and `s.spawn(`
+            // inside a `thread::scope(…)` call.
+            "spawn" if after_path("thread") => out.push(RawFinding::new(line, Rule::L3)),
+            "spawn" if k < scope_end && punct_at(m, k - 1, '.') && punct_at(m, k + 1, '(') => {
                 out.push(RawFinding::new(line, Rule::L3));
+            }
+            "scope" if after_path("thread") && punct_at(m, k + 1, '(') => {
+                scope_end = scope_end.max(matching_paren(m, k + 1));
             }
             "available_parallelism" => out.push(RawFinding::new(line, Rule::L3)),
             // `Instant::now`.
-            "now"
-                if k >= 3
-                    && punct_at(m, k - 1, ':')
-                    && punct_at(m, k - 2, ':')
-                    && m.tok(k - 3).is_ident("Instant") =>
-            {
-                out.push(RawFinding::new(line, Rule::L4));
-            }
-            // `<ident>_traced(…)` calls; definitions are allowed.
-            name if name.ends_with("_traced") && name != "_traced" => {
-                let is_def = k > 0 && m.tok(k - 1).is_ident("fn");
-                if punct_at(m, k + 1, '(') && !is_def {
-                    out.push(RawFinding::new(line, Rule::L5));
-                }
-            }
+            "now" if after_path("Instant") => out.push(RawFinding::new(line, Rule::L4)),
             _ => {}
         }
     }
@@ -127,108 +96,21 @@ fn punct_at(m: &FileModel, k: usize, c: char) -> bool {
     k < m.len() && m.tok(k).is_punct(c)
 }
 
-/// L7: iteration over identifiers bound to `HashMap`/`HashSet` in the
-/// same file (let bindings, struct fields, fn params — see
-/// [`unordered_bindings`]).
-fn unordered_iteration(m: &FileModel, out: &mut Vec<RawFinding>) {
-    let binders = unordered_bindings(m);
-    if binders.is_empty() {
-        return;
-    }
-    for k in 0..m.len() {
-        let t = m.tok(k);
-        if t.kind != TokenKind::Ident {
-            continue;
-        }
-        // `recv.iter()` / `recv.keys()` / …
-        if UNORDERED_ITER_METHODS.contains(&t.text.as_str())
-            && punct_at(m, k + 1, '(')
-            && k >= 2
-            && punct_at(m, k - 1, '.')
-            && m.tok(k - 2).kind == TokenKind::Ident
-            && binders.contains(&m.tok(k - 2).text)
-        {
-            out.push(RawFinding::with_note(
-                t.line,
-                Rule::L7,
-                format!(
-                    "`{}` is a HashMap/HashSet; route through onoc_ctx::sorted_entries \
-                     (or use a BTreeMap) so iteration order is deterministic",
-                    m.tok(k - 2).text
-                ),
-            ));
-        }
-        // `for pat in [&[mut]] recv {`
-        if t.is_ident("for") {
-            if let Some((recv_idx, recv)) = for_loop_receiver(m, k) {
-                if binders.contains(&recv) {
-                    out.push(RawFinding::with_note(
-                        m.tok(recv_idx).line,
-                        Rule::L7,
-                        format!(
-                            "`for … in {recv}` iterates a HashMap/HashSet in hasher order; \
-                             route through onoc_ctx::sorted_entries (or use a BTreeMap)"
-                        ),
-                    ));
-                }
+/// The index of the `)` matching the `(` at `open`, or the token count
+/// if the file ends first.
+fn matching_paren(m: &FileModel, open: usize) -> usize {
+    let mut depth = 0usize;
+    for k in open..m.len() {
+        if m.tok(k).is_punct('(') {
+            depth += 1;
+        } else if m.tok(k).is_punct(')') {
+            depth -= 1;
+            if depth == 0 {
+                return k;
             }
         }
     }
-}
-
-/// For a `for` keyword at `k`, finds the loop's source expression when
-/// it is a plain identifier (possibly `&`/`&mut`-borrowed) directly
-/// followed by the body brace.
-fn for_loop_receiver(m: &FileModel, k: usize) -> Option<(usize, String)> {
-    let mut j = k + 1;
-    let cap = (k + 16).min(m.len());
-    while j < cap && !m.tok(j).is_ident("in") {
-        j += 1;
-    }
-    if j >= cap {
-        return None;
-    }
-    let mut r = j + 1;
-    while r < m.len() && (m.tok(r).is_punct('&') || m.tok(r).is_ident("mut")) {
-        r += 1;
-    }
-    if r < m.len() && m.tok(r).kind == TokenKind::Ident && punct_at(m, r + 1, '{') {
-        return Some((r, m.tok(r).text.clone()));
-    }
-    None
-}
-
-/// Names bound to a `HashMap`/`HashSet` anywhere in the file: the
-/// binder of a type ascription (`name: …HashMap<…>`, incl. struct
-/// fields and fn params through `&`/`mut`/`Arc<Mutex<…>>` wrappers) or
-/// of an initializer (`name = HashMap::new()`).
-fn unordered_bindings(m: &FileModel) -> BTreeSet<String> {
-    let mut binders = BTreeSet::new();
-    for k in 0..m.len() {
-        let t = m.tok(k);
-        if t.kind != TokenKind::Ident || (t.text != "HashMap" && t.text != "HashSet") {
-            continue;
-        }
-        // Walk back (bounded) for `IDENT :` (single colon) or `IDENT =`.
-        let floor = k.saturating_sub(12);
-        let mut j = k;
-        while j > floor {
-            j -= 1;
-            let tj = m.tok(j);
-            if tj.is_punct(';') || tj.is_punct('{') || tj.is_punct('}') {
-                break;
-            }
-            if tj.kind == TokenKind::Ident && j + 2 < m.len() {
-                let single_colon = punct_at(m, j + 1, ':') && !punct_at(m, j + 2, ':');
-                let assign = punct_at(m, j + 1, '=');
-                if single_colon || assign {
-                    binders.insert(tj.text.clone());
-                    break;
-                }
-            }
-        }
-    }
-    binders
+    m.len()
 }
 
 /// L10: for every `impl Persist for T`, the persist body's field
@@ -417,32 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn unwrap_after_lock_is_l6_not_l1() {
-        assert_eq!(
-            raw("fn f() { let g = m.lock().unwrap(); }"),
-            vec![(1, Rule::L6)]
-        );
-        assert_eq!(
-            raw("fn f() { let g = m.lock().expect(\"\"); }"),
-            vec![(1, Rule::L6)]
-        );
-        assert_eq!(raw("fn f() { let v = o.unwrap(); }"), vec![(1, Rule::L1)]);
-        assert_eq!(
-            raw("fn f() { a.unwrap(); b.lock().unwrap(); }"),
-            vec![(1, Rule::L1), (1, Rule::L6)]
-        );
-    }
-
-    #[test]
-    fn unwrap_or_and_strings_are_not_flagged() {
-        assert!(
-            raw("fn f() { x.unwrap_or(0); x.unwrap_or_else(|| 0); x.expect_err(\"\"); }")
-                .is_empty()
-        );
-        assert!(raw("fn f() { log(\"do not .unwrap() here\"); } // .unwrap()").is_empty());
-    }
-
-    #[test]
     fn partial_cmp_calls_hit_but_definitions_do_not() {
         assert_eq!(raw("fn f() { a.partial_cmp(&b); }"), vec![(1, Rule::L2)]);
         assert_eq!(
@@ -453,7 +309,20 @@ mod tests {
     }
 
     #[test]
-    fn thread_instant_and_traced_patterns() {
+    fn unwrap_or_and_strings_are_not_flagged() {
+        // clippy owns unwrap/expect, so no token rule reports any unwrap
+        // form; rule tokens inside strings and comments never hit.
+        assert!(raw(
+            "fn f() { x.unwrap(); x.unwrap_or(0); x.unwrap_or_else(|| 0); x.expect(\"\"); }"
+        )
+        .is_empty());
+        assert!(raw("fn f() { log(\"do not .unwrap() here\"); } // .unwrap()").is_empty());
+        assert!(raw("fn f() { log(\"a.partial_cmp(&b)\"); } // a.partial_cmp(&b)").is_empty());
+        assert!(raw("fn f() { log(\"Instant::now()\"); } /* thread::spawn */").is_empty());
+    }
+
+    #[test]
+    fn thread_instant_and_scoped_spawn_patterns() {
         assert_eq!(
             raw("fn f() { std::thread::spawn(move || {}); }"),
             vec![(1, Rule::L3)]
@@ -466,63 +335,16 @@ mod tests {
             raw("fn f() { let t0 = Instant::now(); }"),
             vec![(1, Rule::L4)]
         );
-        assert_eq!(
-            raw("fn f() { let d = xring::synthesize_traced(&app); }"),
-            vec![(1, Rule::L5)]
-        );
-        assert!(raw("pub fn synthesize_traced(app: &G) {}").is_empty());
-    }
-
-    #[test]
-    fn l7_flags_iteration_not_lookup() {
-        let src = "\
+        let scoped = "\
 fn f() {
-    let mut load: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
-    load.entry(3).or_insert(0);
-    load.get(&3);
-    for (k, v) in &load {
-        use_it(k, v);
-    }
-    let total: usize = load.values().sum();
+    std::thread::scope(|scope| {
+        let h = scope.spawn(|| 1);
+        h.join()
+    });
+    child.spawn();
 }
 ";
-        assert_eq!(raw(src), vec![(5, Rule::L7), (8, Rule::L7)]);
-    }
-
-    #[test]
-    fn l7_sees_struct_fields_and_set_drains() {
-        let src = "\
-struct Registry {
-    by_name: HashMap<String, usize>,
-}
-impl Registry {
-    fn names(&self) -> Vec<String> {
-        self.by_name.keys().cloned().collect()
-    }
-}
-fn g(seen: &HashSet<usize>) {
-    for s in seen {
-        use_it(s);
-    }
-}
-";
-        assert_eq!(raw(src), vec![(6, Rule::L7), (10, Rule::L7)]);
-    }
-
-    #[test]
-    fn l7_ignores_vecs_and_btreemaps() {
-        let src = "\
-fn f() {
-    let xs: Vec<usize> = Vec::new();
-    for x in &xs {}
-    let m: BTreeMap<usize, usize> = BTreeMap::new();
-    for (k, v) in &m {
-        use_it(k, v);
-    }
-    xs.iter().count();
-}
-";
-        assert!(raw(src).is_empty());
+        assert_eq!(raw(scoped), vec![(3, Rule::L3)]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Inline suppression pragmas.
 //!
-//! A finding is suppressed by a pragma on the same line or on the run of
-//! comment-only lines directly above it:
+//! A finding is suppressed by a pragma in a plain `//` comment on the
+//! same line or on the run of comment-only lines directly above it:
 //!
 //! ```text
 //! // onoc-lint: allow(L2, reason = "PartialOrd impl must mirror f64 semantics")
@@ -9,9 +9,12 @@
 //! ```
 //!
 //! The reason is mandatory and must be non-empty: a suppression without a
-//! recorded justification is itself a lint error.
+//! recorded justification is itself a lint error. So is a pragma that
+//! names a retired rule, and (checked in [`crate::check_source`] and
+//! [`crate::run`]) one that suppresses no finding — the contract
+//! `unfulfilled_lint_expectations` gives `#[expect]`.
 
-use crate::rules::Rule;
+use crate::rules::{Rule, RETIRED};
 
 /// Marker that introduces a pragma inside a comment.
 pub const MARKER: &str = "onoc-lint:";
@@ -32,11 +35,15 @@ pub struct Pragma {
 /// # Errors
 ///
 /// Returns a diagnostic message when the comment contains the marker but
-/// the pragma is malformed (unknown rule, missing or empty reason,
-/// broken syntax) — malformed pragmas fail the lint run rather than
-/// silently suppressing nothing.
+/// the pragma is malformed (unknown or retired rule, missing or empty
+/// reason, broken syntax) — malformed pragmas fail the lint run rather
+/// than silently suppressing nothing. Doc comments (`///`, `//!`) never
+/// carry a pragma, so documentation may quote one.
 pub fn parse_pragmas(comment: &str) -> Result<Vec<Pragma>, String> {
     let mut out = Vec::new();
+    if comment.starts_with("///") || comment.starts_with("//!") {
+        return Ok(out);
+    }
     let mut rest = comment;
     while let Some(at) = rest.find(MARKER) {
         let tail = &rest[at + MARKER.len()..];
@@ -60,8 +67,17 @@ fn parse_one(tail: &str) -> Result<(Pragma, usize), String> {
         .find(',')
         .ok_or_else(|| "pragma is missing the mandatory `reason = \"…\"` part".to_string())?;
     let rule_token = body[..comma].trim();
-    let rule = Rule::parse(rule_token)
-        .ok_or_else(|| format!("unknown rule `{rule_token}` (expected L1–L10 or a rule slug)"))?;
+    if let Some((id, slug, now)) = RETIRED
+        .into_iter()
+        .find(|(id, slug, _)| rule_token == *id || rule_token == *slug)
+    {
+        return Err(format!(
+            "rule {id} ({slug}) is retired from onoc-lint; it is enforced by {now}"
+        ));
+    }
+    let rule = Rule::parse(rule_token).ok_or_else(|| {
+        format!("unknown rule `{rule_token}` (expected L2–L4, L8–L10 or a rule slug)")
+    })?;
 
     let after_comma = body[comma + 1..].trim_start();
     let reason_body = after_comma
@@ -125,9 +141,9 @@ mod tests {
 
     #[test]
     fn missing_reason_is_an_error() {
-        assert!(parse_pragmas("// onoc-lint: allow(L1)").is_err());
-        assert!(parse_pragmas("// onoc-lint: allow(L1, reason = \"\")").is_err());
-        assert!(parse_pragmas("// onoc-lint: allow(L1, reason = \"   \")").is_err());
+        assert!(parse_pragmas("// onoc-lint: allow(L2)").is_err());
+        assert!(parse_pragmas("// onoc-lint: allow(L2, reason = \"\")").is_err());
+        assert!(parse_pragmas("// onoc-lint: allow(L2, reason = \"   \")").is_err());
     }
 
     #[test]
@@ -138,9 +154,28 @@ mod tests {
     }
 
     #[test]
+    fn retired_rule_is_an_error() {
+        for token in ["L1", "no-unwrap", "L5", "L6", "unordered-iter"] {
+            let err = parse_pragmas(&format!("// onoc-lint: allow({token}, reason = \"x\")"));
+            assert!(format!("{err:?}").contains("retired"), "{token}: {err:?}");
+        }
+    }
+
+    #[test]
+    fn doc_comments_carry_no_pragma() {
+        let quoted = "onoc-lint: allow(L2, reason = \"x\")";
+        assert_eq!(parse_pragmas(&format!("/// {quoted}")), Ok(vec![]));
+        assert_eq!(parse_pragmas(&format!("//! // {quoted}")), Ok(vec![]));
+        assert_eq!(
+            parse_pragmas(&format!("// {quoted}")).map(|v| v.len()),
+            Ok(1)
+        );
+    }
+
+    #[test]
     fn two_pragmas_on_one_line() {
         let p = parse_pragmas(
-            "// onoc-lint: allow(L1, reason = \"a\") onoc-lint: allow(L4, reason = \"b\")",
+            "// onoc-lint: allow(L2, reason = \"a\") onoc-lint: allow(L4, reason = \"b\")",
         );
         assert_eq!(p.map(|v| v.len()), Ok(2));
     }

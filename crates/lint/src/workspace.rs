@@ -126,33 +126,6 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), LintError> {
     Ok(())
 }
 
-/// Walks upward from `start` to the first directory whose `Cargo.toml`
-/// declares a `[workspace]` — the lint root.
-///
-/// # Errors
-///
-/// Returns [`LintError::Config`] when no workspace manifest is found on
-/// the way to the filesystem root.
-pub fn find_root(start: &Path) -> Result<PathBuf, LintError> {
-    let mut dir = start.to_path_buf();
-    loop {
-        let manifest = dir.join("Cargo.toml");
-        if manifest.is_file() {
-            let text = fs::read_to_string(&manifest)
-                .map_err(|e| LintError::Io(format!("reading {}: {e}", manifest.display())))?;
-            if text.contains("[workspace]") {
-                return Ok(dir);
-            }
-        }
-        if !dir.pop() {
-            return Err(LintError::Config(format!(
-                "no workspace Cargo.toml found above {}",
-                start.display()
-            )));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,11 +1,10 @@
 //! End-to-end tests of the lint engine: fixture files with seeded
-//! violations, pragma placement, the ratchet baseline, and — last but
-//! most load-bearing — the real workspace linting clean against the
-//! checked-in `lint-baseline.toml`.
+//! violations, pragma placement and errors, and — last but most
+//! load-bearing — the real workspace linting clean, which is the gate
+//! `cargo test` runs.
 
-use onoc_lint::baseline::Baseline;
 use onoc_lint::rules::Rule;
-use onoc_lint::{check_source, load_baseline, run};
+use onoc_lint::{check_source, run};
 use std::path::{Path, PathBuf};
 
 const SEEDED: &str = include_str!("fixtures/seeded_violations.rs");
@@ -17,11 +16,18 @@ const CONCURRENCY: &str = include_str!("fixtures/concurrency.rs");
 /// Fixtures are checked as if they were library code.
 const LIB_PATH: &str = "crates/demo/src/lib.rs";
 
-fn findings_of(source: &str) -> Vec<(usize, Rule)> {
-    check_source(LIB_PATH, source)
+fn findings_at(path: &str, source: &str) -> Vec<(usize, Rule)> {
+    check_source(path, source)
         .findings
         .iter()
         .map(|f| (f.line, f.rule))
+        .collect()
+}
+
+fn rules_at(path: &str, source: &str) -> Vec<Rule> {
+    findings_at(path, source)
+        .into_iter()
+        .map(|(_, r)| r)
         .collect()
 }
 
@@ -29,14 +35,12 @@ fn findings_of(source: &str) -> Vec<(usize, Rule)> {
 fn every_rule_is_detected_once_in_the_seeded_fixture() {
     let report = check_source(LIB_PATH, SEEDED);
     assert_eq!(
-        findings_of(SEEDED),
+        findings_at(LIB_PATH, SEEDED),
         vec![
-            (8, Rule::L1),
-            (12, Rule::L2),
-            (16, Rule::L3),
-            (20, Rule::L4),
-            (24, Rule::L5),
-            (28, Rule::L6),
+            (8, Rule::L2),
+            (12, Rule::L3),
+            (17, Rule::L3),
+            (22, Rule::L4)
         ]
     );
     assert!(report.suppressed.is_empty());
@@ -45,30 +49,24 @@ fn every_rule_is_detected_once_in_the_seeded_fixture() {
 
 #[test]
 fn seeded_fixture_rules_shift_with_file_kind() {
-    // As a binary, the library-hygiene rules (L1, L4) drop out but the
-    // hard and concurrency rules stay.
-    let as_bin: Vec<Rule> = check_source("crates/demo/src/main.rs", SEEDED)
-        .findings
-        .iter()
-        .map(|f| f.rule)
-        .collect();
-    assert_eq!(as_bin, vec![Rule::L2, Rule::L3, Rule::L5, Rule::L6]);
-
+    // As a binary, L4 drops out but the hard and concurrency rules stay.
+    assert_eq!(
+        rules_at("crates/demo/src/main.rs", SEEDED),
+        vec![Rule::L2, Rule::L3, Rule::L3]
+    );
     // As an integration test, only the hard invariants remain.
-    let as_test: Vec<Rule> = check_source("tests/demo.rs", SEEDED)
-        .findings
-        .iter()
-        .map(|f| f.rule)
-        .collect();
-    assert_eq!(as_test, vec![Rule::L2, Rule::L5]);
+    assert_eq!(rules_at("tests/demo.rs", SEEDED), vec![Rule::L2]);
 }
 
 #[test]
 fn strings_comments_and_cfg_test_do_not_hide_or_invent_findings() {
     // Everything lexically hidden in strings/comments stays hidden; the
-    // two real findings (an L1 in library code, an L2 inside the test
+    // two real findings (an L4 in library code, an L2 inside the test
     // module) are found at their exact lines.
-    assert_eq!(findings_of(TRICKY), vec![(18, Rule::L1), (28, Rule::L2)]);
+    assert_eq!(
+        findings_at(LIB_PATH, TRICKY),
+        vec![(18, Rule::L4), (28, Rule::L2)]
+    );
 }
 
 #[test]
@@ -76,57 +74,51 @@ fn pragma_placement_suppresses_exactly_where_documented() {
     let report = check_source(LIB_PATH, PRAGMAS);
     let suppressed: Vec<(usize, Rule)> =
         report.suppressed.iter().map(|f| (f.line, f.rule)).collect();
-    assert_eq!(suppressed, vec![(6, Rule::L1), (13, Rule::L2)]);
+    assert_eq!(suppressed, vec![(6, Rule::L4), (13, Rule::L2)]);
 
     let violations: Vec<(usize, Rule)> = report.findings.iter().map(|f| (f.line, f.rule)).collect();
     assert_eq!(
         violations,
-        vec![(18, Rule::L1), (24, Rule::L1), (29, Rule::L1)]
+        vec![(18, Rule::L4), (24, Rule::L4), (29, Rule::L4)]
     );
 
-    assert_eq!(report.pragma_errors.len(), 1);
-    assert_eq!(report.pragma_errors[0].line, 28);
+    // One case per error kind: a pragma for the wrong rule and one cut
+    // off by code suppress nothing, one lacks its reason, one names a
+    // rule clippy owns now.
+    let errors: Vec<(usize, &str)> = report
+        .pragma_errors
+        .iter()
+        .map(|e| (e.line, e.message.as_str()))
+        .collect();
+    assert_eq!(errors.len(), 4, "{errors:?}");
+    for ((line, message), (want_line, want)) in errors.iter().zip([
+        (17, "suppresses no finding"),
+        (22, "suppresses no finding"),
+        (28, "reason"),
+        (33, "retired"),
+    ]) {
+        assert_eq!(*line, want_line);
+        assert!(message.contains(want), "line {line}: {message}");
+    }
 }
 
 #[test]
-fn determinism_fixture_flags_l7_and_l10_at_exact_lines() {
-    // In an output crate: both unordered iterations (a `for` loop over the
-    // map and an explicit `.iter()` on the set) plus the asymmetric
-    // `Persist` impl. The `.get()` lookup and the tuple-struct impl are
-    // clean.
-    let in_core: Vec<(usize, Rule)> = check_source("crates/core/src/demo.rs", DETERMINISM)
-        .findings
-        .iter()
-        .map(|f| (f.line, f.rule))
-        .collect();
+fn determinism_fixture_flags_l10_at_exact_lines() {
+    // The asymmetric `Persist` impl; the tuple-struct impl is clean.
     assert_eq!(
-        in_core,
-        vec![(7, Rule::L7), (14, Rule::L7), (26, Rule::L10)]
+        findings_at("crates/core/src/demo.rs", DETERMINISM),
+        vec![(9, Rule::L10)]
     );
-}
-
-#[test]
-fn l7_applies_only_to_output_crates_but_l10_applies_everywhere() {
-    // eval is not an output crate, so iteration-order nondeterminism is
-    // tolerated there — but codec symmetry is a hard invariant.
-    let in_eval: Vec<(usize, Rule)> = check_source("crates/eval/src/demo.rs", DETERMINISM)
-        .findings
-        .iter()
-        .map(|f| (f.line, f.rule))
-        .collect();
-    assert_eq!(in_eval, vec![(26, Rule::L10)]);
 }
 
 #[test]
 fn concurrency_fixture_flags_l8_and_l9_at_exact_lines() {
     // The nested second acquisition and the unchecked solver loop; the
     // scoped sequential locks and the deadline-checked loop are clean.
-    let in_core: Vec<(usize, Rule)> = check_source("crates/core/src/demo.rs", CONCURRENCY)
-        .findings
-        .iter()
-        .map(|f| (f.line, f.rule))
-        .collect();
-    assert_eq!(in_core, vec![(7, Rule::L8), (13, Rule::L9)]);
+    assert_eq!(
+        findings_at("crates/core/src/demo.rs", CONCURRENCY),
+        vec![(7, Rule::L8), (13, Rule::L9)]
+    );
 }
 
 #[test]
@@ -137,119 +129,95 @@ fn concurrency_rules_exempt_the_audited_ctx_paths() {
     assert!(in_ctx.findings.is_empty(), "{:?}", in_ctx.findings);
 }
 
-/// A throwaway single-member workspace on disk, for exercising `run`.
-struct ScratchWorkspace {
-    root: PathBuf,
-}
-
-impl ScratchWorkspace {
-    fn new(tag: &str, lib_source: &str) -> ScratchWorkspace {
-        let root = std::env::temp_dir().join(format!("onoc-lint-{tag}-{}", std::process::id()));
-        let src = root.join("member/src");
-        std::fs::create_dir_all(&src).unwrap();
-        std::fs::write(
-            root.join("Cargo.toml"),
-            "[workspace]\nmembers = [\"member\"]\n",
-        )
-        .unwrap();
-        std::fs::write(
-            root.join("member/Cargo.toml"),
-            "[package]\nname = \"member\"\n",
-        )
-        .unwrap();
-        std::fs::write(src.join("lib.rs"), lib_source).unwrap();
-        ScratchWorkspace { root }
-    }
-}
-
-impl Drop for ScratchWorkspace {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.root);
-    }
-}
-
-const TWO_UNWRAPS: &str =
-    "pub fn f(x: Option<u32>, y: Option<u32>) -> u32 {\n    x.unwrap() + y.unwrap()\n}\n";
-
-#[test]
-fn baseline_absorbs_exactly_its_count() {
-    let ws = ScratchWorkspace::new("exact", TWO_UNWRAPS);
-    let baseline =
-        Baseline::parse("[[allow]]\nrule = \"L1\"\nfile = \"member/src/lib.rs\"\ncount = 2\n")
-            .unwrap();
-    let outcome = run(&ws.root, &baseline).unwrap();
-    assert!(outcome.is_clean(), "stale: {:?}", outcome.stale);
-    assert_eq!(outcome.baselined.len(), 2);
-    assert_eq!(outcome.files, 1);
+/// The workspace root: `CARGO_MANIFEST_DIR` is `crates/lint`.
+fn workspace_root() -> PathBuf {
+    let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
+    manifest.join("../..")
 }
 
 #[test]
-fn exceeding_the_baseline_count_fails() {
-    let ws = ScratchWorkspace::new("over", TWO_UNWRAPS);
-    let baseline =
-        Baseline::parse("[[allow]]\nrule = \"L1\"\nfile = \"member/src/lib.rs\"\ncount = 1\n")
-            .unwrap();
-    let outcome = run(&ws.root, &baseline).unwrap();
-    assert!(!outcome.is_clean());
-    assert_eq!(outcome.violations.len(), 2);
-}
-
-#[test]
-fn the_baseline_is_a_ratchet_stale_counts_fail() {
-    // The file got better (2 findings, 3 allowed): the run must FAIL
-    // until the baseline is shrunk, so debt cannot silently regrow.
-    let ws = ScratchWorkspace::new("stale", TWO_UNWRAPS);
-    let baseline =
-        Baseline::parse("[[allow]]\nrule = \"L1\"\nfile = \"member/src/lib.rs\"\ncount = 3\n")
-            .unwrap();
-    let outcome = run(&ws.root, &baseline).unwrap();
-    assert!(!outcome.is_clean());
-    assert!(outcome.violations.is_empty());
-    assert!(
-        outcome.stale[0].contains("ratchets down"),
-        "{:?}",
-        outcome.stale
-    );
-
-    // An entry for a file with no findings at all is stale too.
-    let ws2 = ScratchWorkspace::new("gone", "pub fn ok() {}\n");
-    let baseline =
-        Baseline::parse("[[allow]]\nrule = \"L1\"\nfile = \"member/src/lib.rs\"\ncount = 1\n")
-            .unwrap();
-    let outcome = run(&ws2.root, &baseline).unwrap();
-    assert!(!outcome.is_clean());
-    assert!(
-        outcome.stale[0].contains("delete the entry"),
-        "{:?}",
-        outcome.stale
-    );
-}
-
-#[test]
-fn the_real_workspace_lints_clean_against_the_checked_in_baseline() {
-    // CARGO_MANIFEST_DIR = crates/lint; the workspace root is two up.
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .map(Path::to_path_buf)
-        .unwrap();
-    let baseline = load_baseline(&root.join("lint-baseline.toml")).unwrap();
-    assert!(
-        baseline.entries.len() <= 50,
-        "the baseline must keep shrinking, not growing: {} entries",
-        baseline.entries.len()
-    );
-    let outcome = run(&root, &baseline).unwrap();
-    let report: Vec<String> = outcome
-        .violations
+fn the_real_workspace_lints_clean() {
+    let report = run(&workspace_root()).unwrap();
+    let problems: Vec<String> = report
+        .findings
         .iter()
         .map(ToString::to_string)
-        .chain(outcome.pragma_errors.iter().map(ToString::to_string))
-        .chain(outcome.stale.iter().cloned())
+        .chain(report.pragma_errors.iter().map(ToString::to_string))
         .collect();
     assert!(
-        outcome.is_clean(),
+        report.is_clean(),
         "onoc-lint is not clean:\n{}",
-        report.join("\n")
+        problems.join("\n")
     );
+}
+
+/// The crates whose bytes are outputs, where iteration order must not
+/// leak into results.
+const OUTPUT_CRATES: [&str; 6] = ["core", "graph", "layout", "milp", "store", "served"];
+
+/// Every library crate root but the bench harness's, each with the lint
+/// list of its `#![warn(clippy::..)]` line (empty if it has none).
+fn library_roots_and_warned_lints() -> Vec<(PathBuf, String)> {
+    let root = workspace_root();
+    let mut roots = vec![root.join("src/lib.rs")];
+    for entry in std::fs::read_dir(root.join("crates")).unwrap() {
+        let dir = entry.unwrap().path();
+        if dir.join("src/lib.rs").is_file() && !dir.ends_with("bench") {
+            roots.push(dir.join("src/lib.rs"));
+        }
+    }
+    assert!(roots.len() >= 15, "{roots:?}");
+    roots
+        .into_iter()
+        .map(|lib| {
+            let text = std::fs::read_to_string(&lib).unwrap();
+            let warned = text
+                .lines()
+                .find(|l| l.starts_with("#![warn(clippy::"))
+                .unwrap_or_default()
+                .to_owned();
+            (lib, warned)
+        })
+        .collect()
+}
+
+#[test]
+fn library_crate_roots_enable_the_clippy_rules() {
+    // clippy enforces L1 and L6 only where a crate root asks it to:
+    // unwrap_used/expect_used in every library crate but the bench harness.
+    for (lib, warned) in library_roots_and_warned_lints() {
+        for lint in ["clippy::unwrap_used", "clippy::expect_used"] {
+            assert!(warned.contains(lint), "{} lacks {lint}", lib.display());
+        }
+    }
+}
+
+#[test]
+fn l7_applies_only_to_output_crates_but_l10_applies_everywhere() {
+    // L7 is clippy::iter_over_hash_type, switched on at exactly the roots
+    // of the output crates; elsewhere iteration-order nondeterminism is
+    // tolerated.
+    for (lib, warned) in library_roots_and_warned_lints() {
+        let is_output = OUTPUT_CRATES
+            .iter()
+            .any(|c| lib.ends_with(format!("crates/{c}/src/lib.rs")));
+        assert_eq!(
+            warned.contains("clippy::iter_over_hash_type"),
+            is_output,
+            "{}",
+            lib.display()
+        );
+    }
+    // Codec symmetry is a hard invariant, so L10 holds in every crate.
+    for path in [
+        "crates/eval/src/demo.rs",
+        "crates/sim/src/demo.rs",
+        "src/demo.rs",
+    ] {
+        assert_eq!(
+            findings_at(path, DETERMINISM),
+            vec![(9, Rule::L10)],
+            "{path}"
+        );
+    }
 }

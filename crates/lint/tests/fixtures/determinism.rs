@@ -1,22 +1,5 @@
-//! Fixture: seeded determinism violations (L7, L10) at exact lines.
+//! Fixture: a seeded determinism violation (L10) at an exact line.
 #![allow(dead_code)]
-use std::collections::{HashMap, HashSet};
-
-pub fn total_load(load: &HashMap<usize, usize>) -> usize {
-    let mut sum = 0;
-    for (_key, value) in load {
-        sum += value;
-    }
-    sum
-}
-
-pub fn names(seen: &HashSet<String>) -> Vec<String> {
-    seen.iter().cloned().collect()
-}
-
-pub fn safe_lookup(load: &HashMap<usize, usize>) -> usize {
-    *load.get(&3).unwrap_or(&0)
-}
 
 struct Point {
     x: f64,

@@ -1,9 +1,9 @@
-//! Lint fixture: pragma placement and malformedness. Not compiled (see
-//! seeded_violations.rs). Line numbers are asserted exactly by
+//! Lint fixture: pragma placement and every pragma error. Not compiled
+//! (see seeded_violations.rs). Line numbers are asserted exactly by
 //! tests/engine.rs.
 
-pub fn same_line(x: Option<u32>) -> u32 {
-    x.unwrap() // onoc-lint: allow(L1, reason = "fixture: same-line pragma")
+pub fn same_line() -> Instant {
+    Instant::now() // onoc-lint: allow(L4, reason = "fixture: same-line pragma")
 }
 
 pub fn comment_above(a: f64, b: f64) -> std::cmp::Ordering {
@@ -13,18 +13,23 @@ pub fn comment_above(a: f64, b: f64) -> std::cmp::Ordering {
     a.partial_cmp(&b).unwrap_or(std::cmp::Ordering::Equal)
 }
 
-pub fn wrong_rule(x: Option<u32>) -> u32 {
-    // onoc-lint: allow(L2, reason = "fixture: wrong rule, does not cover L1")
-    x.unwrap() // line 18: still a violation
+pub fn wrong_rule() -> Instant {
+    // onoc-lint: allow(L2, reason = "fixture: wrong rule, does not cover L4")
+    Instant::now() // line 18: still a violation; line 17 suppresses nothing
 }
 
-pub fn interrupted_run(x: Option<u32>) -> u32 {
-    // onoc-lint: allow(L1, reason = "fixture: code intervenes, pragma does not reach")
+pub fn interrupted_run() -> Instant {
+    // onoc-lint: allow(L4, reason = "fixture: code intervenes, pragma does not reach")
     let _ = 1;
-    x.unwrap() // line 24: still a violation
+    Instant::now() // line 24: still a violation; line 22 suppresses nothing
 }
 
-pub fn malformed(x: Option<u32>) -> u32 {
-    // onoc-lint: allow(L1) -- line 28: missing reason, malformed
-    x.unwrap() // line 29: violation (malformed pragma suppresses nothing)
+pub fn malformed() -> Instant {
+    // onoc-lint: allow(L4) -- line 28: missing reason, malformed
+    Instant::now() // line 29: violation (malformed pragma suppresses nothing)
+}
+
+pub fn retired(x: Option<u32>) -> u32 {
+    // onoc-lint: allow(L1, reason = "line 33: clippy owns unwraps now")
+    x.unwrap()
 }

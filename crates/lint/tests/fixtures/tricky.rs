@@ -4,25 +4,25 @@
 //! asserted exactly by tests/engine.rs.
 
 pub fn strings_and_comments() {
-    // x.unwrap() in a line comment is fine
+    // Instant::now() in a line comment is fine
     /* and a.partial_cmp(&b) in a block comment
        /* even nested: thread::spawn */
        is fine too */
-    let _doc = "calling .unwrap() inside a string literal";
-    let _raw = r#"raw string with .expect("msg") and Instant::now()"#;
+    let _doc = "calling Instant::now() inside a string literal";
+    let _raw = r#"raw string with thread::spawn("msg") and Instant::now()"#;
     let _multi = "a string that spans
-        two lines mentioning synthesize_traced( calls";
+        two lines mentioning available_parallelism( calls";
     let _lifetime: &'static str = "lifetimes are not char literals";
     let _ch = '"'; // a quote char literal must not open a string
     let _esc = "escaped quote \" then .partial_cmp( stays inside";
-    real_finding().unwrap(); // line 18: the one real L1 here
+    let _t = Instant::now(); // line 18: the one real L4 here
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
-    fn unwraps_in_tests_are_fine() {
-        super::real_finding().unwrap(); // L1 exempt inside cfg(test)
+    fn timing_and_threads_in_tests_are_fine() {
+        let _ = std::thread::spawn(|| {}); // L3 exempt inside cfg(test)
         let _ = std::time::Instant::now(); // L4 exempt inside cfg(test)
         // but L2 still applies in test code:
         let _ = 1.0_f64.partial_cmp(&2.0); // line 28: L2

@@ -125,12 +125,14 @@ impl Model {
     /// # Panics
     ///
     /// Never panics: binary bounds `[0, 1]` are always valid.
+    #[expect(clippy::expect_used, reason = "binary bounds [0, 1] are always valid")]
     pub fn add_binary(&mut self, name: impl Into<String>) -> Var {
         self.add_var(VarType::Binary, 0.0, 1.0, name)
             .expect("binary bounds are valid")
     }
 
     /// Adds a non-negative continuous variable with no upper bound.
+    #[expect(clippy::expect_used, reason = "bounds [0, inf) are always valid")]
     pub fn add_continuous(&mut self, name: impl Into<String>) -> Var {
         self.add_var(VarType::Continuous, 0.0, f64::INFINITY, name)
             .expect("non-negative bounds are valid")

@@ -109,6 +109,10 @@ pub fn analyze_crosstalk(design: &RouterDesign, tech: &TechnologyParameters) -> 
     for (i, victim) in design.paths().iter().enumerate() {
         // The victim's detector sits at the end of its last occupied
         // channel.
+        #[expect(
+            clippy::expect_used,
+            reason = "validation rejects designs with an empty path occupancy"
+        )]
         let last_channel = *victim
             .occupancy
             .last()

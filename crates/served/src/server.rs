@@ -576,7 +576,6 @@ fn run_job(
         Ok(()) => execute_workload(shared, &job.spec, &ctx),
     };
 
-    // onoc-lint: allow(L4, reason = "run-latency measurement for the job's metrics record")
     let run_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
     let report = trace.report();
     let trace_json = report.to_json();

@@ -42,6 +42,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub use milp_solver as milp;
 pub use onoc_baselines as baselines;
