@@ -48,7 +48,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::iter_over_hash_type)]
 
 pub mod common;
 pub mod ctoring;

@@ -2,11 +2,11 @@
 //! and figure of the SRing paper.
 //!
 //! The `table1`, `table2`, `fig7` and `fig8` binaries print the paper's
-//! rows/series next to the paper's published values; the Criterion benches
-//! in `benches/` time the underlying pipelines.
+//! rows/series next to the paper's published values.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::iter_over_hash_type)]
 
 use onoc_ctx::ExecCtx;
 use onoc_graph::benchmarks::Benchmark;

@@ -457,13 +457,6 @@ enum SelectionCriterion {
     TightestFirst,
 }
 
-/// Appends `v` and its position — the identity *and* geometry a
-/// construction unit sees for one node.
-fn hash_node(graph: &CommGraph, v: NodeId, hasher: &mut ContentHasher) {
-    hasher.write_usize(v.index());
-    graph.position(v).content_hash(hasher);
-}
-
 /// Memo key for [`grow_intra`]: the growth is a pure function of the
 /// initial vertex, the unclustered set (with positions), the messages
 /// restricted to that set (its neighbor, affinity, and path evaluations
@@ -472,64 +465,141 @@ fn hash_node(graph: &CommGraph, v: NodeId, hasher: &mut ContentHasher) {
 /// [`memoized`]).
 fn grow_key(
     graph: &CommGraph,
+    ev: &mut RingEval,
     initial: NodeId,
     unclustered: &BTreeSet<NodeId>,
     size_cap: usize,
 ) -> ContentKey {
-    let mut hasher = ContentHasher::new();
-    hasher.write_usize(initial.index());
-    hasher.write_usize(size_cap);
-    hasher.write_usize(unclustered.len());
+    let mut key = KeyFold::new();
+    key.word(initial.index() as u64);
+    key.word(size_cap as u64);
+    key.word(unclustered.len() as u64);
     for &v in unclustered {
-        hash_node(graph, v, &mut hasher);
+        key.node(ev, v);
+        ev.inside[v.index()] = true;
     }
     for m in graph.messages() {
-        if unclustered.contains(&m.src) && unclustered.contains(&m.dst) {
-            hasher.write_usize(m.src.index());
-            hasher.write_usize(m.dst.index());
+        if ev.inside[m.src.index()] && ev.inside[m.dst.index()] {
+            key.word(m.src.index() as u64);
+            key.word(m.dst.index() as u64);
         }
     }
-    hasher.finish()
+    for &v in unclustered {
+        ev.inside[v.index()] = false;
+    }
+    key.finish()
 }
 
 /// Memo key for [`improve_cycle`]: the refinement depends on the cycle's
 /// visiting order, the message list it scores (in order, with endpoint
 /// positions), and the bound, which is left out as in [`grow_key`].
-fn refine_key(graph: &CommGraph, cycle: &Cycle, messages: &[(NodeId, NodeId)]) -> ContentKey {
-    let mut hasher = ContentHasher::new();
-    hasher.write_usize(cycle.len());
+fn refine_key(ev: &RingEval, cycle: &Cycle, messages: &[(NodeId, NodeId)]) -> ContentKey {
+    let mut key = KeyFold::new();
+    key.word(cycle.len() as u64);
     for &v in cycle.nodes() {
-        hash_node(graph, v, &mut hasher);
+        key.node(ev, v);
     }
-    hasher.write_usize(messages.len());
-    for &(s, d) in messages {
-        hash_node(graph, s, &mut hasher);
-        hash_node(graph, d, &mut hasher);
-    }
-    hasher.finish()
+    key.messages(ev, messages);
+    key.finish()
 }
 
 /// Memo key for [`grow_inter`]: the initial vertex, the full `v_inter`
 /// list (with positions), the cross-cluster messages, and the bound,
 /// which is left out as in [`grow_key`].
 fn inter_key(
-    graph: &CommGraph,
+    ev: &RingEval,
     initial: NodeId,
     v_inter: &[NodeId],
     inter_messages: &[(NodeId, NodeId)],
 ) -> ContentKey {
-    let mut hasher = ContentHasher::new();
-    hasher.write_usize(initial.index());
-    hasher.write_usize(v_inter.len());
+    let mut key = KeyFold::new();
+    key.word(initial.index() as u64);
+    key.word(v_inter.len() as u64);
     for &v in v_inter {
-        hash_node(graph, v, &mut hasher);
+        key.node(ev, v);
     }
-    hasher.write_usize(inter_messages.len());
-    for &(s, d) in inter_messages {
-        hash_node(graph, s, &mut hasher);
-        hash_node(graph, d, &mut hasher);
+    key.messages(ev, inter_messages);
+    key.finish()
+}
+
+/// The word-at-a-time 128-bit hasher behind the memo keys. Each lane
+/// absorbs a word as `h = m(h ^ w)`, where `m` (an odd multiply, then an
+/// xor-shift) is a bijection, so two streams that differ in exactly one
+/// word always differ in both lanes. A node enters as the two words of
+/// its per-run digest ([`RingEval::digests`]), so a key costs O(unit)
+/// word folds however large the graph. Memo keys live only in the
+/// in-memory memo tier; nothing persisted is keyed this way.
+struct KeyFold {
+    lo: u64,
+    hi: u64,
+}
+
+impl KeyFold {
+    fn new() -> Self {
+        KeyFold {
+            lo: 0x243f_6a88_85a3_08d3,
+            hi: 0x1319_8a2e_0370_7344,
+        }
     }
-    hasher.finish()
+
+    fn word(&mut self, w: u64) {
+        let lo = (self.lo ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.lo = lo ^ (lo >> 29);
+        let hi = (self.hi ^ w).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        self.hi = hi ^ (hi >> 31);
+    }
+
+    /// Folds `v`: its index and position, as its digest.
+    fn node(&mut self, ev: &RingEval, v: NodeId) {
+        let [a, b] = ev.digests[v.index()].0;
+        self.word(a);
+        self.word(b);
+    }
+
+    /// Folds a message list: its length, then both endpoints of each
+    /// message in order.
+    fn messages(&mut self, ev: &RingEval, messages: &[(NodeId, NodeId)]) {
+        self.word(messages.len() as u64);
+        for &(s, d) in messages {
+            self.node(ev, s);
+            self.node(ev, d);
+        }
+    }
+
+    fn finish(&self) -> ContentKey {
+        ContentKey([self.lo, self.hi])
+    }
+}
+
+/// The three memoized construction units of a clustering pass.
+#[derive(Debug, Clone, Copy)]
+enum MemoUnit {
+    Grow,
+    Refine,
+    Inter,
+}
+
+impl MemoUnit {
+    const ALL: [MemoUnit; 3] = [MemoUnit::Grow, MemoUnit::Refine, MemoUnit::Inter];
+
+    /// The unit's name in the memo tier and its `memo/{unit}/...`
+    /// counters.
+    fn name(self) -> &'static str {
+        match self {
+            MemoUnit::Grow => "cluster_grow",
+            MemoUnit::Refine => "cluster_refine",
+            MemoUnit::Inter => "cluster_inter",
+        }
+    }
+
+    /// The span a miss recomputes the unit under.
+    fn phase(self) -> &'static str {
+        match self {
+            MemoUnit::Grow => "grow",
+            MemoUnit::Refine => "refine",
+            MemoUnit::Inter => "inter",
+        }
+    }
 }
 
 /// Serves one pure construction unit from the memo tier of `ctx`, or runs
@@ -545,7 +615,8 @@ fn inter_key(
 /// without a memo tier; an error (a deadline) returns before the put, so
 /// it is never memoized. Keying, lookup and put are timed into
 /// [`RingEval::memo_time`] when tracing is on, since no unit span covers
-/// them.
+/// them, and each lookup is tallied in [`RingEval::lookups`]; both reach
+/// the trace once per run ([`RingEval::record`]).
 ///
 /// Extending a list reads it and stores a longer copy, so two workers
 /// sharing the memo tier can race and lose one of the two appended pairs.
@@ -554,17 +625,18 @@ fn inter_key(
 fn memoized<T: Clone + Send + Sync + 'static>(
     ctx: &ExecCtx,
     ev: &mut RingEval,
-    (unit, phase): (&'static str, &str),
+    unit: MemoUnit,
     bound: f64,
-    key: impl FnOnce() -> ContentKey,
+    key: impl FnOnce(&mut RingEval) -> ContentKey,
     compute: impl FnOnce(&mut RingEval, &mut Exact) -> Result<T, ClusterError>,
 ) -> Result<T, ClusterError> {
     let watch = ctx.trace().stopwatch();
-    let key = key();
-    let found = ctx.memo_get(unit, key, |list: &Arc<Vec<(Exact, T)>>| {
+    let key = key(ev);
+    let found = ctx.memo_select(unit.name(), key, |list: &Arc<Vec<(Exact, T)>>| {
         let admitted = list.iter().find(|(exact, _)| exact.admits(bound));
         admitted.map(|(_, hit)| hit.clone())
     });
+    ev.lookups[unit as usize][usize::from(found.is_err())] += 1;
     ev.memo_time += watch.elapsed();
     let stored = match found {
         Ok(hit) => return Ok(hit),
@@ -572,14 +644,14 @@ fn memoized<T: Clone + Send + Sync + 'static>(
     };
     let mut exact = Exact::ALL;
     let value = {
-        let _span = ctx.trace().span(phase);
+        let _span = ctx.trace().span(unit.phase());
         compute(ev, &mut exact)?
     };
     debug_assert!(exact.admits(bound), "{exact:?} must admit {bound}");
     let watch = ctx.trace().stopwatch();
     let mut list = stored.map_or_else(Vec::new, |list| Vec::clone(&list));
     list.push((exact, value.clone()));
-    ctx.memo_put(unit, key, list);
+    ctx.memo_put(unit.name(), key, list);
     ev.memo_time += watch.elapsed();
     Ok(value)
 }
@@ -714,9 +786,9 @@ fn cluster_pass(
         memoized(
             ctx,
             ev,
-            ("cluster_grow", "grow"),
+            MemoUnit::Grow,
             l_max,
-            || grow_key(graph, initial, unclustered, size_cap),
+            |ev| grow_key(graph, ev, initial, unclustered, size_cap),
             |ev, exact| grow_intra(graph, ev, initial, unclustered, l_max, size_cap, exact),
         )
     };
@@ -724,9 +796,9 @@ fn cluster_pass(
         memoized(
             ctx,
             ev,
-            ("cluster_refine", "refine"),
+            MemoUnit::Refine,
             l_max,
-            || refine_key(graph, cycle, messages),
+            |ev| refine_key(ev, cycle, messages),
             |ev, exact| improve_cycle(ev, cycle, messages, l_max, ctx, exact),
         )
     };
@@ -738,9 +810,9 @@ fn cluster_pass(
         memoized(
             ctx,
             ev,
-            ("cluster_inter", "inter"),
+            MemoUnit::Inter,
             bound,
-            || inter_key(graph, initial, v_inter, inter_messages),
+            |ev| inter_key(ev, initial, v_inter, inter_messages),
             |ev, exact| grow_inter(ev, initial, v_inter, inter_messages, bound, exact),
         )
     };
@@ -977,6 +1049,14 @@ struct RingEval {
     evals: u64,
     /// Evaluations abandoned on their bound (`cluster/ring_evals_cut`).
     cut: u64,
+    /// Per-node memo key digests: a [`ContentHasher`] over the node's
+    /// index and canonicalised position.
+    digests: Vec<ContentKey>,
+    /// Scratch membership marks for [`grow_key`]; all `false` between
+    /// calls.
+    inside: Vec<bool>,
+    /// Memo `[hits, misses]` per [`MemoUnit`], reported once per run.
+    lookups: [[u64; 2]; 3],
     /// Time spent keying, looking up and storing memo entries; counted
     /// only when tracing is on (the `memo` phase of the clustering span).
     memo_time: Duration,
@@ -989,6 +1069,12 @@ impl RingEval {
         for a in graph.node_ids() {
             dist.extend(graph.node_ids().map(|b| graph.manhattan(a, b).0));
         }
+        let digest = |v: NodeId| {
+            let mut hasher = ContentHasher::new();
+            hasher.write_usize(v.index());
+            graph.position(v).content_hash(&mut hasher);
+            hasher.finish()
+        };
         RingEval {
             n,
             dist,
@@ -999,6 +1085,9 @@ impl RingEval {
             msg_ends: Vec::new(),
             evals: 0,
             cut: 0,
+            digests: graph.node_ids().map(digest).collect(),
+            inside: vec![false; n],
+            lookups: [[0; 2]; 3],
             memo_time: Duration::ZERO,
         }
     }
@@ -1009,6 +1098,10 @@ impl RingEval {
         trace.incr("cluster/ring_evals", self.evals);
         trace.incr("cluster/ring_evals_cut", self.cut);
         trace.add_time("memo", self.memo_time, 1);
+        for unit in MemoUnit::ALL {
+            let [hits, misses] = self.lookups[unit as usize];
+            ctx.count_memo_lookups(unit.name(), hits, misses);
+        }
     }
 
     /// Manhattan distance between two nodes of the graph.
@@ -1731,6 +1824,141 @@ mod tests {
         let cut = report.counter("cluster/ring_evals_cut").unwrap_or(0);
         assert!(0 < cut && cut <= evals, "{cut} of {evals} evaluations cut");
         assert_eq!(report.phase("memo").map(|p| p.calls), Some(1));
+    }
+
+    #[test]
+    fn memo_lookups_are_pinned() {
+        // `memo/cluster_{grow,refine,inter}/{hits,misses}` of one
+        // memo-backed run, in `MemoUnit::ALL` order: a key change that
+        // merged or split memo entries would move them.
+        let pinned = [
+            (
+                benchmarks::Benchmark::Mwd,
+                [(1_929, 178), (409, 22), (701, 97)],
+            ),
+            (
+                benchmarks::Benchmark::Pm8x32,
+                [(1_241, 91), (591, 21), (1_588, 112)],
+            ),
+        ];
+        for (b, want) in pinned {
+            let trace = onoc_trace::Trace::new();
+            let ctx = ExecCtx::cached().with_trace(trace.clone());
+            cluster_ctx(&b.graph(), &config(), &ctx).unwrap();
+            let report = trace.report();
+            let count = |unit: MemoUnit, outcome: &str| {
+                report
+                    .counter(&format!("memo/{}/{outcome}", unit.name()))
+                    .unwrap_or(0)
+            };
+            let got = MemoUnit::ALL.map(|unit| (count(unit, "hits"), count(unit, "misses")));
+            assert_eq!(got, want, "{b}");
+            let (hits, misses) = want
+                .iter()
+                .fold((0, 0), |(h, m), &(uh, um)| (h + uh, m + um));
+            assert_eq!(report.counter("memo/hits"), Some(hits), "{b}");
+            assert_eq!(report.counter("memo/misses"), Some(misses), "{b}");
+        }
+    }
+
+    /// `g` rebuilt node by node, with `moved` (if any) at a new position
+    /// and the messages `extra` appended.
+    fn rebuilt(
+        g: &CommGraph,
+        moved: Option<(NodeId, onoc_graph::Point)>,
+        extra: &[(NodeId, NodeId)],
+    ) -> CommGraph {
+        let mut b = CommGraph::builder().name(g.name());
+        for v in g.node_ids() {
+            let at = moved
+                .filter(|&(m, _)| m == v)
+                .map_or(g.position(v), |(_, p)| p);
+            b = b.node(g.node_name(v), at);
+        }
+        for m in g
+            .messages()
+            .iter()
+            .map(|m| (m.src, m.dst))
+            .chain(extra.iter().copied())
+        {
+            b = b.message(m.0, m.1);
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn memo_keys_cover_exactly_their_unit() {
+        let g = benchmarks::mwd();
+        let n = g.node_count();
+        let unit: BTreeSet<NodeId> = (0..6).map(NodeId).collect();
+        let grow = |g: &CommGraph| grow_key(g, &mut RingEval::new(g), NodeId(0), &unit, n);
+        let base = grow(&g);
+        assert_eq!(grow(&rebuilt(&g, None, &[])), base);
+        assert_ne!(
+            grow_key(&g, &mut RingEval::new(&g), NodeId(1), &unit, n),
+            base
+        );
+        assert_ne!(
+            grow_key(&g, &mut RingEval::new(&g), NodeId(0), &unit, n - 1),
+            base
+        );
+
+        // Moving a node of U changes the key; moving one outside it does not.
+        let shifted = |v: usize| {
+            let p = g.position(NodeId(v));
+            Some((NodeId(v), onoc_graph::Point { x: p.x + 0.5, ..p }))
+        };
+        assert_ne!(grow(&rebuilt(&g, shifted(3), &[])), base);
+        assert_eq!(grow(&rebuilt(&g, shifted(9), &[])), base);
+
+        // A message with an endpoint outside U leaves the key as it is; a
+        // new one inside U changes it.
+        let absent = |inside_dst: bool| {
+            let dsts: Vec<NodeId> = g
+                .node_ids()
+                .filter(|v| unit.contains(v) == inside_dst)
+                .collect();
+            let taken =
+                |s: NodeId, d: NodeId| g.messages().iter().any(|m| (m.src, m.dst) == (s, d));
+            unit.iter()
+                .flat_map(|&s| dsts.iter().map(move |&d| (s, d)))
+                .find(|&(s, d)| s != d && !taken(s, d))
+                .unwrap()
+        };
+        assert_eq!(grow(&rebuilt(&g, None, &[absent(false)])), base);
+        assert_ne!(grow(&rebuilt(&g, None, &[absent(true)])), base);
+
+        // Reversing a cycle changes the refinement key.
+        let ev = RingEval::new(&g);
+        let cycle = Cycle::new(unit.iter().copied().collect()).unwrap();
+        let on: Vec<(NodeId, NodeId)> = g
+            .messages()
+            .iter()
+            .map(|m| (m.src, m.dst))
+            .filter(|(s, d)| unit.contains(s) && unit.contains(d))
+            .collect();
+        assert!(!on.is_empty());
+        let refine = refine_key(&ev, &cycle, &on);
+        assert_ne!(refine_key(&ev, &cycle.reversed(), &on), refine);
+        let nodes: Vec<NodeId> = unit.iter().copied().collect();
+        let inter = inter_key(&ev, NodeId(0), &nodes, &on);
+        assert_ne!(inter, refine, "the keys hash different inputs");
+
+        // The same unit in MWD after a retarget outside U keys the same.
+        let (id, s, d) = g
+            .message_ids()
+            .map(|id| (id, g.message(id)))
+            .find(|(_, m)| !unit.contains(&m.src) && !unit.contains(&m.dst))
+            .map(|(id, m)| (g.stable_id(id), m.dst, m.src))
+            .unwrap();
+        let retargeted = g
+            .apply_delta(&onoc_graph::CommDelta::Retarget { id, src: s, dst: d })
+            .unwrap();
+        assert_ne!(retargeted.messages(), g.messages());
+        let ev2 = RingEval::new(&retargeted);
+        assert_eq!(grow(&retargeted), base);
+        assert_eq!(refine_key(&ev2, &cycle, &on), refine);
+        assert_eq!(inter_key(&ev2, NodeId(0), &nodes, &on), inter);
     }
 
     #[test]

@@ -46,7 +46,7 @@ use crate::assignment::{
 use crate::cluster::{cluster_ctx, Cluster, Clustering, ClusteringConfig};
 use crate::synthesis::{SringConfig, SringError};
 use onoc_ctx::{ContentHash, ContentHasher, ContentKey, ExecCtx};
-use onoc_graph::{CommGraph, NodeId};
+use onoc_graph::{CommGraph, Message, NodeId};
 use onoc_layout::{Cycle, Layout, RoutedWaveguide, WaveguideId};
 use onoc_photonics::{insertion_loss, PathGeometry, SignalPath};
 use onoc_store::Persist;
@@ -446,6 +446,97 @@ struct Candidate {
     is_inter: bool,
 }
 
+impl RouteStage<'_> {
+    /// The candidate routes of the messages `indices`, homed on cluster
+    /// `home`'s intra ring, or on the inter ring for `None`.
+    fn build_unit(&self, indices: &[usize], home: Option<usize>) -> Vec<Vec<Candidate>> {
+        let messages = self.app.messages();
+        indices
+            .iter()
+            .map(|&i| self.candidates(&messages[i], home))
+            .collect()
+    }
+
+    /// The candidate routes of `msg`: its home ring's route, plus (with
+    /// flexible routing) the inter ring's whenever both endpoints of an
+    /// intra-homed message lie on it.
+    fn candidates(&self, msg: &Message, home: Option<usize>) -> Vec<Candidate> {
+        let layout = &self.layout.layout;
+        let inter_wg = self.layout.inter_wg;
+        let inter_ring = self.clustering.inter_ring.as_ref();
+        let mut options = Vec::with_capacity(2);
+        let Some(c) = home else {
+            #[expect(
+                clippy::expect_used,
+                reason = "cross-cluster messages imply a routed inter ring"
+            )]
+            let wg = inter_wg.expect("cross-cluster messages imply an inter ring");
+            #[expect(
+                clippy::expect_used,
+                reason = "cross-cluster messages imply an inter ring"
+            )]
+            let ring = inter_ring.expect("cross-cluster messages imply an inter ring");
+            options.push(build_candidate(layout, wg, ring, msg.src, msg.dst, true));
+            return options;
+        };
+        #[expect(
+            clippy::expect_used,
+            reason = "same-cluster messages imply a multi-node, ringed cluster"
+        )]
+        let ring = self.clustering.clusters[c]
+            .ring
+            .as_ref()
+            .expect("a same-cluster message implies a multi-node cluster");
+        #[expect(
+            clippy::expect_used,
+            reason = "the rings of multi-node clusters are all routed"
+        )]
+        let wg = self.layout.intra_wg[c].expect("multi-node clusters are routed");
+        options.push(build_candidate(layout, wg, ring, msg.src, msg.dst, false));
+        if let (true, Some(wg), Some(ring)) = (self.config.flexible_routing, inter_wg, inter_ring) {
+            if ring.contains(msg.src) && ring.contains(msg.dst) {
+                options.push(build_candidate(layout, wg, ring, msg.src, msg.dst, true));
+            }
+        }
+        options
+    }
+}
+
+/// The candidate route of `src → dst` along `cycle`, which `layout` routes
+/// as waveguide `wg`.
+fn build_candidate(
+    layout: &Layout,
+    wg: WaveguideId,
+    cycle: &Cycle,
+    src: NodeId,
+    dst: NodeId,
+    is_inter: bool,
+) -> Candidate {
+    #[expect(
+        clippy::expect_used,
+        reason = "candidates are built only on rings that hold both message endpoints"
+    )]
+    let range = cycle
+        .path_segments(src, dst)
+        .expect("message endpoints lie on the chosen ring");
+    let routed = layout.waveguide(wg);
+    let mut geometry = PathGeometry::new();
+    let mut occupancy = Vec::with_capacity(range.len());
+    for seg in range.iter() {
+        let g = routed.segment(seg);
+        geometry.length += g.length;
+        geometry.bends += g.bends;
+        occupancy.push((wg, seg));
+    }
+    geometry.crossings = layout.path_crossings(wg, &range);
+    Candidate {
+        wg,
+        occupancy,
+        geometry,
+        is_inter,
+    }
+}
+
 impl Stage for RouteStage<'_> {
     type Output = RouteArtifact;
 
@@ -460,44 +551,6 @@ impl Stage for RouteStage<'_> {
     fn run(&self, ctx: &ExecCtx) -> Result<RouteArtifact, SringError> {
         let app = self.app;
         let clustering = self.clustering;
-        let layout = &self.layout.layout;
-        let intra_wg = &self.layout.intra_wg;
-        let inter_wg = self.layout.inter_wg;
-
-        // Candidate routes per message: the cluster ring for same-cluster
-        // messages, the inter ring for cross-cluster ones, and (with
-        // flexible routing) the inter ring as an alternative whenever both
-        // endpoints happen to lie on it.
-        let build_candidate = |wg: WaveguideId,
-                               cycle: &onoc_layout::Cycle,
-                               src: NodeId,
-                               dst: NodeId,
-                               is_inter: bool|
-         -> Candidate {
-            #[expect(
-                clippy::expect_used,
-                reason = "candidates are built only on rings that hold both message endpoints"
-            )]
-            let range = cycle
-                .path_segments(src, dst)
-                .expect("message endpoints lie on the chosen ring");
-            let routed = layout.waveguide(wg);
-            let mut geometry = PathGeometry::new();
-            let mut occupancy = Vec::with_capacity(range.len());
-            for seg in range.iter() {
-                let g = routed.segment(seg);
-                geometry.length += g.length;
-                geometry.bends += g.bends;
-                occupancy.push((wg, seg));
-            }
-            geometry.crossings = layout.path_crossings(wg, &range);
-            Candidate {
-                wg,
-                occupancy,
-                geometry,
-                is_inter,
-            }
-        };
 
         // Messages grouped by home sub-ring: same-cluster messages belong
         // to their cluster's intra ring, cross-cluster messages to the
@@ -534,70 +587,6 @@ impl Stage for RouteStage<'_> {
             }
             hasher.finish()
         };
-        let build_unit = |indices: &[usize], home: Option<usize>| -> Vec<Vec<Candidate>> {
-            indices
-                .iter()
-                .map(|&i| {
-                    let msg = &messages[i];
-                    let mut options = Vec::with_capacity(2);
-                    match home {
-                        Some(c) => {
-                            #[expect(
-                                clippy::expect_used,
-                                reason = "same-cluster messages imply a multi-node, ringed cluster"
-                            )]
-                            let ring = clustering.clusters[c]
-                                .ring
-                                .as_ref()
-                                .expect("a same-cluster message implies a multi-node cluster");
-                            options.push(build_candidate(
-                                #[expect(
-                                    clippy::expect_used,
-                                    reason = "the rings of multi-node clusters are all routed"
-                                )]
-                                intra_wg[c].expect("multi-node clusters are routed"),
-                                ring,
-                                msg.src,
-                                msg.dst,
-                                false,
-                            ));
-                            if self.config.flexible_routing {
-                                if let (Some(wg), Some(ring)) =
-                                    (inter_wg, clustering.inter_ring.as_ref())
-                                {
-                                    if ring.contains(msg.src) && ring.contains(msg.dst) {
-                                        options.push(build_candidate(
-                                            wg, ring, msg.src, msg.dst, true,
-                                        ));
-                                    }
-                                }
-                            }
-                        }
-                        None => {
-                            options.push(build_candidate(
-                                #[expect(
-                                    clippy::expect_used,
-                                    reason = "cross-cluster messages imply a routed inter ring"
-                                )]
-                                inter_wg.expect("cross-cluster messages imply an inter ring"),
-                                #[expect(
-                                    clippy::expect_used,
-                                    reason = "cross-cluster messages imply an inter ring"
-                                )]
-                                clustering
-                                    .inter_ring
-                                    .as_ref()
-                                    .expect("cross-cluster messages imply an inter ring"),
-                                msg.src,
-                                msg.dst,
-                                true,
-                            ));
-                        }
-                    }
-                    options
-                })
-                .collect()
-        };
         let unit_memo = |indices: &[usize],
                          home: Option<usize>,
                          tag: u8,
@@ -609,7 +598,7 @@ impl Stage for RouteStage<'_> {
             }) {
                 return hit;
             }
-            let unit = build_unit(indices, home);
+            let unit = self.build_unit(indices, home);
             ctx.memo_put("route_ring", key, unit.clone());
             unit
         };

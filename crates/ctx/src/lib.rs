@@ -27,7 +27,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::iter_over_hash_type)]
 
 use onoc_trace::{lock_or_recover, Trace};
 use std::any::Any;
@@ -812,7 +812,8 @@ impl ExecCtx {
             return Ok(None);
         };
         let hit = cache.get_as::<T>(stage, key)?;
-        self.count_lookup("cache", stage, hit.is_some());
+        let hits = u64::from(hit.is_some());
+        self.count_lookups("cache", stage, hits, 1 - hits);
         Ok(hit)
     }
 
@@ -854,24 +855,54 @@ impl ExecCtx {
         key: ContentKey,
         select: impl FnOnce(&Arc<T>) -> Option<R>,
     ) -> Result<R, Option<Arc<T>>> {
-        let Some(memo) = &self.memo else {
-            return Err(None);
-        };
-        let found = memo.select_as(unit, key, select).unwrap_or(Err(None));
-        self.count_lookup("memo", unit, found.is_ok());
+        let found = self.memo_select(unit, key, select);
+        let hits = u64::from(found.is_ok());
+        self.count_memo_lookups(unit, hits, 1 - hits);
         found
     }
 
-    /// Counts one `tier` lookup for `stage` as `{tier}/hits` and
-    /// `{tier}/{stage}/hits` (or `misses`). The per-stage name is only
-    /// built when tracing is on, so an untraced lookup allocates nothing.
-    fn count_lookup(&self, tier: &str, stage: &str, hit: bool) {
+    /// [`ExecCtx::memo_get`] without the trace counters, for a caller
+    /// that tallies its own lookups and reports them in one
+    /// [`ExecCtx::count_memo_lookups`] call, which yields the same
+    /// counters as one `memo_get` per lookup would.
+    ///
+    /// # Errors
+    ///
+    /// `Err` is a miss, not a failure: it carries the stored entry, if any.
+    pub fn memo_select<T: Send + Sync + 'static, R>(
+        &self,
+        unit: &'static str,
+        key: ContentKey,
+        select: impl FnOnce(&Arc<T>) -> Option<R>,
+    ) -> Result<R, Option<Arc<T>>> {
+        let Some(memo) = &self.memo else {
+            return Err(None);
+        };
+        memo.select_as(unit, key, select).unwrap_or(Err(None))
+    }
+
+    /// Counts `hits` and `misses` memo lookups of `unit`, as
+    /// [`ExecCtx::memo_get`] counts one. Silent without a memo tier.
+    pub fn count_memo_lookups(&self, unit: &str, hits: u64, misses: u64) {
+        if self.memo.is_some() {
+            self.count_lookups("memo", unit, hits, misses);
+        }
+    }
+
+    /// Adds `tier` lookups for `stage` to `{tier}/hits` and
+    /// `{tier}/{stage}/hits` (and likewise `misses`); a zero count leaves
+    /// its counters untouched. The per-stage names are only built when
+    /// tracing is on, so an untraced lookup allocates nothing.
+    fn count_lookups(&self, tier: &str, stage: &str, hits: u64, misses: u64) {
         if !self.trace.is_enabled() {
             return;
         }
-        let outcome = if hit { "hits" } else { "misses" };
-        self.trace.incr(&format!("{tier}/{outcome}"), 1);
-        self.trace.incr(&format!("{tier}/{stage}/{outcome}"), 1);
+        for (outcome, count) in [("hits", hits), ("misses", misses)] {
+            if count > 0 {
+                self.trace.incr(&format!("{tier}/{outcome}"), count);
+                self.trace.incr(&format!("{tier}/{stage}/{outcome}"), count);
+            }
+        }
     }
 
     /// Stores a typed memo entry under `(unit, key)` and returns the
@@ -1193,6 +1224,44 @@ mod tests {
             }
             snapshotter.join().unwrap();
         });
+    }
+
+    #[test]
+    fn tallied_memo_lookups_count_as_memo_get_does() {
+        let (per_lookup, tallied) = (Trace::new(), Trace::new());
+        let ctx = |trace: &Trace| {
+            ExecCtx::new()
+                .with_memo(Arc::new(ArtifactCache::new(16)))
+                .with_trace(trace.clone())
+        };
+        let (a, b) = (ctx(&per_lookup), ctx(&tallied));
+        let key = ContentKey([1, 2]);
+        a.memo_put("unit", key, 7u32);
+        b.memo_put("unit", key, 7u32);
+        let (mut hits, mut misses) = (0, 0);
+        for k in [key, ContentKey([3, 4]), key] {
+            let _ = a.memo_get("unit", k, |v: &Arc<u32>| Some(**v));
+            match b.memo_select("unit", k, |v: &Arc<u32>| Some(**v)) {
+                Ok(_) => hits += 1,
+                Err(_) => misses += 1,
+            }
+        }
+        assert_eq!(
+            tallied.report(),
+            onoc_trace::TraceReport::default(),
+            "select counts nothing"
+        );
+        b.count_memo_lookups("unit", hits, misses);
+        b.count_memo_lookups("idle", 0, 0);
+        assert_eq!(tallied.report(), per_lookup.report());
+        assert_eq!(tallied.report().counter("memo/unit/hits"), Some(2));
+        assert_eq!(tallied.report().counter("memo/unit/misses"), Some(1));
+        // Without a memo tier, lookups are silent misses.
+        let silent = Trace::new();
+        ExecCtx::new()
+            .with_trace(silent.clone())
+            .count_memo_lookups("unit", 1, 1);
+        assert_eq!(silent.report(), onoc_trace::TraceReport::default());
     }
 
     #[test]

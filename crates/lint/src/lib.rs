@@ -22,7 +22,7 @@
 //! The gate is the `the_real_workspace_lints_clean` test, which
 //! `cargo test` runs. DESIGN.md §12 has the full policy.
 
-#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::iter_over_hash_type)]
 
 pub mod callgraph;
 pub mod checks;

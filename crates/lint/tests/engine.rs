@@ -151,22 +151,18 @@ fn the_real_workspace_lints_clean() {
     );
 }
 
-/// The crates whose bytes are outputs, where iteration order must not
-/// leak into results.
-const OUTPUT_CRATES: [&str; 6] = ["core", "graph", "layout", "milp", "store", "served"];
-
-/// Every library crate root but the bench harness's, each with the lint
-/// list of its `#![warn(clippy::..)]` line (empty if it has none).
+/// Every library crate root, each with the lint list of its first
+/// `#![warn(clippy::..)]` line (empty if it has none).
 fn library_roots_and_warned_lints() -> Vec<(PathBuf, String)> {
     let root = workspace_root();
     let mut roots = vec![root.join("src/lib.rs")];
     for entry in std::fs::read_dir(root.join("crates")).unwrap() {
         let dir = entry.unwrap().path();
-        if dir.join("src/lib.rs").is_file() && !dir.ends_with("bench") {
+        if dir.join("src/lib.rs").is_file() {
             roots.push(dir.join("src/lib.rs"));
         }
     }
-    assert!(roots.len() >= 15, "{roots:?}");
+    assert!(roots.len() >= 16, "{roots:?}");
     roots
         .into_iter()
         .map(|lib| {
@@ -185,7 +181,11 @@ fn library_roots_and_warned_lints() -> Vec<(PathBuf, String)> {
 fn library_crate_roots_enable_the_clippy_rules() {
     // clippy enforces L1 and L6 only where a crate root asks it to:
     // unwrap_used/expect_used in every library crate but the bench harness.
-    for (lib, warned) in library_roots_and_warned_lints() {
+    let roots = library_roots_and_warned_lints();
+    let library = roots
+        .iter()
+        .filter(|(lib, _)| !lib.ends_with("crates/bench/src/lib.rs"));
+    for (lib, warned) in library {
         for lint in ["clippy::unwrap_used", "clippy::expect_used"] {
             assert!(warned.contains(lint), "{} lacks {lint}", lib.display());
         }
@@ -193,18 +193,14 @@ fn library_crate_roots_enable_the_clippy_rules() {
 }
 
 #[test]
-fn l7_applies_only_to_output_crates_but_l10_applies_everywhere() {
-    // L7 is clippy::iter_over_hash_type, switched on at exactly the roots
-    // of the output crates; elsewhere iteration-order nondeterminism is
-    // tolerated.
+fn l7_and_l10_apply_to_every_crate() {
+    // L7 is clippy::iter_over_hash_type, switched on at every library
+    // crate root (the bench harness's too): hash order must not reach a
+    // report any crate returns.
     for (lib, warned) in library_roots_and_warned_lints() {
-        let is_output = OUTPUT_CRATES
-            .iter()
-            .any(|c| lib.ends_with(format!("crates/{c}/src/lib.rs")));
-        assert_eq!(
+        assert!(
             warned.contains("clippy::iter_over_hash_type"),
-            is_output,
-            "{}",
+            "{} lacks clippy::iter_over_hash_type",
             lib.display()
         );
     }

@@ -11,7 +11,7 @@ use crate::timing::PROPAGATION_DELAY_PS_PER_MM;
 use onoc_graph::MessageId;
 use onoc_photonics::RouterDesign;
 use onoc_units::Wavelength;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Simulation parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,7 +106,8 @@ pub struct SimReport {
     pub delivered: usize,
     /// Channel-interval overlaps detected (0 for any valid design).
     pub collisions: usize,
-    /// The colliding message pairs, if any.
+    /// The colliding message pairs, if any, each as `(lower, higher)`
+    /// and sorted, so equal inputs give an equal report.
     pub collision_pairs: Vec<(MessageId, MessageId)>,
     /// Arrival time of the last bit of the last delivery, picoseconds.
     pub makespan_ps: f64,
@@ -198,9 +199,9 @@ pub fn simulate_with_wavelengths(
 
     // Collision: same channel, same wavelength, overlapping interval,
     // different messages.
-    let mut collision_pairs = Vec::new();
-    let mut colliding: std::collections::BTreeSet<MessageId> = std::collections::BTreeSet::new();
-    let mut by_channel: HashMap<(usize, usize), Vec<usize>> = HashMap::new();
+    let mut collision_pairs = BTreeSet::new();
+    let mut colliding: BTreeSet<MessageId> = BTreeSet::new();
+    let mut by_channel: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
     for (i, iv) in intervals.iter().enumerate() {
         by_channel.entry(iv.channel).or_default().push(i);
     }
@@ -218,9 +219,7 @@ pub fn simulate_with_wavelengths(
                     } else {
                         (y.message, x.message)
                     };
-                    if !collision_pairs.contains(&pair) {
-                        collision_pairs.push(pair);
-                    }
+                    collision_pairs.insert(pair);
                     colliding.insert(x.message);
                     colliding.insert(y.message);
                 }
@@ -250,7 +249,7 @@ pub fn simulate_with_wavelengths(
     SimReport {
         delivered,
         collisions: collision_pairs.len(),
-        collision_pairs,
+        collision_pairs: collision_pairs.into_iter().collect(),
         makespan_ps: makespan,
         goodput_gbps,
     }
@@ -301,6 +300,31 @@ mod tests {
         assert!(report.collisions > 0, "sabotage must be detected");
         assert!(report.delivered < design.paths().len());
         assert!(!report.collision_pairs.is_empty());
+    }
+
+    #[test]
+    fn collision_pairs_come_out_sorted_and_stable() {
+        let design = &designs()[0];
+        let broken = vec![Wavelength(0); design.paths().len()];
+        let schedule = TransmissionSchedule::all_at_once(design, 4096);
+        // On one wavelength at once, every channel two paths share collides.
+        let mut users: BTreeMap<_, usize> = BTreeMap::new();
+        for path in design.paths() {
+            for &channel in &path.occupancy {
+                *users.entry(channel).or_default() += 1;
+            }
+        }
+        let shared = users.values().filter(|&&n| n >= 2).count();
+        assert!(shared >= 6, "collisions on only {shared} channels");
+        let run = || simulate_with_wavelengths(design, &schedule, &SimConfig::default(), &broken);
+        let first = run();
+        let pairs = &first.collision_pairs;
+        assert!(pairs.len() > 1);
+        assert!(pairs.iter().all(|(a, b)| a < b), "{pairs:?}");
+        assert!(pairs.windows(2).all(|w| w[0] < w[1]), "{pairs:?}");
+        for _ in 0..8 {
+            assert_eq!(run(), first);
+        }
     }
 
     #[test]

@@ -41,7 +41,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::iter_over_hash_type)]
 
 pub mod json;
 pub mod report;
@@ -212,16 +212,16 @@ impl Trace {
     /// matter which thread or span recorded them).
     pub fn incr(&self, name: &str, delta: u64) {
         if let Some(registry) = &self.registry {
-            let mut registry = lock_or_recover(registry);
-            *registry.counters.entry(name.to_string()).or_insert(0) += delta;
+            update(&mut lock_or_recover(registry).counters, name, |c| {
+                *c += delta
+            });
         }
     }
 
     /// Sets the gauge named `name` (last write wins).
     pub fn gauge(&self, name: &str, value: f64) {
         if let Some(registry) = &self.registry {
-            let mut registry = lock_or_recover(registry);
-            registry.gauges.insert(name.to_string(), value);
+            update(&mut lock_or_recover(registry).gauges, name, |g| *g = value);
         }
     }
 
@@ -244,11 +244,21 @@ impl Trace {
 }
 
 fn record(registry: &Mutex<Registry>, path: &str, elapsed: Duration, calls: u64) {
-    let mut registry = lock_or_recover(registry);
-    let stat = registry.phases.entry(path.to_string()).or_default();
-    stat.calls += calls;
-    stat.total += elapsed;
-    stat.max = stat.max.max(elapsed);
+    update(&mut lock_or_recover(registry).phases, path, |stat| {
+        stat.calls += calls;
+        stat.total += elapsed;
+        stat.max = stat.max.max(elapsed);
+    });
+}
+
+/// Applies `f` to the registry entry under `name` (a counter, gauge or
+/// phase), inserted as the default on first use. Only that first insert
+/// allocates the owned key.
+fn update<V: Default>(map: &mut BTreeMap<String, V>, name: &str, f: impl FnOnce(&mut V)) {
+    match map.get_mut(name) {
+        Some(value) => f(value),
+        None => f(map.entry(name.to_owned()).or_default()),
+    }
 }
 
 /// A running timer from [`Trace::stopwatch`]; on a disabled trace it

@@ -42,7 +42,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(clippy::unwrap_used, clippy::expect_used)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::iter_over_hash_type)]
 
 pub use milp_solver as milp;
 pub use onoc_baselines as baselines;
