@@ -730,10 +730,11 @@ impl Round {
         }
     }
 
-    /// The better direction and longest path of the loaded trial when it
+    /// The better direction and longest path of the evaluator's candidate
+    /// inserted after base position `p` ([`RingEval::insertion`]) when it
     /// keeps the bound; `None` when it fails the bound or was abandoned.
-    fn trial(&mut self, ev: &mut RingEval, messages: &[(NodeId, NodeId)]) -> Option<(bool, f64)> {
-        let l = match ev.orientation(messages, self.cutoff) {
+    fn trial(&mut self, ev: &mut RingEval, p: usize) -> Option<(bool, f64)> {
+        let l = match ev.insertion(p, self.cutoff) {
             Ok((reversed, l)) if l <= self.l_max + 1e-12 => return Some((reversed, l)),
             Ok((_, l)) | Err(l) => l,
         };
@@ -1024,7 +1025,16 @@ const ABSENT: usize = usize::MAX;
 /// because the Manhattan distance is bitwise symmetric. Once the buffers
 /// have grown, loading and scoring an order allocate nothing.
 ///
-/// Both scorers take a bound from the caller and abandon a trial as soon
+/// Growth trials (one node inserted into a ring) are scored against a
+/// *base* ring instead, set once per greedy round ([`RingEval::set_base`]):
+/// its folds of the first `k` segments from each position, in both
+/// directions, are tabled, and a trial path reuses the fold of the part
+/// before the insertion and adds the rest in travel order. A left fold
+/// that extends a cached left fold makes the same additions in the same
+/// order, so [`RingEval::insertion`] is bit-identical to loading the trial
+/// order and calling [`RingEval::orientation`].
+///
+/// Every scorer takes a bound from the caller and abandons a trial as soon
 /// as the messages walked so far prove it cannot pass the caller's test
 /// (see [`RingEval::orientation`] and [`RingEval::score`]). A trial that
 /// is not abandoned makes the same additions in the same order as an
@@ -1045,6 +1055,20 @@ struct RingEval {
     diff: Vec<isize>,
     /// End positions of the on-ring messages [`RingEval::score`] walks.
     msg_ends: Vec<(usize, usize)>,
+    /// The base ring's segment lengths twice over, so that a walk of up
+    /// to `l` segments from any position needs no wrap.
+    twice: Vec<f64>,
+    /// `ahead[i * l + k]` = the fold of the first `k < l` base segments
+    /// from position `i` onward, `seg[i] + seg[i + 1] + …`.
+    ahead: Vec<f64>,
+    /// `behind[i * l + k]` = the fold of the first `k < l` base segments
+    /// before position `i`, walking backward: `seg[i − 1] + seg[i − 2] + …`.
+    behind: Vec<f64>,
+    /// The node [`RingEval::insertion`] inserts into the base ring.
+    x: NodeId,
+    /// End positions of the messages with both ends on the base ring or
+    /// `x`, in message order; position `l` (the base length) stands for `x`.
+    x_ends: Vec<(usize, usize)>,
     /// Orders evaluated so far (the `cluster/ring_evals` counter).
     evals: u64,
     /// Evaluations abandoned on their bound (`cluster/ring_evals_cut`).
@@ -1083,6 +1107,11 @@ impl RingEval {
             seg: Vec::new(),
             diff: Vec::new(),
             msg_ends: Vec::new(),
+            twice: Vec::new(),
+            ahead: Vec::new(),
+            behind: Vec::new(),
+            x: NodeId(0),
+            x_ends: Vec::new(),
             evals: 0,
             cut: 0,
             digests: graph.node_ids().map(digest).collect(),
@@ -1112,6 +1141,12 @@ impl RingEval {
     /// Makes `order` (at least two distinct nodes) the ring under
     /// evaluation.
     fn load(&mut self, order: &[NodeId]) {
+        self.place(order);
+        self.evals += 1;
+    }
+
+    /// Fills the position and segment buffers for `order`.
+    fn place(&mut self, order: &[NodeId]) {
         for &v in &self.order {
             self.pos[v.index()] = ABSENT;
         }
@@ -1123,7 +1158,109 @@ impl RingEval {
             let next = order[(k + 1) % order.len()];
             self.seg.push(self.d(v, next));
         }
+    }
+
+    /// Makes `ring` (at least two distinct nodes) the base that
+    /// [`RingEval::insertion`] inserts into, and tables its folds. Not an
+    /// evaluation: only the trials are counted.
+    fn set_base(&mut self, ring: &[NodeId]) {
+        self.place(ring);
+        let l = ring.len();
+        self.twice.clear();
+        self.twice.extend_from_slice(&self.seg);
+        self.twice.extend_from_slice(&self.seg);
+        for table in [&mut self.ahead, &mut self.behind] {
+            table.clear();
+            table.resize(l * l, empty_sum());
+        }
+        for i in 0..l {
+            for k in 1..l {
+                self.ahead[i * l + k] = self.ahead[i * l + k - 1] + self.twice[i + k - 1];
+                self.behind[i * l + k] = self.behind[i * l + k - 1] + self.twice[i + l - k];
+            }
+        }
+    }
+
+    /// Makes `x` (a node off the base ring) the node the next trials
+    /// insert, and lists the ends of `messages` with both ends on the base
+    /// ring or `x`: exactly the messages that [`RingEval::orientation`]
+    /// would not skip on a trial order.
+    fn candidate(&mut self, x: NodeId, messages: &[(NodeId, NodeId)]) {
+        debug_assert_eq!(self.pos[x.index()], ABSENT, "{x} is on the base ring");
+        let (l, pos) = (self.seg.len(), &self.pos);
+        let at = |v: NodeId| if v == x { l } else { pos[v.index()] };
+        self.x = x;
+        self.x_ends.clear();
+        self.x_ends.extend(messages.iter().filter_map(|&(s, d)| {
+            let (i, j) = (at(s), at(d));
+            (i != ABSENT && j != ABSENT).then_some((i, j))
+        }));
+    }
+
+    /// [`RingEval::orientation`] of the candidate's messages on the base
+    /// ring with the candidate inserted after position `p`, bit for bit,
+    /// counters included, without loading that order.
+    fn insertion(&mut self, p: usize, cutoff: f64) -> Result<(bool, f64), f64> {
         self.evals += 1;
+        let l = self.seg.len();
+        let next = if p + 1 == l { 0 } else { p + 1 };
+        let a = self.d(self.order[p], self.x);
+        let b = self.d(self.x, self.order[next]);
+        let paths = self
+            .x_ends
+            .iter()
+            .map(|&(i, j)| self.inserted(i, j, p, a, b));
+        let out = longest_paths(paths, cutoff);
+        self.cut += u64::from(out.is_err());
+        out
+    }
+
+    /// Forward and reverse lengths from position `i` to position `j` of
+    /// the base ring with `x` (position `l`) inserted after position `p`,
+    /// where `a = d(base[p], x)` and `b = d(x, base[p + 1])`. A path adds
+    /// in travel order: a tabled fold up to the insertion, then `a` and `b`
+    /// (forward) or `b` and `a` (reverse), then the segments after it.
+    fn inserted(&self, i: usize, j: usize, p: usize, a: f64, b: f64) -> (f64, f64) {
+        let l = self.seg.len();
+        // Segments from position `from` forward to position `to`.
+        let steps = |from: usize, to: usize| if to >= from { to - from } else { to + l - from };
+        // The `c` segments after the insertion, forward and backward.
+        let tail = |acc: f64, c: usize| self.twice[p + 1..p + 1 + c].iter().fold(acc, |s, g| s + g);
+        let tail_back = |acc: f64, c: usize| {
+            self.twice[p + l - c..p + l]
+                .iter()
+                .rev()
+                .fold(acc, |s, g| s + g)
+        };
+        if i == j {
+            (f64::INFINITY, f64::INFINITY)
+        } else if i == l {
+            (
+                tail(empty_sum() + b, steps(p + 1, j)),
+                tail_back(empty_sum() + a, steps(j, p)),
+            )
+        } else if j == l {
+            (
+                self.ahead[i * l + steps(i, p)] + a,
+                self.behind[i * l + steps(p + 1, i)] + b,
+            )
+        } else {
+            // `k` segments on the base ring, the first `t` of them before
+            // segment `p`: the path crosses the insertion when `t < k`.
+            let (k, t) = (steps(i, j), steps(i, p));
+            let f = if t < k {
+                tail(self.ahead[i * l + t] + a + b, k - t - 1)
+            } else {
+                self.ahead[i * l + k]
+            };
+            let (k, t) = (steps(j, i), steps(p + 1, i));
+            let r = if t < k {
+                tail_back(self.behind[i * l + t] + b + a, k - t - 1)
+            } else {
+                self.behind[i * l + k]
+            };
+            (f, r)
+        }
     }
 
     /// Positions of a message's endpoints on the loaded order; `None`
@@ -1169,28 +1306,17 @@ impl RingEval {
         messages: &[(NodeId, NodeId)],
         cutoff: f64,
     ) -> Result<(bool, f64), f64> {
-        let (mut fwd, mut rev) = (0.0f64, 0.0f64);
-        for &(s, d) in messages {
-            let Some((i, j)) = self.ends(s, d) else {
-                continue;
-            };
-            let (f, r) = if i == j {
+        let paths = messages.iter().filter_map(|&(s, d)| {
+            let (i, j) = self.ends(s, d)?;
+            Some(if i == j {
                 (f64::INFINITY, f64::INFINITY)
             } else {
                 (self.forward(i, j), self.backward(i, j))
-            };
-            fwd = fwd.max(f);
-            rev = rev.max(r);
-            if fwd.min(rev) > cutoff {
-                self.cut += 1;
-                return Err(fwd.min(rev));
-            }
-        }
-        Ok(if rev < fwd - 1e-12 {
-            (true, rev)
-        } else {
-            (false, fwd)
-        })
+            })
+        });
+        let out = longest_paths(paths, cutoff);
+        self.cut += u64::from(out.is_err());
+        out
     }
 
     /// [`RingEval::orientation`] with no bound, so never abandoned.
@@ -1275,6 +1401,33 @@ impl RingEval {
         let proxy = congestion.max(1) as f64 * 10f64.powf(longest / 10.0);
         Some((proxy, longest, total))
     }
+}
+
+/// The better direction of a ring for its on-ring messages' `(forward,
+/// reverse)` path lengths, in message order: whether it is the reverse one
+/// (only when shorter by more than 1e-12), and its longest path. `Err`
+/// once `min(fwd, rev)` of the running maxima exceeds `cutoff`, carrying
+/// that minimum; the remaining lengths are then never computed.
+fn longest_paths(paths: impl Iterator<Item = (f64, f64)>, cutoff: f64) -> Result<(bool, f64), f64> {
+    let (mut fwd, mut rev) = (0.0f64, 0.0f64);
+    for (f, r) in paths {
+        fwd = fwd.max(f);
+        rev = rev.max(r);
+        if fwd.min(rev) > cutoff {
+            return Err(fwd.min(rev));
+        }
+    }
+    Ok(if rev < fwd - 1e-12 {
+        (true, rev)
+    } else {
+        (false, fwd)
+    })
+}
+
+/// The value `Iterator::<f64>::sum` starts from, so that a fold the
+/// evaluator tables or extends adds exactly what that sum adds.
+fn empty_sum() -> f64 {
+    std::iter::empty::<&f64>().sum()
 }
 
 /// The largest `c` with `c - base <= 1e-12` in floating point. Rounding
@@ -1485,10 +1638,11 @@ fn grow_intra(
     let mut longest = ev.unbounded_orientation(&msgs).1;
 
     let mut is_candidate = vec![false; n];
-    let (mut segs, mut trial) = (Vec::new(), Vec::new());
+    let mut segs = Vec::new();
     // Bounded: every round absorbs one node or breaks on an empty
     // candidate set, capped at size_cap.
     while members.len() < size_cap {
+        ev.set_base(&ring);
         // Candidates: unvisited communication partners of any member.
         is_candidate.fill(false);
         for &m in &members {
@@ -1516,13 +1670,10 @@ fn grow_intra(
             in_cluster[x.index()] = true;
             intra_messages(&in_cluster, &mut msgs);
             in_cluster[x.index()] = false;
+            ev.candidate(x, &msgs);
             candidate_segments(&ring, x, &|a, b| ev.d(a, b), 8, &mut segs);
             for &(_, seg) in &segs {
-                trial.clear();
-                trial.extend_from_slice(&ring);
-                trial.insert(seg + 1, x);
-                ev.load(&trial);
-                let Some((reversed, l)) = round.trial(ev, &msgs) else {
+                let Some((reversed, l)) = round.trial(ev, seg) else {
                     continue;
                 };
                 let better = match &best {
@@ -1598,20 +1749,20 @@ fn grow_inter(
     }
     exact.held(longest, 1e-12);
 
-    let (mut segs, mut trial) = (Vec::new(), Vec::new());
+    let mut segs = Vec::new();
     // Bounded: every round inserts one remaining node onto the ring or
     // returns infeasible.
     while !remaining.is_empty() {
+        ev.set_base(&ring);
         let mut best: Option<(f64, NodeId, usize, bool)> = None;
         let mut round = Round::new(l_max);
         for &x in &remaining {
+            // Most inter messages have an end off the trial ring: the
+            // candidate's trials walk only the rest.
+            ev.candidate(x, inter_messages);
             candidate_segments(&ring, x, &|a, b| ev.d(a, b), 8, &mut segs);
             for &(_, seg) in &segs {
-                trial.clear();
-                trial.extend_from_slice(&ring);
-                trial.insert(seg + 1, x);
-                ev.load(&trial);
-                let Some((reversed, l)) = round.trial(ev, inter_messages) else {
+                let Some((reversed, l)) = round.trial(ev, seg) else {
                     continue;
                 };
                 let better = match &best {
@@ -2260,6 +2411,65 @@ mod tests {
                     match (bounded, free) {
                         (None, Some(f)) => prop_assert!(f.0 - cap > 1e-12, "{} cut at {cap}", f.0),
                         _ => prop_assert_eq!(bits(bounded), bits(free)),
+                    }
+                }
+            }
+
+            #[test]
+            fn prop_insertion_trials_match_a_loaded_trial_bit_for_bit(
+                coords in proptest::collection::vec(-7.0f64..7.0, 2 * EVAL_NODES),
+                keys in proptest::collection::vec(0u64..1_000_000, EVAL_NODES),
+                len in 2usize..13,
+                pairs in proptest::collection::vec((0usize..64, 0usize..64), 0..30),
+                self_message in 0usize..8,
+            ) {
+                let mut builder = CommGraph::builder();
+                for (v, xy) in coords.chunks(2).enumerate() {
+                    builder = builder.node(format!("n{v}"), onoc_graph::Point::new(xy[0], xy[1]));
+                }
+                let g = builder.build().unwrap();
+                let mut nodes: Vec<NodeId> = g.node_ids().collect();
+                nodes.sort_by_key(|v| (keys[v.index()], *v));
+                // The base ring, the inserted node `x`, and two nodes off
+                // both: message ends are drawn from all of them, never
+                // equal; a self-message is added apart.
+                let (ring, x) = (&nodes[..len], nodes[len]);
+                let drawn = &nodes[..len + 3];
+                let m = drawn.len();
+                let mut messages: Vec<(NodeId, NodeId)> = pairs
+                    .iter()
+                    .map(|&(s, off)| (drawn[s % m], drawn[(s % m + 1 + off % (m - 1)) % m]))
+                    .collect();
+                match self_message {
+                    0 => messages.push((x, x)),
+                    1 => messages.push((ring[len / 2], ring[len / 2])),
+                    2 => messages.push((drawn[len + 1], drawn[len + 1])),
+                    _ => {}
+                }
+
+                let mut ev = RingEval::new(&g);
+                let mut oracle = RingEval::new(&g);
+                ev.set_base(ring);
+                ev.candidate(x, &messages);
+                let bits = |r: Result<(bool, f64), f64>| {
+                    r.map(|(o, l)| (o, l.to_bits())).map_err(f64::to_bits)
+                };
+                for p in 0..len {
+                    let mut trial = ring.to_vec();
+                    trial.insert(p + 1, x);
+                    oracle.load(&trial);
+                    let (_, exact) = oracle.unbounded_orientation(&messages);
+                    for cutoff in [f64::INFINITY, exact, exact.next_up(), exact.next_down()] {
+                        let (evals, cut) = (ev.evals, ev.cut);
+                        let got = ev.insertion(p, cutoff);
+                        let (oracle_evals, oracle_cut) = (oracle.evals, oracle.cut);
+                        oracle.load(&trial);
+                        let want = oracle.orientation(&messages, cutoff);
+                        prop_assert_eq!(bits(got), bits(want), "p {} cutoff {}", p, cutoff);
+                        prop_assert_eq!(
+                            (ev.evals - evals, ev.cut - cut),
+                            (oracle.evals - oracle_evals, oracle.cut - oracle_cut)
+                        );
                     }
                 }
             }
