@@ -15,7 +15,7 @@ use onoc_graph::{CommGraph, NodeId};
 use onoc_layout::ring_order::tour_order;
 use onoc_layout::Cycle;
 use onoc_units::Millimeters;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
@@ -603,7 +603,9 @@ impl MemoUnit {
 }
 
 /// Serves one pure construction unit from the memo tier of `ctx`, or runs
-/// `compute` under a span named `phase` and stores its result.
+/// `compute` under a span named `phase` and stores its result. `compute`
+/// gets the unit's key, under which a growth unit keeps its round log for
+/// the rest of the run ([`Replay`]).
 ///
 /// A unit's result depends on its `bound` (`L_max`) only through the
 /// bound tests it runs, so `compute` narrows an [`Exact`] interval to the
@@ -628,7 +630,7 @@ fn memoized<T: Clone + Send + Sync + 'static>(
     unit: MemoUnit,
     bound: f64,
     key: impl FnOnce(&mut RingEval) -> ContentKey,
-    compute: impl FnOnce(&mut RingEval, &mut Exact) -> Result<T, ClusterError>,
+    compute: impl FnOnce(&mut RingEval, ContentKey, &mut Exact) -> Result<T, ClusterError>,
 ) -> Result<T, ClusterError> {
     let watch = ctx.trace().stopwatch();
     let key = key(ev);
@@ -645,7 +647,7 @@ fn memoized<T: Clone + Send + Sync + 'static>(
     let mut exact = Exact::ALL;
     let value = {
         let _span = ctx.trace().span(unit.phase());
-        compute(ev, &mut exact)?
+        compute(ev, key, &mut exact)?
     };
     debug_assert!(exact.admits(bound), "{exact:?} must admit {bound}");
     let watch = ctx.trace().stopwatch();
@@ -688,6 +690,12 @@ impl Exact {
     /// Records that the test `x <= bound + slack` failed.
     fn failed(&mut self, x: f64, slack: f64) {
         self.hi = self.hi.min(least_bound(x, slack).next_down());
+    }
+
+    /// Narrows to the bounds `other` admits too.
+    fn meet(&mut self, other: Exact) {
+        self.lo = self.lo.max(other.lo);
+        self.hi = self.hi.min(other.hi);
     }
 }
 
@@ -771,6 +779,133 @@ impl Round {
     }
 }
 
+/// A greedy round's absorption in [`grow_intra`] or [`grow_inter`]: the
+/// node, the base segment it went after, whether the ring was then
+/// reversed, and the longest path after the round.
+type Absorption = (NodeId, usize, bool, f64);
+
+/// The leading rounds of one growth unit's run that every bound in
+/// `[lo, hi]` decides as that run did, kept for the rest of the clustering
+/// run under the unit's memo key ([`RingEval::logs`]).
+struct RoundLog {
+    lo: f64,
+    hi: f64,
+    /// The longest path after the last round.
+    longest: f64,
+    /// Each round's node, and the segment it went after times two, plus
+    /// one if the ring was then reversed.
+    rounds: Box<[[u16; 2]]>,
+}
+
+/// A growth unit's round log while it runs: the rounds of the key's
+/// earlier log, replayed without evaluation when the bound is in that
+/// log's `[lo, hi]`, then the rounds this run computes.
+///
+/// Round `r` starts from the state rounds `0..r` left, so every bound in
+/// the interval the run had narrowed to through round `r` makes the same
+/// decisions in rounds `0..=r`. That interval's upper end only falls from
+/// round to round, and its lower end only rises, up to the run's final
+/// `lo`. A log therefore keeps the leading rounds that share the first
+/// round's upper end `hi`, with the final `lo`. A resumed unit's interval
+/// is that `[lo, hi]` met with the intervals of the rounds it computes, so
+/// it stays exact.
+struct Replay {
+    key: ContentKey,
+    earlier: Option<RoundLog>,
+    /// Rounds of `earlier` the bound admits: all of them or none.
+    admitted: usize,
+    replayed: usize,
+    /// This run's absorptions so far, with the interval's upper end after
+    /// each.
+    rounds: Vec<(Absorption, f64)>,
+}
+
+impl Replay {
+    /// Takes the log of `key` out of `ev` and, when `bound` is in its
+    /// interval, narrows `exact` to it.
+    fn start(ev: &mut RingEval, key: ContentKey, bound: f64, exact: &mut Exact) -> Self {
+        let earlier = ev.logs.remove(&key);
+        let admitted = match &earlier {
+            Some(log) if log.lo <= bound && bound <= log.hi => {
+                exact.meet(Exact {
+                    lo: log.lo,
+                    hi: log.hi,
+                });
+                log.rounds.len()
+            }
+            _ => 0,
+        };
+        Replay {
+            key,
+            earlier,
+            admitted,
+            replayed: 0,
+            rounds: Vec::new(),
+        }
+    }
+
+    /// The next admitted round of the earlier log, if any is left, with
+    /// the longest path after that log's last round.
+    fn next(&mut self, ev: &mut RingEval) -> Option<Absorption> {
+        let log = self
+            .earlier
+            .as_ref()
+            .filter(|_| self.replayed < self.admitted)?;
+        let [x, at] = log.rounds[self.replayed];
+        let round = (
+            NodeId(usize::from(x)),
+            usize::from(at >> 1),
+            at & 1 == 1,
+            log.longest,
+        );
+        self.rounds.push((round, log.hi));
+        self.replayed += 1;
+        ev.replayed += 1;
+        Some(round)
+    }
+
+    /// Logs a computed round, `hi` being the interval's upper end after it.
+    /// A round that absorbed nothing is the unit's last, which no log
+    /// keeps.
+    fn record(&mut self, absorbed: Option<Absorption>, hi: f64) {
+        if let Some(round) = absorbed {
+            self.rounds.push((round, hi));
+        }
+    }
+
+    /// Leaves this run's log in `ev`, or the earlier log when this one is
+    /// empty. The log holds the leading rounds that share the first
+    /// round's upper end, and only if that exceeds the final `exact.hi`:
+    /// with a memo tier the unit's entry admits `exact`, so a later miss
+    /// under a bound of at least `exact.lo` is above `exact.hi`, and a
+    /// round whose upper end is `exact.hi` (the last one always is) could
+    /// never replay. A run ending at `hi = ∞` logs nothing.
+    fn finish(self, ev: &mut RingEval, exact: Exact) {
+        let first = self.rounds.first().map_or(exact.hi, |&(_, hi)| hi);
+        let kept = &self.rounds[..self.rounds.partition_point(|&(_, hi)| hi == first)];
+        let encode = |&((x, seg, reversed, _), _): &(Absorption, f64)| {
+            let at = 2 * seg + usize::from(reversed);
+            Some([u16::try_from(x.index()).ok()?, u16::try_from(at).ok()?])
+        };
+        let fresh = match kept.last() {
+            Some(&((_, _, _, longest), _)) if first > exact.hi => kept
+                .iter()
+                .map(encode)
+                .collect::<Option<_>>()
+                .map(|rounds| RoundLog {
+                    lo: exact.lo,
+                    hi: first,
+                    longest,
+                    rounds,
+                }),
+            _ => None,
+        };
+        if let Some(log) = fresh.or(self.earlier) {
+            ev.logs.insert(self.key, log);
+        }
+    }
+}
+
 fn cluster_pass(
     graph: &CommGraph,
     l_max: f64,
@@ -790,7 +925,9 @@ fn cluster_pass(
             MemoUnit::Grow,
             l_max,
             |ev| grow_key(graph, ev, initial, unclustered, size_cap),
-            |ev, exact| grow_intra(graph, ev, initial, unclustered, l_max, size_cap, exact),
+            |ev, key, exact| {
+                grow_intra(graph, ev, key, initial, unclustered, l_max, size_cap, exact)
+            },
         )
     };
     let refine_memo = |ev: &mut RingEval, cycle: &Cycle, messages: &[(NodeId, NodeId)]| {
@@ -800,7 +937,7 @@ fn cluster_pass(
             MemoUnit::Refine,
             l_max,
             |ev| refine_key(ev, cycle, messages),
-            |ev, exact| improve_cycle(ev, cycle, messages, l_max, ctx, exact),
+            |ev, _, exact| improve_cycle(ev, cycle, messages, l_max, ctx, exact),
         )
     };
     let inter_memo = |ev: &mut RingEval,
@@ -814,7 +951,7 @@ fn cluster_pass(
             MemoUnit::Inter,
             bound,
             |ev| inter_key(ev, initial, v_inter, inter_messages),
-            |ev, exact| grow_inter(ev, initial, v_inter, inter_messages, bound, exact),
+            |ev, key, exact| grow_inter(ev, key, initial, v_inter, inter_messages, bound, exact),
         )
     };
 
@@ -1064,11 +1201,24 @@ struct RingEval {
     /// `behind[i * l + k]` = the fold of the first `k < l` base segments
     /// before position `i`, walking backward: `seg[i − 1] + seg[i − 2] + …`.
     behind: Vec<f64>,
+    /// The growth unit's message list ([`RingEval::set_messages`]).
+    messages: Vec<(NodeId, NodeId)>,
+    /// `incident[incident_at[v]..incident_at[v + 1]]` = the indices into
+    /// `messages` of the messages at node `v`, ascending.
+    incident_at: Vec<usize>,
+    incident: Vec<usize>,
+    /// Indices into `messages` of those with both ends on the base ring,
+    /// ascending.
+    on_base: Vec<usize>,
     /// The node [`RingEval::insertion`] inserts into the base ring.
     x: NodeId,
     /// End positions of the messages with both ends on the base ring or
     /// `x`, in message order; position `l` (the base length) stands for `x`.
     x_ends: Vec<(usize, usize)>,
+    /// The round logs of this run's growth units, by memo key.
+    logs: BTreeMap<ContentKey, RoundLog>,
+    /// Growth rounds replayed from a log (`cluster/rounds_replayed`).
+    replayed: u64,
     /// Orders evaluated so far (the `cluster/ring_evals` counter).
     evals: u64,
     /// Evaluations abandoned on their bound (`cluster/ring_evals_cut`).
@@ -1110,8 +1260,14 @@ impl RingEval {
             twice: Vec::new(),
             ahead: Vec::new(),
             behind: Vec::new(),
+            messages: Vec::new(),
+            incident_at: Vec::new(),
+            incident: Vec::new(),
+            on_base: Vec::new(),
             x: NodeId(0),
             x_ends: Vec::new(),
+            logs: BTreeMap::new(),
+            replayed: 0,
             evals: 0,
             cut: 0,
             digests: graph.node_ids().map(digest).collect(),
@@ -1126,6 +1282,7 @@ impl RingEval {
         let trace = ctx.trace();
         trace.incr("cluster/ring_evals", self.evals);
         trace.incr("cluster/ring_evals_cut", self.cut);
+        trace.incr("cluster/rounds_replayed", self.replayed);
         trace.add_time("memo", self.memo_time, 1);
         for unit in MemoUnit::ALL {
             let [hits, misses] = self.lookups[unit as usize];
@@ -1160,11 +1317,52 @@ impl RingEval {
         }
     }
 
+    /// Makes `messages` the list that [`RingEval::set_base`] and
+    /// [`RingEval::candidate`] draw from, and tables the messages at each
+    /// node (a message from a node to itself once).
+    fn set_messages(&mut self, messages: &[(NodeId, NodeId)]) {
+        self.messages.clear();
+        self.messages.extend_from_slice(messages);
+        let at = &mut self.incident_at;
+        at.clear();
+        at.resize(self.n + 1, 0);
+        for &(s, d) in messages {
+            at[s.index()] += 1;
+            if d != s {
+                at[d.index()] += 1;
+            }
+        }
+        let mut total = 0;
+        for count in at.iter_mut() {
+            total += *count;
+            *count = total;
+        }
+        // `at[v]` is the end of `v`'s list; filling backward leaves it at
+        // the start, with each list ascending.
+        self.incident.clear();
+        self.incident.resize(total, 0);
+        for (k, &(s, d)) in messages.iter().enumerate().rev() {
+            at[s.index()] -= 1;
+            self.incident[at[s.index()]] = k;
+            if d != s {
+                at[d.index()] -= 1;
+                self.incident[at[d.index()]] = k;
+            }
+        }
+    }
+
     /// Makes `ring` (at least two distinct nodes) the base that
-    /// [`RingEval::insertion`] inserts into, and tables its folds. Not an
-    /// evaluation: only the trials are counted.
+    /// [`RingEval::insertion`] inserts into, tables its folds and lists
+    /// the messages of [`RingEval::set_messages`] with both ends on it.
+    /// Not an evaluation: only the trials are counted.
     fn set_base(&mut self, ring: &[NodeId]) {
         self.place(ring);
+        let pos = &self.pos;
+        self.on_base.clear();
+        self.on_base.extend((0..self.messages.len()).filter(|&k| {
+            let (s, d) = self.messages[k];
+            pos[s.index()] != ABSENT && pos[d.index()] != ABSENT
+        }));
         let l = ring.len();
         self.twice.clear();
         self.twice.extend_from_slice(&self.seg);
@@ -1182,19 +1380,41 @@ impl RingEval {
     }
 
     /// Makes `x` (a node off the base ring) the node the next trials
-    /// insert, and lists the ends of `messages` with both ends on the base
-    /// ring or `x`: exactly the messages that [`RingEval::orientation`]
-    /// would not skip on a trial order.
-    fn candidate(&mut self, x: NodeId, messages: &[(NodeId, NodeId)]) {
+    /// insert, and lists the ends of the messages with both ends on the
+    /// base ring or `x`, in message order: exactly the messages that
+    /// [`RingEval::orientation`] would not skip on a trial order. They are
+    /// the base ring's messages merged with those at `x`. Returns how
+    /// many of them join `x` to the base ring.
+    fn candidate(&mut self, x: NodeId) -> usize {
         debug_assert_eq!(self.pos[x.index()], ABSENT, "{x} is on the base ring");
-        let (l, pos) = (self.seg.len(), &self.pos);
-        let at = |v: NodeId| if v == x { l } else { pos[v.index()] };
+        let (l, pos, messages) = (self.seg.len(), &self.pos, &self.messages);
+        let ends = |k: usize| {
+            let (s, d) = messages[k];
+            let at = |v: NodeId| if v == x { l } else { pos[v.index()] };
+            (at(s), at(d))
+        };
+        let at_x = &self.incident[self.incident_at[x.index()]..self.incident_at[x.index() + 1]];
+        let mut at_x = at_x
+            .iter()
+            .copied()
+            .filter(|&k| {
+                let (i, j) = ends(k);
+                i != ABSENT && j != ABSENT
+            })
+            .peekable();
+        let mut on_base = self.on_base.iter().copied().peekable();
+        let merged = std::iter::from_fn(|| match (on_base.peek(), at_x.peek()) {
+            (Some(b), Some(a)) if a < b => at_x.next(),
+            (Some(_), _) => on_base.next(),
+            (None, _) => at_x.next(),
+        });
         self.x = x;
         self.x_ends.clear();
-        self.x_ends.extend(messages.iter().filter_map(|&(s, d)| {
-            let (i, j) = (at(s), at(d));
-            (i != ABSENT && j != ABSENT).then_some((i, j))
-        }));
+        self.x_ends.extend(merged.map(ends));
+        self.x_ends
+            .iter()
+            .filter(|&&(i, j)| (i == l) != (j == l))
+            .count()
     }
 
     /// [`RingEval::orientation`] of the candidate's messages on the base
@@ -1464,8 +1684,15 @@ fn candidate_segments(
         let (a, b) = (order[i], order[(i + 1) % len]);
         (dist(a, x) + dist(x, b) - dist(a, b), i)
     }));
-    out.sort_unstable_by(|p, q| p.0.total_cmp(&q.0).then(p.1.cmp(&q.1)));
-    out.truncate(k.max(1));
+    // A total order (indices differ), so selecting the `k` smallest and
+    // sorting them gives what a full sort's first `k` would.
+    let rank = |p: &(f64, usize), q: &(f64, usize)| p.0.total_cmp(&q.0).then(p.1.cmp(&q.1));
+    let k = k.max(1);
+    if len > k {
+        out.select_nth_unstable_by(k - 1, rank);
+        out.truncate(k);
+    }
+    out.sort_unstable_by(rank);
 }
 
 #[derive(Clone)]
@@ -1579,10 +1806,13 @@ fn improve_cycle(
 /// Grows one intra-cluster sub-ring from `initial` (paper Sec. III-A-1).
 /// Returns `None` only when `initial` cannot even form the two-node initial
 /// cluster within `l_max`; a vertex with no unclustered communication
-/// partner yields a singleton.
+/// partner yields a singleton. `key` is the unit's memo key, under which
+/// its round log is kept ([`Replay`]).
+#[allow(clippy::too_many_arguments)] // the unit's inputs, its key and its interval
 fn grow_intra(
     graph: &CommGraph,
     ev: &mut RingEval,
+    key: ContentKey,
     initial: NodeId,
     unclustered: &BTreeSet<NodeId>,
     l_max: f64,
@@ -1619,78 +1849,69 @@ fn grow_intra(
     let mut in_cluster = vec![false; n];
     in_cluster[initial.index()] = true;
     in_cluster[first.index()] = true;
-    // The intra-cluster messages of `in_cluster`, in graph order.
-    let intra_messages = |in_cluster: &[bool], out: &mut Vec<(NodeId, NodeId)>| {
-        out.clear();
-        out.extend(
-            graph
-                .messages()
-                .iter()
-                .filter(|m| in_cluster[m.src.index()] && in_cluster[m.dst.index()])
-                .map(|m| (m.src, m.dst)),
-        );
-    };
-    let mut msgs = Vec::new();
-    intra_messages(&in_cluster, &mut msgs);
+    // Every message of the graph: a ring's walk skips those with an end
+    // off it, so only the cluster's own are ever walked.
+    let messages: Vec<(NodeId, NodeId)> = graph.messages().iter().map(|m| (m.src, m.dst)).collect();
     // The ring stays un-oriented until the first absorption.
     let mut ring = members.clone();
     ev.load(&ring);
-    let mut longest = ev.unbounded_orientation(&msgs).1;
+    let mut longest = ev.unbounded_orientation(&messages).1;
+    ev.set_messages(&messages);
 
     let mut is_candidate = vec![false; n];
     let mut segs = Vec::new();
+    let mut log = Replay::start(ev, key, l_max, exact);
     // Bounded: every round absorbs one node or breaks on an empty
     // candidate set, capped at size_cap.
     while members.len() < size_cap {
-        ev.set_base(&ring);
-        // Candidates: unvisited communication partners of any member.
-        is_candidate.fill(false);
-        for &m in &members {
-            for &w in graph.neighbors(m) {
-                if unclustered.contains(&w) && !in_cluster[w.index()] {
-                    is_candidate[w.index()] = true;
-                }
-            }
-        }
-        // Absorb the valid candidate whose best insertion point yields the
-        // smallest longest signal path; ties go to the candidate with the
-        // most messages into the cluster (communication affinity), which
-        // keeps subsystems together. Only the winner's ring is built.
-        let mut best: Option<(f64, usize, NodeId, usize, bool)> = None;
-        let mut round = Round::new(l_max);
-        for x in graph.node_ids().filter(|x| is_candidate[x.index()]) {
-            let aff = graph
-                .messages()
-                .iter()
-                .filter(|m| {
-                    (m.src == x && in_cluster[m.dst.index()])
-                        || (m.dst == x && in_cluster[m.src.index()])
-                })
-                .count();
-            in_cluster[x.index()] = true;
-            intra_messages(&in_cluster, &mut msgs);
-            in_cluster[x.index()] = false;
-            ev.candidate(x, &msgs);
-            candidate_segments(&ring, x, &|a, b| ev.d(a, b), 8, &mut segs);
-            for &(_, seg) in &segs {
-                let Some((reversed, l)) = round.trial(ev, seg) else {
-                    continue;
-                };
-                let better = match &best {
-                    None => true,
-                    Some((bl, ba, bx, _, _)) => {
-                        l < *bl - 1e-12
-                            || ((l - *bl).abs() <= 1e-12 && (aff > *ba || (aff == *ba && x < *bx)))
+        let absorbed = match log.next(ev) {
+            replayed @ Some(_) => replayed,
+            None => {
+                ev.set_base(&ring);
+                // Candidates: unvisited communication partners of any member.
+                is_candidate.fill(false);
+                for &m in &members {
+                    for &w in graph.neighbors(m) {
+                        if unclustered.contains(&w) && !in_cluster[w.index()] {
+                            is_candidate[w.index()] = true;
+                        }
                     }
-                };
-                if better {
-                    best = Some((l, aff, x, seg, reversed));
-                    round.lead(l);
                 }
+                // Absorb the valid candidate whose best insertion point
+                // yields the smallest longest signal path; ties go to the
+                // candidate with the most messages into the cluster
+                // (communication affinity), which keeps subsystems
+                // together. Only the winner's ring is built.
+                let mut best: Option<(f64, usize, NodeId, usize, bool)> = None;
+                let mut round = Round::new(l_max);
+                for x in graph.node_ids().filter(|x| is_candidate[x.index()]) {
+                    let aff = ev.candidate(x);
+                    candidate_segments(&ring, x, &|a, b| ev.d(a, b), 8, &mut segs);
+                    for &(_, seg) in &segs {
+                        let Some((reversed, l)) = round.trial(ev, seg) else {
+                            continue;
+                        };
+                        let better = match &best {
+                            None => true,
+                            Some((bl, ba, bx, _, _)) => {
+                                l < *bl - 1e-12
+                                    || ((l - *bl).abs() <= 1e-12
+                                        && (aff > *ba || (aff == *ba && x < *bx)))
+                            }
+                        };
+                        if better {
+                            best = Some((l, aff, x, seg, reversed));
+                            round.lead(l);
+                        }
+                    }
+                }
+                round.close(exact);
+                let absorbed = best.map(|(l, _, x, seg, reversed)| (x, seg, reversed, l));
+                log.record(absorbed, exact.hi);
+                absorbed
             }
-        }
-        round.close(exact);
-        let Some((l, _, x, seg, reversed)) = best else {
+        };
+        let Some((x, seg, reversed, l)) = absorbed else {
             break;
         };
         members.push(x);
@@ -1701,6 +1922,7 @@ fn grow_intra(
         }
         longest = l;
     }
+    log.finish(ev, *exact);
 
     let ring =
         Cycle::new(ring).map_err(|_| ClusterError::InvalidCycle("grown ring repeats a node"))?;
@@ -1713,9 +1935,10 @@ fn grow_intra(
 
 /// Grows the inter-cluster sub-ring from `initial`: it must absorb *all*
 /// of `v_inter` while keeping every cross-cluster signal path within
-/// `l_max` (paper Sec. III-A-2).
+/// `l_max` (paper Sec. III-A-2). `key` is as for [`grow_intra`].
 fn grow_inter(
     ev: &mut RingEval,
+    key: ContentKey,
     initial: NodeId,
     v_inter: &[NodeId],
     inter_messages: &[(NodeId, NodeId)],
@@ -1748,37 +1971,48 @@ fn grow_inter(
         return Ok(None);
     }
     exact.held(longest, 1e-12);
+    // Most inter messages have an end off the trial ring: a candidate's
+    // trials walk only the rest.
+    ev.set_messages(inter_messages);
 
     let mut segs = Vec::new();
+    let mut log = Replay::start(ev, key, l_max, exact);
     // Bounded: every round inserts one remaining node onto the ring or
     // returns infeasible.
     while !remaining.is_empty() {
-        ev.set_base(&ring);
-        let mut best: Option<(f64, NodeId, usize, bool)> = None;
-        let mut round = Round::new(l_max);
-        for &x in &remaining {
-            // Most inter messages have an end off the trial ring: the
-            // candidate's trials walk only the rest.
-            ev.candidate(x, inter_messages);
-            candidate_segments(&ring, x, &|a, b| ev.d(a, b), 8, &mut segs);
-            for &(_, seg) in &segs {
-                let Some((reversed, l)) = round.trial(ev, seg) else {
-                    continue;
-                };
-                let better = match &best {
-                    None => true,
-                    Some((bl, bx, _, _)) => {
-                        l < *bl - 1e-12 || ((l - *bl).abs() <= 1e-12 && x < *bx)
+        let absorbed = match log.next(ev) {
+            replayed @ Some(_) => replayed,
+            None => {
+                ev.set_base(&ring);
+                let mut best: Option<(f64, NodeId, usize, bool)> = None;
+                let mut round = Round::new(l_max);
+                for &x in &remaining {
+                    ev.candidate(x);
+                    candidate_segments(&ring, x, &|a, b| ev.d(a, b), 8, &mut segs);
+                    for &(_, seg) in &segs {
+                        let Some((reversed, l)) = round.trial(ev, seg) else {
+                            continue;
+                        };
+                        let better = match &best {
+                            None => true,
+                            Some((bl, bx, _, _)) => {
+                                l < *bl - 1e-12 || ((l - *bl).abs() <= 1e-12 && x < *bx)
+                            }
+                        };
+                        if better {
+                            best = Some((l, x, seg, reversed));
+                            round.lead(l);
+                        }
                     }
-                };
-                if better {
-                    best = Some((l, x, seg, reversed));
-                    round.lead(l);
                 }
+                round.close(exact);
+                let absorbed = best.map(|(l, x, seg, reversed)| (x, seg, reversed, l));
+                log.record(absorbed, exact.hi);
+                absorbed
             }
-        }
-        round.close(exact);
-        let Some((l, x, seg, reversed)) = best else {
+        };
+        let Some((x, seg, reversed, l)) = absorbed else {
+            log.finish(ev, *exact);
             return Ok(None);
         };
         remaining.remove(&x);
@@ -1788,6 +2022,7 @@ fn grow_inter(
         }
         longest = l;
     }
+    log.finish(ev, *exact);
     let ring =
         Cycle::new(ring).map_err(|_| ClusterError::InvalidCycle("grown ring repeats a node"))?;
     Ok(Some((ring, longest)))
@@ -1975,6 +2210,17 @@ mod tests {
         let cut = report.counter("cluster/ring_evals_cut").unwrap_or(0);
         assert!(0 < cut && cut <= evals, "{cut} of {evals} evaluations cut");
         assert_eq!(report.phase("memo").map(|p| p.calls), Some(1));
+
+        // D26's interval misses resume from the rounds an earlier bound
+        // logged.
+        let trace = onoc_trace::Trace::new();
+        let ctx = ExecCtx::cached().with_trace(trace.clone());
+        cluster_ctx(&benchmarks::d26(), &config(), &ctx).unwrap();
+        let replayed = trace.report().counter("cluster/rounds_replayed");
+        assert!(
+            replayed.is_some_and(|r| r > 0),
+            "{replayed:?} rounds replayed"
+        );
     }
 
     #[test]
@@ -2116,10 +2362,11 @@ mod tests {
     fn ring_evaluations_are_pinned() {
         // The number of orders the search loads on a memo-backed run, as
         // `sring-cli synth` clusters. Pruning abandons evaluations but
-        // never skips one, and a unit is recomputed exactly when no stored
-        // interval admits its bound, so any change here means the search
-        // or the intervals changed.
-        let pinned = [21_961, 106_179, 56_755, 1_922_408, 5_544, 10_275, 9_923];
+        // never skips one, a unit is recomputed exactly when no stored
+        // interval admits its bound, and it replays exactly the logged
+        // rounds the bound admits, so any change here means the search,
+        // the intervals or the round logs changed.
+        let pinned = [10_899, 41_486, 22_435, 989_165, 4_113, 8_845, 7_174];
         assert_eq!(clustered().len(), pinned.len());
         for ((b, plain), want) in clustered().iter().zip(pinned) {
             let trace = onoc_trace::Trace::new();
@@ -2449,8 +2696,9 @@ mod tests {
 
                 let mut ev = RingEval::new(&g);
                 let mut oracle = RingEval::new(&g);
+                ev.set_messages(&messages);
                 ev.set_base(ring);
-                ev.candidate(x, &messages);
+                ev.candidate(x);
                 let bits = |r: Result<(bool, f64), f64>| {
                     r.map(|(o, l)| (o, l.to_bits())).map_err(f64::to_bits)
                 };
@@ -2486,6 +2734,8 @@ mod tests {
 
         impl Unit {
             /// The unit's result under `bound` as bits, with its interval.
+            /// A growth unit runs under its memo key, so it resumes from
+            /// the round log an earlier run of it left in `ev`.
             fn run(&self, g: &CommGraph, ev: &mut RingEval, bound: f64) -> (String, Exact) {
                 let ids = |v: &[NodeId]| v.iter().map(|n| n.index()).collect::<Vec<_>>();
                 let ring = |c: &Cycle, l: f64| format!("{:?} {:x}", ids(c.nodes()), l.to_bits());
@@ -2493,7 +2743,8 @@ mod tests {
                 let ctx = ExecCtx::new();
                 let bits = match self {
                     Unit::Grow(initial, unclustered, cap) => {
-                        grow_intra(g, ev, *initial, unclustered, bound, *cap, &mut exact)
+                        let key = grow_key(g, ev, *initial, unclustered, *cap);
+                        grow_intra(g, ev, key, *initial, unclustered, bound, *cap, &mut exact)
                             .unwrap()
                             .map(|c| {
                                 let r = c.ring.map(|r| ids(r.nodes()));
@@ -2506,7 +2757,8 @@ mod tests {
                         Some(ring(&c, l))
                     }
                     Unit::Inter(initial, v_inter, msgs) => {
-                        grow_inter(ev, *initial, v_inter, msgs, bound, &mut exact)
+                        let key = inter_key(ev, *initial, v_inter, msgs);
+                        grow_inter(ev, key, *initial, v_inter, msgs, bound, &mut exact)
                             .unwrap()
                             .map(|(c, l)| ring(&c, l))
                     }
@@ -2540,11 +2792,12 @@ mod tests {
             }
             let mut exact = Exact::ALL;
             for v in g.node_ids().step_by(5) {
+                let key = grow_key(g, ev, v, &all, n);
                 if let Ok(Some(GrownCluster {
                     members,
                     ring: Some(ring),
                     ..
-                })) = grow_intra(g, ev, v, &all, f64::INFINITY, n, &mut exact)
+                })) = grow_intra(g, ev, key, v, &all, f64::INFINITY, n, &mut exact)
                 {
                     let on: Vec<(NodeId, NodeId)> = msgs
                         .iter()
@@ -2554,9 +2807,16 @@ mod tests {
                     units.push(Unit::Refine(ring, on));
                 }
             }
-            if let Ok(Some((ring, _))) =
-                grow_inter(ev, v_inter[0], &v_inter, &msgs, f64::INFINITY, &mut exact)
-            {
+            let key = inter_key(ev, v_inter[0], &v_inter, &msgs);
+            if let Ok(Some((ring, _))) = grow_inter(
+                ev,
+                key,
+                v_inter[0],
+                &v_inter,
+                &msgs,
+                f64::INFINITY,
+                &mut exact,
+            ) {
                 units.push(Unit::Refine(ring, msgs.clone()));
             }
             units
@@ -2606,6 +2866,60 @@ mod tests {
                         if e.admits(b) {
                             let (again, _) = unit.run(&g, &mut ev, b);
                             prop_assert_eq!(&again, &bits, "bound {} admitted by {:?} from {}", b, e, a);
+                        }
+                    }
+                }
+            }
+
+            #[test]
+            fn prop_resumed_growth_matches_a_cold_run(
+                nodes in 6usize..17,
+                density in 0usize..3,
+                seed in 0u64..1_000_000,
+                mask in 0u64..u64::MAX,
+                first in 0usize..1_000,
+                then in 0usize..1_000,
+                other in 0usize..1_000,
+            ) {
+                // A growth unit run under bound `a` logs its rounds; run
+                // again under `b` on the same evaluator, it resumes from
+                // them. It must give the bits a fresh evaluator gives
+                // under `b`, with an interval that admits `b` and whose
+                // ends give those bits too. `a` and one `b` are drawn as
+                // in `prop_unit_intervals_are_exact`; the other `b`s sit
+                // just past either end of the interval under `a` (above
+                // it, a resumed unit replays its logged prefix; below it,
+                // nothing), and at `∞`.
+                let messages = (nodes * (2 + density)).min(nodes * (nodes - 1));
+                let g = synth::random_app(nodes, messages, seed, Millimeters(0.3));
+                let subset: BTreeSet<NodeId> =
+                    g.node_ids().filter(|v| mask >> (v.index() % 64) & 1 == 1).collect();
+                let fresh = || RingEval::new(&g);
+                let mut units = units(&g, &mut fresh(), &subset);
+                units.retain(|unit| !matches!(unit, Unit::Refine(..)));
+                let mut pool = l_max_candidates(&g, &ClusteringConfig::default(), &mut fresh());
+                pool.push(f64::INFINITY);
+                let a0 = pool[first % pool.len()];
+                for unit in &units {
+                    let (_, e) = unit.run(&g, &mut fresh(), a0);
+                    for end in [e.lo, e.hi] {
+                        pool.extend([end, end.next_up(), end.next_down()]);
+                    }
+                }
+                let a = pool[then % pool.len()];
+                let drawn = pool[other % pool.len()];
+                for unit in &units {
+                    let (_, ea) = unit.run(&g, &mut fresh(), a);
+                    for b in [drawn, ea.hi.next_up(), ea.lo.next_down(), f64::INFINITY] {
+                        let mut ev = fresh();
+                        unit.run(&g, &mut ev, a);
+                        let (resumed, e) = unit.run(&g, &mut ev, b);
+                        let (cold, _) = unit.run(&g, &mut fresh(), b);
+                        prop_assert_eq!(&resumed, &cold, "bound {} resumed from {}", b, a);
+                        prop_assert!(e.admits(b), "{e:?} must admit {b}, resumed from {a}");
+                        for end in [e.lo, e.hi] {
+                            let (at_end, _) = unit.run(&g, &mut fresh(), end);
+                            prop_assert_eq!(&at_end, &cold, "end {} of {:?}, bound {} from {}", end, e, b, a);
                         }
                     }
                 }
