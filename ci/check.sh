@@ -21,12 +21,14 @@ cargo test --workspace -q
 PROPTEST_CASES=2048 cargo test --release -p milp-solver --test lp_oracle
 # The sub-ring path evaluator the same way: loaded orders against the old
 # `Cycle` code, bounded against unbounded walks, and growth's insertion
-# trials against a loaded trial order, all bit for bit; and growth units
-# resumed from a round log against cold runs.
+# trials against a loaded trial order, all bit for bit; the construction
+# units' bound intervals against recomputation under admitted bounds; and
+# growth units resumed from a round log against cold runs.
 PROPTEST_CASES=2048 cargo test --release -p sring-core --lib -- \
     prop_evaluator_matches_the_cycle_oracle_bit_for_bit \
     prop_bounded_evaluation_is_exact \
     prop_insertion_trials_match_a_loaded_trial_bit_for_bit \
+    prop_unit_intervals_are_exact \
     prop_resumed_growth_matches_a_cold_run
 # The benchmark's own tests (perfbench is a separate package, outside the
 # workspace, so the workspace run above does not reach them).

@@ -25,10 +25,11 @@
 //! re-weight and structural speedups separately alongside the aggregate,
 //! so the mix never hides the cost of the structural path.
 
-use onoc_bench::{harness_tech, take_threads_flag};
+use onoc_bench::{count, harness_tech, object, take_threads_flag};
 use onoc_ctx::ExecCtx;
 use onoc_graph::benchmarks::Benchmark;
 use onoc_graph::{CommDelta, CommGraph, MessageId, NodeId};
+use onoc_trace::json::Value;
 use sring_core::{design_bytes, AssignmentStrategy, SringConfig, SringSynthesizer};
 use std::process::ExitCode;
 use std::time::Instant;
@@ -196,35 +197,29 @@ fn run_benchmark(
     })
 }
 
-fn json_doc(rows: &[Row]) -> String {
-    let mut doc = String::from("{\n  \"benchmarks\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        doc.push_str(&format!(
-            "    {{\n      \"name\": \"{}\",\n      \"edits\": {},\n      \
-             \"incremental_s\": {:.6},\n      \"full_s\": {:.6},\n      \
-             \"speedup\": {:.4},\n      \"reweight_speedup\": {:.4},\n      \
-             \"structural_speedup\": {:.4},\n      \"mean_dirty_fraction\": {:.4},\n      \
-             \"bit_identical\": {}\n    }}{}\n",
-            r.name,
-            r.edits,
-            r.total.incremental_s,
-            r.total.full_s,
-            r.total.speedup(),
-            r.reweight.speedup(),
-            r.structural.speedup(),
-            r.mean_dirty_fraction,
-            r.bit_identical,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
+fn json_doc(rows: &[Row]) -> Value {
+    let row = |r: &Row| {
+        object([
+            ("name", Value::String(r.name.to_owned())),
+            ("edits", count(r.edits)),
+            ("incremental_s", Value::Number(r.total.incremental_s)),
+            ("full_s", Value::Number(r.total.full_s)),
+            ("speedup", Value::Number(r.total.speedup())),
+            ("reweight_speedup", Value::Number(r.reweight.speedup())),
+            ("structural_speedup", Value::Number(r.structural.speedup())),
+            ("mean_dirty_fraction", Value::Number(r.mean_dirty_fraction)),
+            ("bit_identical", Value::Bool(r.bit_identical)),
+        ])
+    };
     let min = rows
         .iter()
         .map(|r| r.total.speedup())
         .fold(f64::INFINITY, f64::min);
-    doc.push_str(&format!(
-        "  ],\n  \"min_speedup\": {min:.4},\n  \"speedup_floor\": {MIN_SPEEDUP:.1}\n}}\n"
-    ));
-    doc
+    object([
+        ("benchmarks", Value::Array(rows.iter().map(row).collect())),
+        ("min_speedup", Value::Number(min)),
+        ("speedup_floor", Value::Number(MIN_SPEEDUP)),
+    ])
 }
 
 fn main() -> ExitCode {
@@ -271,7 +266,8 @@ fn main() -> ExitCode {
         }
     }
 
-    let doc = json_doc(&rows);
+    let mut doc = json_doc(&rows).to_json();
+    doc.push('\n');
     if let Err(e) = std::fs::write(&out_path, &doc) {
         eprintln!("error: cannot write {out_path}: {e}");
         return ExitCode::FAILURE;

@@ -16,7 +16,9 @@
 //! release-mode gate `ci/check.sh` holds VOPD to.
 
 use milp_solver::SolveStats;
-use onoc_bench::{finish_trace, harness_ctx, harness_tech, harness_trace, take_trace_flag};
+use onoc_bench::{
+    count, finish_trace, harness_ctx, harness_tech, harness_trace, object, secs, take_trace_flag,
+};
 use onoc_ctx::ExecCtx;
 use onoc_graph::benchmarks::Benchmark;
 use onoc_trace::json::Value;
@@ -69,20 +71,6 @@ fn non_root_warm_rate(s: &SolveStats) -> f64 {
     #[allow(clippy::cast_precision_loss)]
     let rate = s.warm_start_hits as f64 / (s.lp_solves - 1) as f64;
     rate
-}
-
-/// A JSON object with `members` in order.
-fn object<const N: usize>(members: [(&str, Value); N]) -> Value {
-    Value::Object(members.map(|(k, v)| (k.to_owned(), v)).into())
-}
-
-#[allow(clippy::cast_precision_loss)]
-fn count(n: usize) -> Value {
-    Value::Number(n as f64)
-}
-
-fn secs(d: Duration) -> Value {
-    Value::Number(d.as_secs_f64())
 }
 
 /// One solve's record in `BENCH_milp.json`.

@@ -29,13 +29,14 @@
 //! heuristic-cheap so the shared stages dominate and the speedup is
 //! robustly measurable.
 
-use onoc_bench::{harness_tech, take_threads_flag, take_value_flag};
+use onoc_bench::{count, harness_tech, object, take_threads_flag, take_value_flag};
 use onoc_ctx::{ArtifactStore, CacheStats, ExecCtx, StoreStats};
 use onoc_eval::comparison::{compare_grid_ctx, to_csv, Comparison};
 use onoc_eval::methods::Method;
 use onoc_graph::benchmarks::Benchmark;
 use onoc_graph::CommGraph;
 use onoc_store::DiskStore;
+use onoc_trace::json::Value;
 use onoc_units::TechnologyParameters;
 use sring_core::{AssignmentStrategy, MilpOptions};
 use std::path::{Path, PathBuf};
@@ -92,32 +93,39 @@ fn json_doc(
     speedup: f64,
     stats: &CacheStats,
     warm: &WarmRestart,
-) -> String {
-    format!(
-        "{{\n  \"benchmarks\": [\"MWD\", \"VOPD\", \"MPEG\"],\n  \"strategies\": {},\n  \
-         \"uncached_s\": {uncached_s:.6},\n  \"cached_s\": {cached_s:.6},\n  \
-         \"speedup\": {speedup:.4},\n  \"cache\": {{\n    \"hits\": {},\n    \"misses\": {},\n    \
-         \"hit_rate\": {:.4},\n    \"entries\": {},\n    \"evictions\": {}\n  }},\n  \
-         \"warm_restart\": {{\n    \"seed_s\": {:.6},\n    \"warm_s\": {:.6},\n    \
-         \"speedup\": {:.4},\n    \"disk_hits\": {},\n    \"disk_misses\": {},\n    \
-         \"disk_corrupt\": {},\n    \"disk_version_skips\": {},\n    \"disk_writes\": {},\n    \
-         \"disk_write_errors\": {}\n  }}\n}}\n",
-        strategies().len(),
-        stats.hits,
-        stats.misses,
-        stats.hit_rate(),
-        stats.entries,
-        stats.evictions,
-        warm.seed_s,
-        warm.warm_s,
-        warm.speedup,
-        warm.disk.hits,
-        warm.disk.misses,
-        warm.disk.corrupt,
-        warm.disk.version_skips,
-        warm.disk.writes,
-        warm.disk.write_errors,
-    )
+) -> Value {
+    let names = TRACKED.map(|b| Value::String(b.name().to_owned()));
+    object([
+        ("benchmarks", Value::Array(names.into())),
+        ("strategies", count(strategies().len())),
+        ("uncached_s", Value::Number(uncached_s)),
+        ("cached_s", Value::Number(cached_s)),
+        ("speedup", Value::Number(speedup)),
+        (
+            "cache",
+            object([
+                ("hits", count(stats.hits)),
+                ("misses", count(stats.misses)),
+                ("hit_rate", Value::Number(stats.hit_rate())),
+                ("entries", count(stats.entries)),
+                ("evictions", count(stats.evictions)),
+            ]),
+        ),
+        (
+            "warm_restart",
+            object([
+                ("seed_s", Value::Number(warm.seed_s)),
+                ("warm_s", Value::Number(warm.warm_s)),
+                ("speedup", Value::Number(warm.speedup)),
+                ("disk_hits", count(warm.disk.hits)),
+                ("disk_misses", count(warm.disk.misses)),
+                ("disk_corrupt", count(warm.disk.corrupt)),
+                ("disk_version_skips", count(warm.disk.version_skips)),
+                ("disk_writes", count(warm.disk.writes)),
+                ("disk_write_errors", count(warm.disk.write_errors)),
+            ]),
+        ),
+    ])
 }
 
 /// Measures the persistent tier: a seed sweep populates `dir`, then a sweep
@@ -249,10 +257,9 @@ fn main() -> ExitCode {
         restart.disk.writes
     );
 
-    if let Err(e) = std::fs::write(
-        &out_path,
-        json_doc(uncached_s, cached_s, speedup, &stats, &restart),
-    ) {
+    let mut doc = json_doc(uncached_s, cached_s, speedup, &stats, &restart).to_json();
+    doc.push('\n');
+    if let Err(e) = std::fs::write(&out_path, doc) {
         eprintln!("error: cannot write {out_path}: {e}");
         return ExitCode::FAILURE;
     }

@@ -23,9 +23,10 @@
 //! 50%, or when the overflow phase fails to draw a rejection — which
 //! makes the binary double as a CI check of the daemon's steady state.
 
-use onoc_bench::take_value_flag;
+use onoc_bench::{count, object, take_value_flag};
 use onoc_served::proto::{JobSpec, Outcome, RejectReason, Response, Workload};
 use onoc_served::{Client, Server, ServerConfig};
+use onoc_trace::json::Value;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -213,18 +214,18 @@ fn run() -> Result<(), String> {
 
     let mut sorted = measured.latencies.clone();
     sorted.sort_by(f64::total_cmp);
-    let count = sorted.len();
-    if count != requests {
-        return Err(format!("measured {count} of {requests} requests"));
+    let done = sorted.len();
+    if done != requests {
+        return Err(format!("measured {done} of {requests} requests"));
     }
-    let mean_s = sorted.iter().sum::<f64>() / count as f64;
+    let mean_s = sorted.iter().sum::<f64>() / done as f64;
     let (p50, p95, p99) = (
         percentile(&sorted, 50.0),
         percentile(&sorted, 95.0),
         percentile(&sorted, 99.0),
     );
     let max_s = sorted.last().copied().unwrap_or(0.0);
-    let throughput = count as f64 / measured.wall_s.max(1e-12);
+    let throughput = done as f64 / measured.wall_s.max(1e-12);
 
     // Steady-state cache behaviour: only the measured phase's lookups.
     let gets = end_stats.cache_gets - warm_stats.cache_gets;
@@ -235,7 +236,7 @@ fn run() -> Result<(), String> {
     let (rejected, overflow_total) = run_overflow()?;
 
     println!(
-        "served_load — {count} requests over {} benchmarks, {concurrency} connections, {} workers",
+        "served_load — {done} requests over {} benchmarks, {concurrency} connections, {} workers",
         MIX.len(),
         final_stats.workers
     );
@@ -258,24 +259,54 @@ fn run() -> Result<(), String> {
     );
     println!("overflow: {rejected}/{overflow_total} rejected by the depth-2 queue");
 
-    let json = format!(
-        "{{\n  \"requests\": {count},\n  \"concurrency\": {concurrency},\n  \
-         \"workers\": {},\n  \"mix\": [\"MWD\", \"VOPD\", \"MPEG\", \"8PM-24\"],\n  \
-         \"wall_s\": {:.6},\n  \"throughput_rps\": {throughput:.2},\n  \
-         \"latency_s\": {{\n    \"p50\": {p50:.6},\n    \"p95\": {p95:.6},\n    \
-         \"p99\": {p99:.6},\n    \"mean\": {mean_s:.6},\n    \"max\": {max_s:.6}\n  }},\n  \
-         \"cache\": {{\n    \"steady_hits\": {hits},\n    \"steady_gets\": {gets},\n    \
-         \"steady_hit_rate\": {hit_rate:.4},\n    \"entries\": {}\n  }},\n  \
-         \"server\": {{\n    \"accepted\": {},\n    \"completed\": {},\n    \
-         \"protocol_errors\": {}\n  }},\n  \
-         \"overflow\": {{\n    \"submitted\": {overflow_total},\n    \"rejected\": {rejected}\n  }}\n}}\n",
-        final_stats.workers,
-        measured.wall_s,
-        final_stats.cache_entries,
-        final_stats.accepted,
-        final_stats.completed,
-        final_stats.protocol_errors,
-    );
+    let latency = [
+        ("p50", p50),
+        ("p95", p95),
+        ("p99", p99),
+        ("mean", mean_s),
+        ("max", max_s),
+    ];
+    let mut json = object([
+        ("requests", count(done)),
+        ("concurrency", count(concurrency)),
+        ("workers", count(final_stats.workers)),
+        (
+            "mix",
+            Value::Array(MIX.map(|b| Value::String(b.into())).into()),
+        ),
+        ("wall_s", Value::Number(measured.wall_s)),
+        ("throughput_rps", Value::Number(throughput)),
+        (
+            "latency_s",
+            object(latency.map(|(k, v)| (k, Value::Number(v)))),
+        ),
+        (
+            "cache",
+            object([
+                ("steady_hits", count(hits)),
+                ("steady_gets", count(gets)),
+                ("steady_hit_rate", Value::Number(hit_rate)),
+                ("entries", count(final_stats.cache_entries)),
+            ]),
+        ),
+        (
+            "server",
+            object([
+                ("accepted", count(final_stats.accepted)),
+                ("completed", count(final_stats.completed)),
+                ("protocol_errors", count(final_stats.protocol_errors)),
+            ]),
+        ),
+        (
+            "overflow",
+            object([
+                ("submitted", count(overflow_total)),
+                ("rejected", count(rejected)),
+            ]),
+        ),
+    ])
+    .to_json();
+    json.push('\n');
     std::fs::write(&out_path, json).map_err(|e| format!("cannot write {out_path}: {e}"))?;
     println!("stats written to {out_path}");
 

@@ -10,9 +10,10 @@
 
 use onoc_ctx::ExecCtx;
 use onoc_graph::benchmarks::Benchmark;
+use onoc_trace::json::Value;
 use onoc_trace::Trace;
 use onoc_units::TechnologyParameters;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The paper's published Table I values, used for side-by-side reporting:
 /// `(benchmark, method, L, il_w, #sp_w, il_w_all)`.
@@ -98,15 +99,6 @@ pub fn take_threads_flag(args: &mut Vec<String>) -> usize {
         return value.unwrap_or(0);
     }
     0
-}
-
-/// Scans the process arguments for `--threads` without consuming anything
-/// — for Criterion bench binaries, whose argument list is owned by the
-/// harness.
-#[must_use]
-pub fn threads_from_env_args() -> usize {
-    let mut raw: Vec<String> = std::env::args().skip(1).collect();
-    take_threads_flag(&mut raw)
 }
 
 /// Removes a `--trace-json PATH` / `--trace-json=PATH` flag from `args`
@@ -205,6 +197,23 @@ pub fn finish_trace(trace: &Trace, path: Option<&str>, started: Instant) {
         Ok(()) => eprintln!("trace written to {path}"),
         Err(e) => eprintln!("warning: cannot write trace to {path}: {e}"),
     }
+}
+
+/// A JSON object with `members` in order, for the `BENCH_*.json` writers.
+pub fn object<const N: usize>(members: [(&str, Value); N]) -> Value {
+    Value::Object(members.map(|(k, v)| (k.to_owned(), v)).into())
+}
+
+/// A counter as a JSON number (exact below 2^53).
+#[allow(clippy::cast_precision_loss)]
+pub fn count(n: impl TryInto<u64>) -> Value {
+    Value::Number(n.try_into().unwrap_or(u64::MAX) as f64)
+}
+
+/// A duration as a JSON number of seconds.
+#[must_use]
+pub fn secs(d: Duration) -> Value {
+    Value::Number(d.as_secs_f64())
 }
 
 #[cfg(test)]

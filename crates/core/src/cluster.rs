@@ -7,14 +7,16 @@
 //! so every node has at most two senders. The maximum permissible signal
 //! path length `L_max` is minimized by a balanced binary search over
 //! `[d₁, d₂]`, where `d₁` is the largest Manhattan distance between
-//! communicating nodes and `d₂` the longest signal path of a conventional
-//! all-node ring.
+//! communicating nodes and `d₂` the longest signal path of all nodes on
+//! one ring in its better single direction ([`one_way_upper_bound`]), not
+//! the conventional bidirectional ring ([`conventional_upper_bound`]).
 
 use onoc_ctx::{ContentHash, ContentHasher, ContentKey, DeadlineExceeded, ExecCtx};
 use onoc_graph::{CommGraph, NodeId};
 use onoc_layout::ring_order::tour_order;
 use onoc_layout::Cycle;
 use onoc_units::Millimeters;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
@@ -177,14 +179,7 @@ impl From<DeadlineExceeded> for ClusterError {
 /// Returns zero for graphs with fewer than two nodes or no messages.
 #[must_use]
 pub fn conventional_upper_bound(graph: &CommGraph) -> Millimeters {
-    if graph.node_count() < 2 || graph.message_count() == 0 {
-        return Millimeters(0.0);
-    }
-    let positions: Vec<_> = graph.node_ids().map(|n| graph.position(n)).collect();
-    let order = tour_order(&positions);
-    // The guard above makes both constructions infallible; degrade to the
-    // documented zero bound instead of panicking if that ever changes.
-    let Ok(ring) = Cycle::new(order) else {
+    let Some(ring) = all_node_ring(graph) else {
         return Millimeters(0.0);
     };
     let rev = ring.reversed();
@@ -213,17 +208,24 @@ pub fn one_way_upper_bound(graph: &CommGraph) -> Millimeters {
 }
 
 fn one_way_bound(graph: &CommGraph, ev: &mut RingEval) -> Millimeters {
-    if graph.node_count() < 2 || graph.message_count() == 0 {
-        return Millimeters(0.0);
-    }
-    let positions: Vec<_> = graph.node_ids().map(|n| graph.position(n)).collect();
-    let order = tour_order(&positions);
-    let Ok(ring) = Cycle::new(order) else {
+    let Some(ring) = all_node_ring(graph) else {
         return Millimeters(0.0);
     };
     let msgs: Vec<(NodeId, NodeId)> = graph.messages().iter().map(|m| (m.src, m.dst)).collect();
     ev.load(ring.nodes());
     Millimeters(ev.unbounded_orientation(&msgs).1)
+}
+
+/// All nodes on one ring in tour order; `None` (a zero bound) for graphs
+/// with fewer than two nodes or no messages. The guard makes the
+/// construction infallible; should that ever change, the bounds degrade to
+/// zero instead of panicking.
+fn all_node_ring(graph: &CommGraph) -> Option<Cycle> {
+    if graph.node_count() < 2 || graph.message_count() == 0 {
+        return None;
+    }
+    let positions: Vec<_> = graph.node_ids().map(|n| graph.position(n)).collect();
+    Cycle::new(tour_order(&positions)).ok()
 }
 
 /// Runs the full clustering algorithm (paper Fig. 4) and returns the best
@@ -299,23 +301,7 @@ fn search_l_max(
     // greedy construction, validity is not perfectly monotone in L_max,
     // so what the solution realizes, not its bound, is the honest
     // selection key.
-    let mut best: Option<(Clustering, f64)> = None;
-    let consider = |solution: Clustering, best: &mut Option<(Clustering, f64)>| {
-        let score = power_proxy(&solution, graph);
-        let better = match best {
-            None => true,
-            Some((b, bs)) => {
-                score < *bs - 1e-12
-                    || ((score - *bs).abs() <= 1e-12
-                        && (solution.longest_path.0 < b.longest_path.0 - 1e-12
-                            || ((solution.longest_path.0 - b.longest_path.0).abs() <= 1e-12
-                                && solution.l_max.0 < b.l_max.0)))
-            }
-        };
-        if better {
-            *best = Some((solution, score));
-        }
-    };
+    let mut best = None;
     // The paper descends the tree (h clustering runs); because the greedy
     // construction makes validity only approximately monotone in L_max,
     // this implementation evaluates every tree node (2^h − 1 equidistant
@@ -323,15 +309,35 @@ fn search_l_max(
     // set, immune to a single misleading branch decision.
     for l_max in l_max_candidates(graph, config, ev) {
         if let Some(solution) = cluster_under(graph, l_max, ctx, ev)? {
-            consider(solution, &mut best);
+            keep_best(graph, solution, &mut best);
         }
     }
     if best.is_none() {
         if let Some(solution) = cluster_under(graph, f64::INFINITY, ctx, ev)? {
-            consider(solution, &mut best);
+            keep_best(graph, solution, &mut best);
         }
     }
     best.map(|(c, _)| c).ok_or(ClusterError::EmptyCluster)
+}
+
+/// Keeps `solution` in `best` (with its [`power_proxy`]) when it ranks
+/// first: the smaller power proxy, ties within 1e-12 broken by the shorter
+/// realized longest path and then the smaller `L_max`.
+fn keep_best(graph: &CommGraph, solution: Clustering, best: &mut Option<(Clustering, f64)>) {
+    let score = power_proxy(&solution, graph);
+    let better = match best {
+        None => true,
+        Some((b, bs)) => {
+            score < *bs - 1e-12
+                || ((score - *bs).abs() <= 1e-12
+                    && (solution.longest_path.0 < b.longest_path.0 - 1e-12
+                        || ((solution.longest_path.0 - b.longest_path.0).abs() <= 1e-12
+                            && solution.l_max.0 < b.l_max.0)))
+        }
+    };
+    if better {
+        *best = Some((solution, score));
+    }
 }
 
 /// A proxy for the total laser power a clustering solution will need:
@@ -346,56 +352,14 @@ fn power_proxy(solution: &Clustering, graph: &CommGraph) -> f64 {
     congestion * 10f64.powf(solution.longest_path.0 / 10.0)
 }
 
-/// Attempts clustering under a fixed `L_max`; `None` when the
-/// inter-cluster sub-ring cannot satisfy the bound from any initial vertex.
-/// [`cluster`] drives this over the binary-searched `L_max` candidates;
-/// calling it directly is useful for ablation studies.
+/// Clustering under a fixed `L_max` on a caller-owned evaluator; `None`
+/// when the inter-cluster sub-ring cannot satisfy the bound from any
+/// initial vertex.
 ///
 /// Two cluster-selection criteria are tried — preferring the largest grown
 /// cluster (fewer inter-cluster nodes) and preferring the tightest one
 /// (shortest longest path) — each under several cluster-size caps, and
-/// the valid solution with the smallest laser-power proxy wins (ties: the
-/// shorter realized longest path).
-#[must_use]
-pub fn cluster_with_l_max(graph: &CommGraph, l_max: f64) -> Option<Clustering> {
-    try_cluster_with_l_max(graph, l_max).ok().flatten()
-}
-
-/// [`cluster_with_l_max`] with internal invariant violations surfaced as
-/// typed [`ClusterError`]s instead of being swallowed (or, historically,
-/// panicking). Selection is the same: the smallest laser-power proxy,
-/// ties broken by the shorter realized longest path. `Ok(None)` still
-/// means "no valid clustering under this bound".
-///
-/// # Errors
-///
-/// [`ClusterError::InvalidCycle`] when a sub-ring construction or
-/// refinement step violates a cycle invariant.
-pub fn try_cluster_with_l_max(
-    graph: &CommGraph,
-    l_max: f64,
-) -> Result<Option<Clustering>, ClusterError> {
-    try_cluster_with_l_max_ctx(graph, l_max, &ExecCtx::new())
-}
-
-/// [`try_cluster_with_l_max`] with an execution context whose memo tier
-/// (if any) serves the pure construction units; see [`cluster_ctx`].
-///
-/// # Errors
-///
-/// Same contract as [`try_cluster_with_l_max`].
-pub fn try_cluster_with_l_max_ctx(
-    graph: &CommGraph,
-    l_max: f64,
-    ctx: &ExecCtx,
-) -> Result<Option<Clustering>, ClusterError> {
-    let mut ev = RingEval::new(graph);
-    let result = cluster_under(graph, l_max, ctx, &mut ev);
-    ev.record(ctx);
-    result
-}
-
-/// [`try_cluster_with_l_max_ctx`] on a caller-owned evaluator.
+/// the valid solution [`keep_best`] ranks first wins.
 fn cluster_under(
     graph: &CommGraph,
     l_max: f64,
@@ -408,7 +372,7 @@ fn cluster_under(
     // clusters small enough that traffic spreads over several sub-rings,
     // which is what bounds wavelength usage on dense applications.
     let caps = [n, n.div_ceil(2), n.div_ceil(3), n.div_ceil(4)];
-    let mut best: Option<(Clustering, (f64, f64))> = None;
+    let mut best = None;
     for criterion in [
         SelectionCriterion::LargestFirst,
         SelectionCriterion::TightestFirst,
@@ -430,17 +394,7 @@ fn cluster_under(
                 if max_cluster < cap {
                     binding_size = binding_size.min(max_cluster.max(2));
                 }
-                let key = (power_proxy(&c, graph), c.longest_path.0);
-                let better = match &best {
-                    None => true,
-                    Some((_, bk)) => {
-                        key.0 < bk.0 - 1e-12
-                            || ((key.0 - bk.0).abs() <= 1e-12 && key.1 < bk.1 - 1e-12)
-                    }
-                };
-                if better {
-                    best = Some((c, key));
-                }
+                keep_best(graph, c, &mut best);
             }
         }
     }
@@ -715,9 +669,9 @@ fn least_bound(x: f64, slack: f64) -> f64 {
     b
 }
 
-/// The bound tests of one greedy absorption round of [`grow_intra`] or
-/// [`grow_inter`], and the cutoff at which the evaluator may abandon a
-/// trial: past it, a trial fails the bound or loses to the best so far.
+/// The bound tests of one greedy absorption round ([`absorb`]), and the
+/// cutoff at which the evaluator may abandon a trial: past it, a trial
+/// fails the bound or loses to the best so far.
 struct Round {
     l_max: f64,
     cutoff: f64,
@@ -779,9 +733,9 @@ impl Round {
     }
 }
 
-/// A greedy round's absorption in [`grow_intra`] or [`grow_inter`]: the
-/// node, the base segment it went after, whether the ring was then
-/// reversed, and the longest path after the round.
+/// A greedy round's absorption in [`absorb`]: the node, the base segment
+/// it went after, whether the ring was then reversed, and the longest
+/// path after the round.
 type Absorption = (NodeId, usize, bool, f64);
 
 /// The leading rounds of one growth unit's run that every bound in
@@ -965,8 +919,7 @@ fn cluster_pass(
     // only if one of its absorbed members has since been claimed by
     // another cluster (a maximal greedy absorbs every valid candidate, so
     // removing never-absorbed nodes cannot alter its decisions).
-    let mut cache: std::collections::BTreeMap<NodeId, Option<GrownCluster>> =
-        std::collections::BTreeMap::new();
+    let mut cache: BTreeMap<NodeId, Option<GrownCluster>> = BTreeMap::new();
     while !unclustered.is_empty() {
         // Grow a cluster from every possible initial vertex. Under the
         // L_max cap every grown cluster keeps its signal paths short, so
@@ -980,24 +933,19 @@ fn cluster_pass(
             // budgeted run.
             ctx.check_deadline()?;
             let entry = match cache.entry(initial) {
-                std::collections::btree_map::Entry::Occupied(e) => e.into_mut(),
-                std::collections::btree_map::Entry::Vacant(v) => {
-                    v.insert(grow_memo(ev, initial, &unclustered)?)
-                }
+                Entry::Occupied(e) => e.into_mut(),
+                Entry::Vacant(v) => v.insert(grow_memo(ev, initial, &unclustered)?),
             };
             if let Some(grown) = entry.clone() {
                 let key = (grown.longest, grown.members.len());
-                let better = match &best {
-                    None => true,
-                    Some((bl, bm, _)) => match criterion {
-                        SelectionCriterion::LargestFirst => {
-                            key.1 > *bm || (key.1 == *bm && key.0 < *bl - 1e-12)
-                        }
-                        SelectionCriterion::TightestFirst => {
-                            key.0 < *bl - 1e-12 || ((key.0 - *bl).abs() <= 1e-12 && key.1 > *bm)
-                        }
-                    },
-                };
+                let better = best.as_ref().is_none_or(|(bl, bm, _)| match criterion {
+                    SelectionCriterion::LargestFirst => {
+                        key.1 > *bm || (key.1 == *bm && key.0 < *bl - 1e-12)
+                    }
+                    SelectionCriterion::TightestFirst => {
+                        key.0 < *bl - 1e-12 || ((key.0 - *bl).abs() <= 1e-12 && key.1 > *bm)
+                    }
+                });
                 if better {
                     best = Some((key.0, key.1, grown));
                 }
@@ -1008,13 +956,13 @@ fn cluster_pass(
                 // Refine only the winning cluster's ring order (the greedy
                 // grows rings for every candidate initial vertex; refining
                 // them all would be wasted work).
+                let claimed: BTreeSet<NodeId> = grown.members.iter().copied().collect();
                 let (ring, longest) = match grown.ring {
                     Some(ring) => {
-                        let member_set: BTreeSet<NodeId> = grown.members.iter().copied().collect();
                         let msgs: Vec<(NodeId, NodeId)> = graph
                             .messages()
                             .iter()
-                            .filter(|m| member_set.contains(&m.src) && member_set.contains(&m.dst))
+                            .filter(|m| claimed.contains(&m.src) && claimed.contains(&m.dst))
                             .map(|m| (m.src, m.dst))
                             .collect();
                         let (refined, refined_longest) = refine_memo(ev, &ring, &msgs)?;
@@ -1028,7 +976,6 @@ fn cluster_pass(
                     unclustered.remove(&m);
                     cluster_of[m.index()] = idx;
                 }
-                let claimed: BTreeSet<NodeId> = grown.members.iter().copied().collect();
                 cache.retain(|initial, cached| {
                     !claimed.contains(initial)
                         && cached
@@ -1081,19 +1028,19 @@ fn cluster_pass(
         );
         // Bounded growth first (the paper's construction), from every
         // initial vertex; the best raw ring is refined once at the end.
+        // Ties keep the earlier ring.
         let mut best: Option<(f64, Cycle)> = None;
+        let keep = |best: &mut Option<(f64, Cycle)>, cycle: Cycle, longest: f64| {
+            if best.as_ref().is_none_or(|(bl, _)| longest < *bl - 1e-12) {
+                *best = Some((longest, cycle));
+            }
+        };
         for &initial in &v_inter {
             ctx.check_deadline()?;
             if let Some((cycle, longest)) =
                 inter_memo(ev, initial, &v_inter, &inter_messages, l_max)?
             {
-                let better = match &best {
-                    None => true,
-                    Some((bl, _)) => longest < *bl - 1e-12,
-                };
-                if better {
-                    best = Some((longest, cycle));
-                }
+                keep(&mut best, cycle, longest);
             }
         }
         // Fallback: when no bounded growth succeeds, grow unrestricted
@@ -1113,13 +1060,7 @@ fn cluster_pass(
             for (_, cycle) in raw.into_iter().take(3) {
                 let (refined, longest) = refine_memo(ev, &cycle, &inter_messages)?;
                 if longest <= l_max + 1e-12 {
-                    let better = match &best {
-                        None => true,
-                        Some((bl, _)) => longest < *bl - 1e-12,
-                    };
-                    if better {
-                        best = Some((longest, refined));
-                    }
+                    keep(&mut best, refined, longest);
                 }
             }
         }
@@ -1483,6 +1424,11 @@ impl RingEval {
         }
     }
 
+    /// Whether `v` is on the loaded order.
+    fn on_base(&self, v: NodeId) -> bool {
+        self.pos[v.index()] != ABSENT
+    }
+
     /// Positions of a message's endpoints on the loaded order; `None`
     /// when either is off the ring.
     fn ends(&self, s: NodeId, d: NodeId) -> Option<(usize, usize)> {
@@ -1820,17 +1766,8 @@ fn grow_intra(
     exact: &mut Exact,
 ) -> Result<Option<GrownCluster>, ClusterError> {
     // Initial cluster: the nearest unclustered communication partner.
-    let nearest = graph
-        .neighbors(initial)
-        .iter()
-        .copied()
-        .filter(|w| unclustered.contains(w))
-        .min_by(|&a, &b| {
-            ev.d(initial, a)
-                .total_cmp(&ev.d(initial, b))
-                .then(a.cmp(&b))
-        });
-    let Some(first) = nearest else {
+    let neighbors = graph.neighbors(initial).iter().copied();
+    let Some(first) = nearest(ev, initial, neighbors.filter(|w| unclustered.contains(w))) else {
         return Ok(Some(GrownCluster {
             members: vec![initial],
             ring: None,
@@ -1844,48 +1781,118 @@ fn grow_intra(
     }
     exact.held(d, 0.0);
 
-    let n = graph.node_count();
-    let mut members = vec![initial, first];
-    let mut in_cluster = vec![false; n];
-    in_cluster[initial.index()] = true;
-    in_cluster[first.index()] = true;
     // Every message of the graph: a ring's walk skips those with an end
     // off it, so only the cluster's own are ever walked.
     let messages: Vec<(NodeId, NodeId)> = graph.messages().iter().map(|m| (m.src, m.dst)).collect();
     // The ring stays un-oriented until the first absorption.
-    let mut ring = members.clone();
+    let ring = vec![initial, first];
     ev.load(&ring);
-    let mut longest = ev.unbounded_orientation(&messages).1;
+    let longest = ev.unbounded_orientation(&messages).1;
     ev.set_messages(&messages);
+    // Candidates: unclustered communication partners of any member.
+    let mut is_candidate = vec![false; graph.node_count()];
+    let pool = |ev: &RingEval, out: &mut Vec<NodeId>| {
+        is_candidate.fill(false);
+        for &m in &ev.order {
+            for &w in graph.neighbors(m) {
+                is_candidate[w.index()] |= unclustered.contains(&w) && !ev.on_base(w);
+            }
+        }
+        out.extend(graph.node_ids().filter(|x| is_candidate[x.index()]));
+    };
+    let grown = absorb(ev, key, ring, longest, l_max, size_cap, true, exact, pool)?;
+    Ok(grown.map(|(members, ring, longest)| GrownCluster {
+        members,
+        ring: Some(ring),
+        longest,
+    }))
+}
 
-    let mut is_candidate = vec![false; n];
-    let mut segs = Vec::new();
+/// Grows the inter-cluster sub-ring from `initial`: it must absorb *all*
+/// of `v_inter` (ascending, `initial` among them) while keeping every
+/// cross-cluster signal path within `l_max` (paper Sec. III-A-2). `key` is
+/// as for [`grow_intra`].
+fn grow_inter(
+    ev: &mut RingEval,
+    key: ContentKey,
+    initial: NodeId,
+    v_inter: &[NodeId],
+    inter_messages: &[(NodeId, NodeId)],
+    l_max: f64,
+    exact: &mut Exact,
+) -> Result<Option<(Cycle, f64)>, ClusterError> {
+    let others = v_inter.iter().copied().filter(|&v| v != initial);
+    let Some(second) = nearest(ev, initial, others) else {
+        return Ok(None);
+    };
+    let ring = vec![initial, second];
+    ev.load(&ring);
+    // An abandoned walk's bound exceeds the cutoff, so it fails too.
+    let (Ok((_, longest)) | Err(longest)) = ev.orientation(inter_messages, l_max + 1e-12);
+    if longest > l_max + 1e-12 {
+        exact.failed(longest, 1e-12);
+        return Ok(None);
+    }
+    exact.held(longest, 1e-12);
+    // Most inter messages have an end off the trial ring: a candidate's
+    // trials walk only the rest.
+    ev.set_messages(inter_messages);
+    let rest = |ev: &RingEval, out: &mut Vec<NodeId>| {
+        out.extend(v_inter.iter().copied().filter(|&v| !ev.on_base(v)));
+    };
+    let cap = v_inter.len();
+    let grown = absorb(ev, key, ring, longest, l_max, cap, false, exact, rest)?;
+    Ok(grown.map(|(_, ring, longest)| (ring, longest)))
+}
+
+/// The node of `pool` nearest to `from`, ties going to the smaller node.
+fn nearest(ev: &RingEval, from: NodeId, pool: impl Iterator<Item = NodeId>) -> Option<NodeId> {
+    pool.min_by(|&a, &b| ev.d(from, a).total_cmp(&ev.d(from, b)).then(a.cmp(&b)))
+}
+
+/// The greedy absorption of both growth units (paper Sec. III-A-1 and
+/// III-A-2), over the messages of [`RingEval::set_messages`]. From the
+/// two-node `ring` of longest path `longest`, each round absorbs the
+/// candidate whose best insertion keeps the longest path smallest within
+/// `l_max`, until the ring has `cap` nodes. A round's candidates are
+/// those `candidates` lists, ascending, given the evaluator with the
+/// round's ring as its base; each is tried after the 8 segments of least
+/// detour ([`candidate_segments`]). Ties go, for `intra`, to the
+/// candidate with the most messages into the ring (communication
+/// affinity, which keeps subsystems together), then to the smaller node.
+/// A round that absorbs nothing ends the unit: with the ring grown so far
+/// for `intra`, with no ring otherwise.
+///
+/// Returns the members in absorption order, the ring and its longest
+/// path. Rounds are replayed from, and logged under, `key` ([`Replay`]).
+#[allow(clippy::too_many_arguments)] // the two units' differences, key and interval
+fn absorb(
+    ev: &mut RingEval,
+    key: ContentKey,
+    mut ring: Vec<NodeId>,
+    mut longest: f64,
+    l_max: f64,
+    cap: usize,
+    intra: bool,
+    exact: &mut Exact,
+    mut candidates: impl FnMut(&RingEval, &mut Vec<NodeId>),
+) -> Result<Option<(Vec<NodeId>, Cycle, f64)>, ClusterError> {
+    let mut members = ring.clone();
+    let (mut xs, mut segs) = (Vec::new(), Vec::new());
     let mut log = Replay::start(ev, key, l_max, exact);
-    // Bounded: every round absorbs one node or breaks on an empty
-    // candidate set, capped at size_cap.
-    while members.len() < size_cap {
+    // Bounded: every round absorbs one node or ends the loop.
+    while ring.len() < cap {
         let absorbed = match log.next(ev) {
             replayed @ Some(_) => replayed,
             None => {
                 ev.set_base(&ring);
-                // Candidates: unvisited communication partners of any member.
-                is_candidate.fill(false);
-                for &m in &members {
-                    for &w in graph.neighbors(m) {
-                        if unclustered.contains(&w) && !in_cluster[w.index()] {
-                            is_candidate[w.index()] = true;
-                        }
-                    }
-                }
-                // Absorb the valid candidate whose best insertion point
-                // yields the smallest longest signal path; ties go to the
-                // candidate with the most messages into the cluster
-                // (communication affinity), which keeps subsystems
-                // together. Only the winner's ring is built.
+                xs.clear();
+                candidates(ev, &mut xs);
+                // Only the winner's ring is built.
                 let mut best: Option<(f64, usize, NodeId, usize, bool)> = None;
                 let mut round = Round::new(l_max);
-                for x in graph.node_ids().filter(|x| is_candidate[x.index()]) {
-                    let aff = ev.candidate(x);
+                for &x in &xs {
+                    let aff = ev.candidate(x) * usize::from(intra);
                     candidate_segments(&ring, x, &|a, b| ev.d(a, b), 8, &mut segs);
                     for &(_, seg) in &segs {
                         let Some((reversed, l)) = round.trial(ev, seg) else {
@@ -1915,7 +1922,6 @@ fn grow_intra(
             break;
         };
         members.push(x);
-        in_cluster[x.index()] = true;
         ring.insert(seg + 1, x);
         if reversed {
             ring.reverse();
@@ -1923,109 +1929,12 @@ fn grow_intra(
         longest = l;
     }
     log.finish(ev, *exact);
-
-    let ring =
-        Cycle::new(ring).map_err(|_| ClusterError::InvalidCycle("grown ring repeats a node"))?;
-    Ok(Some(GrownCluster {
-        members,
-        ring: Some(ring),
-        longest,
-    }))
-}
-
-/// Grows the inter-cluster sub-ring from `initial`: it must absorb *all*
-/// of `v_inter` while keeping every cross-cluster signal path within
-/// `l_max` (paper Sec. III-A-2). `key` is as for [`grow_intra`].
-fn grow_inter(
-    ev: &mut RingEval,
-    key: ContentKey,
-    initial: NodeId,
-    v_inter: &[NodeId],
-    inter_messages: &[(NodeId, NodeId)],
-    l_max: f64,
-    exact: &mut Exact,
-) -> Result<Option<(Cycle, f64)>, ClusterError> {
-    let Some(nearest) = v_inter
-        .iter()
-        .copied()
-        .filter(|&v| v != initial)
-        .min_by(|&a, &b| {
-            ev.d(initial, a)
-                .total_cmp(&ev.d(initial, b))
-                .then(a.cmp(&b))
-        })
-    else {
-        return Ok(None);
-    };
-    let mut ring = vec![initial, nearest];
-    let mut remaining: BTreeSet<NodeId> = v_inter
-        .iter()
-        .copied()
-        .filter(|&v| v != initial && v != nearest)
-        .collect();
-    ev.load(&ring);
-    // An abandoned walk's bound exceeds the cutoff, so it fails too.
-    let (Ok((_, mut longest)) | Err(mut longest)) = ev.orientation(inter_messages, l_max + 1e-12);
-    if longest > l_max + 1e-12 {
-        exact.failed(longest, 1e-12);
+    if ring.len() < cap && !intra {
         return Ok(None);
     }
-    exact.held(longest, 1e-12);
-    // Most inter messages have an end off the trial ring: a candidate's
-    // trials walk only the rest.
-    ev.set_messages(inter_messages);
-
-    let mut segs = Vec::new();
-    let mut log = Replay::start(ev, key, l_max, exact);
-    // Bounded: every round inserts one remaining node onto the ring or
-    // returns infeasible.
-    while !remaining.is_empty() {
-        let absorbed = match log.next(ev) {
-            replayed @ Some(_) => replayed,
-            None => {
-                ev.set_base(&ring);
-                let mut best: Option<(f64, NodeId, usize, bool)> = None;
-                let mut round = Round::new(l_max);
-                for &x in &remaining {
-                    ev.candidate(x);
-                    candidate_segments(&ring, x, &|a, b| ev.d(a, b), 8, &mut segs);
-                    for &(_, seg) in &segs {
-                        let Some((reversed, l)) = round.trial(ev, seg) else {
-                            continue;
-                        };
-                        let better = match &best {
-                            None => true,
-                            Some((bl, bx, _, _)) => {
-                                l < *bl - 1e-12 || ((l - *bl).abs() <= 1e-12 && x < *bx)
-                            }
-                        };
-                        if better {
-                            best = Some((l, x, seg, reversed));
-                            round.lead(l);
-                        }
-                    }
-                }
-                round.close(exact);
-                let absorbed = best.map(|(l, x, seg, reversed)| (x, seg, reversed, l));
-                log.record(absorbed, exact.hi);
-                absorbed
-            }
-        };
-        let Some((x, seg, reversed, l)) = absorbed else {
-            log.finish(ev, *exact);
-            return Ok(None);
-        };
-        remaining.remove(&x);
-        ring.insert(seg + 1, x);
-        if reversed {
-            ring.reverse();
-        }
-        longest = l;
-    }
-    log.finish(ev, *exact);
     let ring =
         Cycle::new(ring).map_err(|_| ClusterError::InvalidCycle("grown ring repeats a node"))?;
-    Ok(Some((ring, longest)))
+    Ok(Some((members, ring, longest)))
 }
 
 #[cfg(test)]
@@ -2707,7 +2616,17 @@ mod tests {
                     trial.insert(p + 1, x);
                     oracle.load(&trial);
                     let (_, exact) = oracle.unbounded_orientation(&messages);
-                    for cutoff in [f64::INFINITY, exact, exact.next_up(), exact.next_down()] {
+                    // Also each on-ring message's own `min(fwd, rev)` and
+                    // the float below it: there, where the walk stops and
+                    // the bound it carries depend on the walk order.
+                    let mut cutoffs = vec![f64::INFINITY, exact, exact.next_up(), exact.next_down()];
+                    for &(s, d) in &messages {
+                        if let Some((i, j)) = oracle.ends(s, d).filter(|(i, j)| i != j) {
+                            let least = oracle.forward(i, j).min(oracle.backward(i, j));
+                            cutoffs.extend([least, least.next_down()]);
+                        }
+                    }
+                    for cutoff in cutoffs {
                         let (evals, cut) = (ev.evals, ev.cut);
                         let got = ev.insertion(p, cutoff);
                         let (oracle_evals, oracle_cut) = (oracle.evals, oracle.cut);

@@ -52,10 +52,7 @@ pub mod synthesis;
 pub use assignment::{
     assign, assign_ctx, AssignPath, Assignment, AssignmentProblem, AssignmentStrategy, MilpOptions,
 };
-pub use cluster::{
-    cluster, cluster_ctx, try_cluster_with_l_max, try_cluster_with_l_max_ctx, ClusterError,
-    Clustering, ClusteringConfig,
-};
+pub use cluster::{cluster, cluster_ctx, ClusterError, Clustering, ClusteringConfig};
 pub use depmap::{dirty_rings, home_ring, DirtyStats, RingRef};
 pub use resynth::{design_bytes, ResynthError, ResynthReport};
 pub use stages::{

@@ -160,7 +160,9 @@ impl SringSynthesizer {
         &self.config
     }
 
-    /// Synthesizes a router design for `app`.
+    /// Synthesizes a router design for `app` on a fresh
+    /// [`ExecCtx::cached`], so clustering serves its construction units
+    /// from a memo tier across the `L_max` search.
     ///
     /// # Errors
     ///
@@ -170,13 +172,14 @@ impl SringSynthesizer {
         Ok(self.synthesize_detailed(app)?.design)
     }
 
-    /// Synthesizes a router design and reports every intermediate result.
+    /// Synthesizes a router design and reports every intermediate result,
+    /// on a fresh [`ExecCtx::cached`] as [`SringSynthesizer::synthesize`].
     ///
     /// # Errors
     ///
     /// See [`SringError`].
     pub fn synthesize_detailed(&self, app: &CommGraph) -> Result<SringReport, SringError> {
-        self.synthesize_detailed_ctx(app, &ExecCtx::default())
+        self.synthesize_detailed_ctx(app, &ExecCtx::cached())
     }
 
     /// [`SringSynthesizer::synthesize`] through an explicit execution

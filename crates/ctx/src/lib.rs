@@ -683,26 +683,12 @@ impl ExecCtx {
         self
     }
 
-    /// Detaches the memo tier: every sub-result recomputes.
-    #[must_use]
-    pub fn without_memo(mut self) -> Self {
-        self.memo = None;
-        self
-    }
-
     /// Attaches a persistent artifact store as the tier behind the
     /// in-memory cache: stage lookups fall through memory → store →
     /// compute, and computed artifacts are written through to both.
     #[must_use]
     pub fn with_store(mut self, store: Arc<dyn ArtifactStore>) -> Self {
         self.store = Some(store);
-        self
-    }
-
-    /// Detaches the persistent artifact store.
-    #[must_use]
-    pub fn without_store(mut self) -> Self {
-        self.store = None;
         self
     }
 

@@ -135,12 +135,6 @@ impl Basis {
     pub fn is_empty(&self) -> bool {
         self.cols.is_empty()
     }
-
-    /// Number of basic columns — the row count of the LP it came from.
-    #[must_use]
-    pub fn basic_count(&self) -> usize {
-        self.basic
-    }
 }
 
 /// Reusable scratch buffers for [`solve_lp_with`].

@@ -192,34 +192,6 @@ fn connect(args: &Args) -> Result<Client, CliError> {
     Client::connect(addr).map_err(|e| CliError::runtime(format!("cannot connect to {addr}: {e}")))
 }
 
-/// One `--delta` edit: `add:SRC,DST,BW`, `remove:ID`,
-/// `retarget:ID,SRC,DST` or `scale:ID,FACTOR`.
-fn parse_delta(spec: &str) -> Result<DeltaSpec, CliError> {
-    let bad = || CliError::usage(format!("bad --delta `{spec}`"));
-    let (kind, rest) = spec.split_once(':').ok_or_else(bad)?;
-    let parts: Vec<&str> = rest.split(',').collect();
-    let int = |v: &str| v.parse::<u64>().map_err(|_| bad());
-    let num = |v: &str| v.parse::<f64>().map_err(|_| bad());
-    match (kind, parts.as_slice()) {
-        ("add", [src, dst, bw]) => Ok(DeltaSpec::Add {
-            src: int(src)?,
-            dst: int(dst)?,
-            bandwidth: num(bw)?,
-        }),
-        ("remove", [id]) => Ok(DeltaSpec::Remove { id: int(id)? }),
-        ("retarget", [id, src, dst]) => Ok(DeltaSpec::Retarget {
-            id: int(id)?,
-            src: int(src)?,
-            dst: int(dst)?,
-        }),
-        ("scale", [id, factor]) => Ok(DeltaSpec::Scale {
-            id: int(id)?,
-            factor: num(factor)?,
-        }),
-        _ => Err(bad()),
-    }
-}
-
 fn parse_workload(args: &Args) -> Result<Workload, CliError> {
     let picks = [
         args.value("benchmark")?.is_some(),
@@ -239,7 +211,7 @@ fn parse_workload(args: &Args) -> Result<Workload, CliError> {
         let deltas = args
             .values("delta")?
             .iter()
-            .map(|spec| parse_delta(spec))
+            .map(|spec| spec.parse::<DeltaSpec>().map_err(CliError::usage))
             .collect::<Result<Vec<_>, _>>()?;
         if deltas.is_empty() {
             return Err(CliError::usage("--base needs at least one --delta"));

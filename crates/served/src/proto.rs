@@ -323,6 +323,40 @@ impl DeltaSpec {
     }
 }
 
+/// The `--delta` grammar of `sring-cli` and `sring-served`:
+/// `add:SRC,DST,BW`, `remove:ID`, `retarget:ID,SRC,DST` or
+/// `scale:ID,FACTOR` (IDs are stable message ids, SRC/DST node indices).
+/// The error is the message both tools print.
+impl std::str::FromStr for DeltaSpec {
+    type Err = String;
+
+    fn from_str(spec: &str) -> Result<Self, String> {
+        let bad = || format!("bad --delta `{spec}`");
+        let (kind, rest) = spec.split_once(':').ok_or_else(bad)?;
+        let parts: Vec<&str> = rest.split(',').collect();
+        let int = |v: &str| v.parse::<u64>().map_err(|_| bad());
+        let num = |v: &str| v.parse::<f64>().map_err(|_| bad());
+        match (kind, parts.as_slice()) {
+            ("add", [src, dst, bw]) => Ok(DeltaSpec::Add {
+                src: int(src)?,
+                dst: int(dst)?,
+                bandwidth: num(bw)?,
+            }),
+            ("remove", [id]) => Ok(DeltaSpec::Remove { id: int(id)? }),
+            ("retarget", [id, src, dst]) => Ok(DeltaSpec::Retarget {
+                id: int(id)?,
+                src: int(src)?,
+                dst: int(dst)?,
+            }),
+            ("scale", [id, factor]) => Ok(DeltaSpec::Scale {
+                id: int(id)?,
+                factor: num(factor)?,
+            }),
+            _ => Err(bad()),
+        }
+    }
+}
+
 impl Persist for DeltaSpec {
     fn persist(&self, enc: &mut Encoder) {
         match self {
@@ -966,6 +1000,55 @@ mod tests {
                 DeltaSpec::Scale { id: 6, factor: 0.5 },
             ],
         })));
+    }
+
+    #[test]
+    fn delta_specs_parse_the_four_forms_and_reject_malformed_ones() {
+        let parse = |s: &str| s.parse::<DeltaSpec>();
+        assert_eq!(
+            parse("add:1,2,1.5"),
+            Ok(DeltaSpec::Add {
+                src: 1,
+                dst: 2,
+                bandwidth: 1.5
+            })
+        );
+        assert_eq!(parse("remove:3"), Ok(DeltaSpec::Remove { id: 3 }));
+        assert_eq!(
+            parse("retarget:4,0,5"),
+            Ok(DeltaSpec::Retarget {
+                id: 4,
+                src: 0,
+                dst: 5
+            })
+        );
+        assert_eq!(
+            parse("scale:6,0.5"),
+            Ok(DeltaSpec::Scale { id: 6, factor: 0.5 })
+        );
+        for bad in [
+            // No colon.
+            "",
+            "remove",
+            "scale 6,0.5",
+            // Wrong arity.
+            "add:1,2",
+            "remove:1,2",
+            "retarget:1,2",
+            "scale:6",
+            // Bad number.
+            "remove:",
+            "remove:x",
+            "remove:-1",
+            "add:1,2,fast",
+            "retarget:1,2,3.5",
+            "scale:1.5,2",
+            // Unknown kind.
+            "frob:1",
+            "Add:1,2,1.5",
+        ] {
+            assert_eq!(parse(bad), Err(format!("bad --delta `{bad}`")));
+        }
     }
 
     #[test]

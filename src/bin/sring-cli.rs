@@ -59,6 +59,7 @@ use sring::graph::benchmarks::Benchmark;
 use sring::graph::{CommDelta, CommGraph};
 use sring::layout::svg;
 use sring::photonics::{analyze_crosstalk, render_report};
+use sring::served::proto::DeltaSpec;
 use sring::store::{export_to_path, import_from_path, DiskStore};
 use sring::trace::{Trace, TraceReport};
 use sring::units::{Millimeters, TechnologyParameters};
@@ -393,35 +394,10 @@ fn run_synth(args: &Args, tech: &TechnologyParameters, started: Instant) -> Resu
     emit_trace(&trace, trace_json.as_deref(), args.has("trace"), started)
 }
 
-/// One `--delta` edit for `resynth`: `add:SRC,DST,BW`, `remove:ID`,
-/// `retarget:ID,SRC,DST` or `scale:ID,FACTOR` (IDs are stable message
-/// ids, SRC/DST are node indices).
+/// One `--delta` edit for `resynth`, in the grammar of [`DeltaSpec`].
 fn parse_delta(spec: &str) -> Result<CommDelta, CliError> {
-    use sring::graph::{NodeId, StableMessageId};
-    let bad = || CliError::usage(format!("bad --delta `{spec}`"));
-    let (kind, rest) = spec.split_once(':').ok_or_else(bad)?;
-    let parts: Vec<&str> = rest.split(',').collect();
-    let node = |v: &str| v.parse::<usize>().map(NodeId).map_err(|_| bad());
-    let id = |v: &str| v.parse::<u64>().map(StableMessageId).map_err(|_| bad());
-    let num = |v: &str| v.parse::<f64>().map_err(|_| bad());
-    match (kind, parts.as_slice()) {
-        ("add", [src, dst, bw]) => Ok(CommDelta::AddMessage {
-            src: node(src)?,
-            dst: node(dst)?,
-            bandwidth: num(bw)?,
-        }),
-        ("remove", [msg]) => Ok(CommDelta::RemoveMessage { id: id(msg)? }),
-        ("retarget", [msg, src, dst]) => Ok(CommDelta::Retarget {
-            id: id(msg)?,
-            src: node(src)?,
-            dst: node(dst)?,
-        }),
-        ("scale", [msg, factor]) => Ok(CommDelta::ScaleBandwidth {
-            id: id(msg)?,
-            factor: num(factor)?,
-        }),
-        _ => Err(bad()),
-    }
+    let delta: DeltaSpec = spec.parse().map_err(CliError::usage)?;
+    Ok(delta.to_comm())
 }
 
 /// `resynth`: synthesize a benchmark, apply `--delta` edits and
