@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
 # The gate every PR must pass, runnable locally: `sh ci/check.sh`.
-# Formatting, lints-as-errors (clippy, whose unfulfilled `#[expect]`s
-# fail too), a release build, the full workspace test suite (which runs
-# the workspace's own static analysis, onoc-lint, as a test), and a
+# Formatting, lints-as-errors (clippy, with the thread, clock, hash-order
+# and lock rules of clippy.toml; unfulfilled `#[expect]`s fail too), a
+# release build, the full workspace test suite (which runs onoc-lint's
+# two remaining rules and the `Persist` round trips as tests), and a
 # fast MILP solver smoke check. The slow dynamic-analysis pass
 # (TSan/Miri) lives in ci/sanitize.sh and runs nightly, non-blocking.
 set -eux

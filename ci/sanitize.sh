@@ -1,17 +1,17 @@
 #!/usr/bin/env sh
 # Dynamic-analysis pass for the concurrency layer, runnable locally:
 # `sh ci/sanitize.sh` (or `sh ci/sanitize.sh tsan` / `sh ci/sanitize.sh miri`
-# to run one half). Complements the static pass (clippy, plus onoc-lint
-# run by `cargo test -p onoc-lint`): the lint proves the locking *idioms*
-# are right, this proves the actual interleavings and memory accesses are.
+# to run one half). Complements the static pass: clippy's
+# `disallowed_types` confines locks to the audited layers (onoc-ctx,
+# onoc-served, onoc-trace), and this proves the interleavings and memory
+# accesses inside them are right.
 #
 # 1. ThreadSanitizer over the concurrency-heavy integration suites
 #    (tests/cache.rs, tests/trace.rs, tests/served.rs):
 #    the shared ArtifactCache
 #    (including the seeded multi-thread stress test), the trace registry,
-#    and the sring-served daemon whose nested queue/session locking is
-#    exempted from the static lock-order rule (L8) on the strength of
-#    this dynamic audit.
+#    and the sring-served daemon, whose nested queue/session locking is
+#    audited by this dynamic pass rather than by a static lock-order rule.
 # 2. Miri over the onoc-ctx and onoc-trace unit tests: UB detection for
 #    the cache/registry internals that every other crate leans on.
 #

@@ -66,7 +66,10 @@ fn run_load(
         let handles: Vec<_> = (0..concurrency)
             .map(|_| {
                 let next = &next;
-                // onoc-lint: allow(L3, reason = "load-generator clients; bounded by --concurrency and joined in-scope")
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "load-generator clients; bounded by --concurrency and joined in-scope"
+                )]
                 scope.spawn(move || -> Result<Vec<f64>, String> {
                     let mut client = Client::connect(addr).map_err(|e| e.to_string())?;
                     let mut latencies = Vec::new();
@@ -122,7 +125,10 @@ fn run_overflow() -> Result<(usize, usize), String> {
     let responses: Vec<Response> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..16)
             .map(|_| {
-                // onoc-lint: allow(L3, reason = "overload probe clients; 16 threads joined in-scope")
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "overload probe clients; 16 threads joined in-scope"
+                )]
                 scope.spawn(move || -> Result<Response, String> {
                     let mut client = Client::connect(addr).map_err(|e| e.to_string())?;
                     client

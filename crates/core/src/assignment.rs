@@ -1289,6 +1289,10 @@ fn milp_assignment(
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests set deadlines relative to the wall clock"
+)]
 mod tests {
     use super::*;
 

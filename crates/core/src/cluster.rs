@@ -9,7 +9,7 @@
 //! `[d₁, d₂]`, where `d₁` is the largest Manhattan distance between
 //! communicating nodes and `d₂` the longest signal path of all nodes on
 //! one ring in its better single direction ([`one_way_upper_bound`]), not
-//! the conventional bidirectional ring ([`conventional_upper_bound`]).
+//! the shorter-direction path of a conventional bidirectional ring.
 
 use onoc_ctx::{ContentHash, ContentHasher, ContentKey, DeadlineExceeded, ExecCtx};
 use onoc_graph::{CommGraph, NodeId};
@@ -170,31 +170,6 @@ impl From<DeadlineExceeded> for ClusterError {
     fn from(e: DeadlineExceeded) -> Self {
         ClusterError::Deadline(e)
     }
-}
-
-/// The longest signal path of a conventional ring router connecting all
-/// nodes sequentially with clockwise and counter-clockwise waveguides
-/// (each message taking the shorter direction).
-///
-/// Returns zero for graphs with fewer than two nodes or no messages.
-#[must_use]
-pub fn conventional_upper_bound(graph: &CommGraph) -> Millimeters {
-    let Some(ring) = all_node_ring(graph) else {
-        return Millimeters(0.0);
-    };
-    let rev = ring.reversed();
-    let dist = |a: NodeId, b: NodeId| graph.manhattan(a, b).0;
-    let mut worst = 0.0f64;
-    for m in graph.messages() {
-        let (Some(fwd), Some(bwd)) = (
-            ring.path_length(m.src, m.dst, dist),
-            rev.path_length(m.src, m.dst, dist),
-        ) else {
-            continue;
-        };
-        worst = worst.max(fwd.min(bwd));
-    }
-    Millimeters(worst)
 }
 
 /// The longest signal path if all nodes were connected sequentially on a
@@ -1945,6 +1920,30 @@ mod tests {
 
     fn config() -> ClusteringConfig {
         ClusteringConfig::default()
+    }
+
+    /// The longest signal path of a conventional ring router connecting all
+    /// nodes sequentially with clockwise and counter-clockwise waveguides
+    /// (each message taking the shorter direction).
+    ///
+    /// Returns zero for graphs with fewer than two nodes or no messages.
+    fn conventional_upper_bound(graph: &CommGraph) -> Millimeters {
+        let Some(ring) = all_node_ring(graph) else {
+            return Millimeters(0.0);
+        };
+        let rev = ring.reversed();
+        let dist = |a: NodeId, b: NodeId| graph.manhattan(a, b).0;
+        let mut worst = 0.0f64;
+        for m in graph.messages() {
+            let (Some(fwd), Some(bwd)) = (
+                ring.path_length(m.src, m.dst, dist),
+                rev.path_length(m.src, m.dst, dist),
+            ) else {
+                continue;
+            };
+            worst = worst.max(fwd.min(bwd));
+        }
+        Millimeters(worst)
     }
 
     /// One clustering run per benchmark, shared across the tests below.

@@ -758,6 +758,10 @@ impl Stage for AssignStage<'_> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests set deadlines relative to the wall clock"
+)]
 mod tests {
     use super::*;
     use onoc_graph::benchmarks;

@@ -226,7 +226,10 @@ impl SringSynthesizer {
         // Fail fast: a deadline that is already past at construction must
         // not run the full pipeline only to have its result discarded.
         ctx.check_deadline()?;
-        // onoc-lint: allow(L4, reason = "report-level runtime measurement returned in SringReport; not a trace span")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "report-level runtime measurement returned in SringReport; not a trace span"
+        )]
         let start = Instant::now();
         let trace = ctx.trace();
         let span_synth = trace.span("synth");
@@ -312,6 +315,10 @@ impl SringSynthesizer {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests set deadlines relative to the wall clock"
+)]
 mod tests {
     use super::*;
     use crate::assignment::MilpOptions;

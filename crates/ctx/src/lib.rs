@@ -28,6 +28,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::iter_over_hash_type)]
+#![expect(clippy::disallowed_types, reason = "audited lock layer, DESIGN.md §12")]
 
 use onoc_trace::{lock_or_recover, Trace};
 use std::any::Any;
@@ -46,6 +47,10 @@ use std::time::{Duration, Instant};
 #[must_use]
 pub fn resolve_threads(requested: usize) -> usize {
     match requested {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the one thread-count probe: every other layer takes its count from here"
+        )]
         0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         n => n,
     }
@@ -748,8 +753,11 @@ impl ExecCtx {
     /// it has already passed.
     #[must_use]
     pub fn remaining(&self) -> Option<Duration> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "deadline arithmetic against the ctx budget, not a measurement"
+        )]
         self.deadline
-            // onoc-lint: allow(L4, reason = "deadline arithmetic against the ctx budget, not a measurement")
             .map(|d| d.saturating_duration_since(Instant::now()))
     }
 
@@ -769,7 +777,10 @@ impl ExecCtx {
         let Some(deadline) = self.deadline else {
             return Ok(());
         };
-        // onoc-lint: allow(L4, reason = "deadline arithmetic against the ctx budget, not a measurement")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "deadline arithmetic against the ctx budget, not a measurement"
+        )]
         let now = Instant::now();
         if now >= deadline {
             Err(DeadlineExceeded {
@@ -959,11 +970,17 @@ impl ExecCtx {
 /// `HashMap`/`HashSet` iteration order is the hasher's and varies between
 /// processes, so any output-producing path that walks a hash map must
 /// route through this adapter (or use a `BTreeMap` outright) to keep the
-/// byte-identity contract of DESIGN.md §16. `clippy::iter_over_hash_type`,
-/// warned in every output-producing crate, enforces that for `for` loops
-/// over a hash container; iterating the `Vec` this returns is fine.
+/// byte-identity contract of DESIGN.md §16. `clippy::iter_over_hash_type`
+/// (warned at every library crate root) enforces that for `for` loops
+/// over a hash container, and the root `clippy.toml`'s
+/// `disallowed-methods` for `.iter()`/`.keys()`/`.values()` chains;
+/// iterating the `Vec` this returns is fine.
 #[must_use]
 pub fn sorted_entries<K: Ord, V, S>(map: &std::collections::HashMap<K, V, S>) -> Vec<(&K, &V)> {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "sorted by key before it is returned"
+    )]
     let mut entries: Vec<(&K, &V)> = map.iter().collect();
     entries.sort_by(|a, b| a.0.cmp(b.0));
     entries
@@ -975,12 +992,17 @@ pub fn sorted_entries<K: Ord, V, S>(map: &std::collections::HashMap<K, V, S>) ->
 /// `HashMap<K, ()>` or collect it into a `BTreeSet` instead.
 #[must_use]
 pub fn sorted_keys<K: Ord, V, S>(map: &std::collections::HashMap<K, V, S>) -> Vec<&K> {
+    #[expect(clippy::disallowed_methods, reason = "sorted before it is returned")]
     let mut keys: Vec<&K> = map.keys().collect();
     keys.sort();
     keys
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests set deadlines and share the cache across threads"
+)]
 mod tests {
     use super::*;
 

@@ -29,7 +29,7 @@ where
         let f = &f;
         let handles: Vec<_> = (0..threads)
             .map(|t| {
-                // onoc-lint: allow(L3, reason = "the eval worker pool: sized by onoc_ctx::resolve_threads, joined in-scope")
+                #[expect(clippy::disallowed_methods, reason = "the eval worker pool: sized by onoc_ctx::resolve_threads, joined in-scope")]
                 scope.spawn(move || {
                     let mut out = Vec::new();
                     let mut i = t;

@@ -13,7 +13,7 @@
 //! Macro invocations (`name!(…)`) and bare keywords are never calls.
 
 use crate::lex::TokenKind;
-use crate::model::{FileModel, ItemKind};
+use crate::model::FileModel;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Control-flow and expression keywords that look like calls when
@@ -55,9 +55,6 @@ impl CallGraph {
         let mut graph = CallGraph::default();
         for (fi, m) in files.iter().enumerate() {
             for (ii, item) in m.items.iter().enumerate() {
-                if item.kind != ItemKind::Fn {
-                    continue;
-                }
                 let mut calls = BTreeSet::new();
                 for k in item.body() {
                     if let Some(name) = call_at(m, k) {
@@ -154,13 +151,10 @@ pub fn call_at(m: &FileModel, k: usize) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::FileModel;
 
     fn graph(src: &str) -> CallGraph {
         let m = FileModel::build("crates/demo/src/lib.rs", src);
-        let files = [&m];
-        // SAFETY-free trick: rebuild from the slice of refs.
-        CallGraph::build(&files[..])
+        CallGraph::build(&[&m])
     }
 
     #[test]

@@ -1,26 +1,23 @@
-//! `onoc-lint`: the workspace rules clippy cannot express.
+//! `onoc-lint`: the workspace rules neither clippy nor a test can say.
 //!
 //! A std-only engine (no external parser — the build environment is
 //! offline and dependencies are vendored stubs) built from three
 //! layers: a loss-free lexer ([`lex`]), a per-file scope model that
-//! recovers items and test regions ([`model`]), and a conservative
-//! intra-crate call graph ([`callgraph`]). On top run the rules that
-//! are scoped by path and file kind, or need cross-file analysis:
+//! recovers `fn` items and test regions ([`model`]), and a conservative
+//! intra-crate call graph ([`callgraph`]). On top run the two rules
+//! with no stock substitute:
 //!
-//! | rule | name               | invariant |
-//! |------|--------------------|-----------|
-//! | L2   | `float-total-cmp`  | float orderings use `total_cmp`, never `partial_cmp` |
-//! | L3   | `thread-spawn`     | `thread::spawn`, scoped spawns and `available_parallelism` only in `onoc-ctx` |
-//! | L4   | `instant-now`      | `Instant::now()` only in `onoc-trace` |
-//! | L8   | `lock-order`       | no nested / inconsistently-ordered Mutex acquisition |
-//! | L9   | `deadline-loop`    | solver/synthesis loops consult the deadline |
-//! | L10  | `persist-symmetry` | `Persist` impls encode and decode the same fields in the same order |
+//! | rule | name              | invariant |
+//! |------|-------------------|-----------|
+//! | L2   | `float-total-cmp` | float orderings use `total_cmp`, never `partial_cmp` |
+//! | L9   | `deadline-loop`   | solver/synthesis loops consult the deadline |
 //!
-//! clippy enforces the rest (see [`rules::RETIRED`]). A finding is
-//! suppressed only by an inline pragma with a mandatory reason (see
-//! [`pragma`]); a pragma that suppresses nothing is itself an error.
-//! The gate is the `the_real_workspace_lints_clean` test, which
-//! `cargo test` runs. DESIGN.md §12 has the full policy.
+//! clippy and the `Persist` round-trip tests enforce the rest (see
+//! [`rules::RETIRED`]). A finding is suppressed only by an inline
+//! pragma with a mandatory reason (see [`pragma`]); a pragma that
+//! suppresses nothing is itself an error. The gate is the
+//! `the_real_workspace_lints_clean` test, which `cargo test` runs.
+//! DESIGN.md §12 has the full policy.
 
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::iter_over_hash_type)]
 
@@ -28,7 +25,6 @@ pub mod callgraph;
 pub mod checks;
 pub mod deadline;
 pub mod lex;
-pub mod locks;
 pub mod model;
 pub mod pragma;
 pub mod rules;
@@ -37,7 +33,7 @@ pub mod workspace;
 use checks::RawFinding;
 use model::FileModel;
 use rules::Rule;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::path::Path;
@@ -53,8 +49,7 @@ pub struct Finding {
     pub rule: Rule,
     /// The trimmed source line, for the diagnostic.
     pub excerpt: String,
-    /// Optional rule-specific diagnosis (which lock pair, which
-    /// `Persist` fields diverge).
+    /// Optional rule-specific diagnosis (which loop, in which fn).
     pub note: Option<String>,
 }
 
@@ -125,55 +120,16 @@ impl Report {
 
 /// Lints one file's source text in isolation.
 ///
-/// Single-file analysis covers every rule: the cross-file parts of L8
-/// (workspace-wide order comparison) and L9 (cross-file reachability)
-/// degrade gracefully to the file's own lock pairs and call graph.
+/// Single-file analysis covers both rules: L9's cross-file
+/// reachability degrades gracefully to the file's own call graph.
 #[must_use]
 pub fn check_source(rel_path: &str, source: &str) -> Report {
     let m = FileModel::build(rel_path, source);
     let mut raw = checks::check_file(&m);
-
-    let events = locks::scan_file(&m);
-    let pairs: BTreeSet<(String, String)> = events.iter().map(locks::LockEvent::pair).collect();
-    raw.extend(lock_findings(&events, &pairs));
-
     let singleton = [&m];
     raw.extend(deadline::scan_crate(&singleton).into_iter().map(|(_, f)| f));
 
     finish_report(&m, raw)
-}
-
-/// Converts lock events into raw L8 findings, upgrading the note when
-/// the reversed pair also occurs in `pairs` (the workspace-wide set).
-fn lock_findings(
-    events: &[locks::LockEvent],
-    pairs: &BTreeSet<(String, String)>,
-) -> Vec<RawFinding> {
-    events
-        .iter()
-        .map(|e| {
-            let (a, b) = e.pair();
-            let note = if pairs.contains(&(b, a)) {
-                format!(
-                    "`{}` is acquired while `{}` is held, and the workspace also acquires \
-                     them in the opposite order — pick one canonical order or collapse to \
-                     one lock",
-                    e.second, e.first,
-                )
-            } else {
-                format!(
-                    "`{}` is acquired while `{}` is held; nested guards risk deadlock — \
-                     drop the first guard before taking the second",
-                    e.second, e.first,
-                )
-            };
-            RawFinding {
-                line: e.line,
-                rule: Rule::L8,
-                note: Some(note),
-            }
-        })
-        .collect()
 }
 
 /// Applies rule applicability, pragma parsing and pragma coverage to a
@@ -201,7 +157,7 @@ fn finish_report(m: &FileModel, mut raw: Vec<RawFinding>) -> Report {
 
     raw.sort_by_key(|f| (f.line, f.rule));
     for rf in raw {
-        if !rules::applies(rf.rule, m.kind, m.in_test_region(rf.line), &m.path) {
+        if !rules::applies(rf.rule, m.in_test_region(rf.line), &m.path) {
             continue;
         }
         let finding = Finding {
@@ -303,9 +259,7 @@ fn crate_key(rel: &str) -> String {
 
 /// Lints the whole workspace under `root`.
 ///
-/// Per-file rules run on each file's model; L8's lock-order pairs are
-/// cross-checked across *every* scanned file (exempt files contribute
-/// pairs but not findings) and L9 runs per crate over the crate's
+/// L2 runs on each file's model; L9 runs per crate over the crate's
 /// whole call graph.
 ///
 /// # Errors
@@ -323,20 +277,7 @@ pub fn run(root: &Path) -> Result<Report, LintError> {
         models.push(FileModel::build(rel, &source));
     }
 
-    // Per-file token checks.
     let mut raws: Vec<Vec<RawFinding>> = models.iter().map(checks::check_file).collect();
-
-    // L8: every file's events feed the workspace-wide pair set; exempt
-    // files are dropped later by `rules::applies`.
-    let all_events: Vec<Vec<locks::LockEvent>> = models.iter().map(locks::scan_file).collect();
-    let pairs: BTreeSet<(String, String)> = all_events
-        .iter()
-        .flatten()
-        .map(locks::LockEvent::pair)
-        .collect();
-    for (i, events) in all_events.iter().enumerate() {
-        raws[i].extend(lock_findings(events, &pairs));
-    }
 
     // L9: per crate, over the crate's whole call graph.
     let mut crates: BTreeMap<String, Vec<usize>> = BTreeMap::new();
@@ -365,55 +306,57 @@ mod tests {
     fn findings_format_as_file_line_rule() {
         let report = check_source(
             "crates/demo/src/lib.rs",
-            "pub fn f() -> Instant {\n    Instant::now()\n}\n",
+            "pub fn f(a: f64, b: f64) -> bool {\n    a.partial_cmp(&b).is_some()\n}\n",
         );
         assert_eq!(report.findings.len(), 1);
         assert_eq!(
             report.findings[0].to_string(),
-            "crates/demo/src/lib.rs:2: [L4 instant-now] Instant::now()"
+            "crates/demo/src/lib.rs:2: [L2 float-total-cmp] a.partial_cmp(&b).is_some()"
         );
     }
 
     #[test]
     fn notes_render_on_their_own_line() {
         let src = "\
-fn f(a: &Mutex<u32>, b: &Mutex<u32>) {
-    let ga = a.lock();
-    let gb = b.lock();
+pub fn solve(m: &Model) {
+    loop {
+        step(m);
+        more(m);
+    }
 }
 ";
         let report = check_source("crates/core/src/demo.rs", src);
         assert_eq!(report.findings.len(), 1);
         let rendered = report.findings[0].to_string();
-        assert!(rendered.starts_with("crates/core/src/demo.rs:3: [L8 lock-order]"));
+        assert!(rendered.starts_with("crates/core/src/demo.rs:2: [L9 deadline-loop]"));
         assert!(rendered.contains("\n    note: "));
     }
 
     #[test]
     fn pragma_on_preceding_comment_line_suppresses() {
         let src = "\
-pub fn f() {
-    // onoc-lint: allow(L4, reason = \"deadline check against the ctx budget\")
-    let t = Instant::now();
+pub fn f(a: f64, b: f64) -> bool {
+    // onoc-lint: allow(L2, reason = \"PartialOrd impl must mirror f64 semantics\")
+    a.partial_cmp(&b).is_some()
 }
 ";
         let report = check_source("crates/demo/src/lib.rs", src);
         assert!(report.is_clean(), "{report:?}");
         assert_eq!(report.suppressed.len(), 1);
-        assert_eq!(report.suppressed[0].rule, Rule::L4);
+        assert_eq!(report.suppressed[0].rule, Rule::L2);
     }
 
     #[test]
     fn pragma_for_the_wrong_rule_does_not_suppress() {
         let src = "\
-pub fn f() {
-    // onoc-lint: allow(L2, reason = \"not the right rule\")
-    let t = Instant::now();
+pub fn f(a: f64, b: f64) -> bool {
+    // onoc-lint: allow(L9, reason = \"not the right rule\")
+    a.partial_cmp(&b).is_some()
 }
 ";
         let report = check_source("crates/demo/src/lib.rs", src);
         assert_eq!(report.findings.len(), 1);
-        assert_eq!(report.findings[0].rule, Rule::L4);
+        assert_eq!(report.findings[0].rule, Rule::L2);
         // ...and, suppressing nothing, the pragma is an error itself.
         assert_eq!(report.pragma_errors.len(), 1);
         assert_eq!(report.pragma_errors[0].line, 2);
@@ -429,20 +372,23 @@ pub fn f() {
 
     #[test]
     fn pragma_on_an_exempt_path_suppresses_nothing() {
-        // onoc-ctx owns the thread budget, so L3 never fires there and a
-        // pragma for it is dead.
+        // L9 covers only the stage and solver crates, so outside them the
+        // rule never fires and a pragma for it is dead.
         let src = "\
-pub fn threads() -> usize {
-    // onoc-lint: allow(L3, reason = \"the sanctioned probe\")
-    std::thread::available_parallelism().map_or(1, usize::from)
+pub fn solve(m: &Model) {
+    // onoc-lint: allow(L9, reason = \"bounded by the model size\")
+    loop {
+        step(m);
+        more(m);
+    }
 }
 ";
-        let report = check_source("crates/ctx/src/lib.rs", src);
+        assert!(check_source("crates/milp/src/demo.rs", src).is_clean());
+        let report = check_source("crates/eval/src/demo.rs", src);
         assert!(report.findings.is_empty());
         assert_eq!(report.pragma_errors.len(), 1);
         assert!(report.pragma_errors[0]
             .message
             .contains("suppresses no finding"));
-        assert!(check_source("crates/eval/src/lib.rs", src).is_clean());
     }
 }

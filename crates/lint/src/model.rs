@@ -9,46 +9,26 @@
 //!   (where suppression pragmas live) and whether any code starts on
 //!   the line,
 //! * the `#[cfg(test)]` / `#[test]` region mask,
-//! * recovered items — `fn` / `impl` / `mod` — with their name, their
-//!   body's significant-token range and the line they start on. Items
-//!   nest; containment is by token range.
+//! * recovered `fn` items with their name and their body's
+//!   significant-token range. Items nest; containment is by token range.
 //!
-//! The model is a conservative approximation, not a parse: generics are
-//! skipped by bracket matching, paths are read as ident runs, and
-//! anything the recovery cannot classify is simply not an item. Rules
-//! are written so that approximation errors surface as *findings* (to
-//! be inspected and pragma'd) rather than as silent passes.
+//! The model is a conservative approximation, not a parse: anything the
+//! recovery cannot classify is simply not an item. Rules are written so
+//! that approximation errors surface as *findings* (to be inspected and
+//! pragma'd) rather than as silent passes.
 
 use crate::lex::{lex, Token, TokenKind};
-use crate::rules::{classify, FileKind};
 
-/// What kind of item was recovered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ItemKind {
-    /// A `fn` (free, inherent or trait method).
-    Fn,
-    /// An `impl` block; `trait_name` is set for trait impls.
-    Impl,
-    /// An inline `mod name { … }`.
-    Mod,
-}
-
-/// One recovered item.
+/// One recovered `fn` (free, inherent or trait method).
 #[derive(Debug, Clone)]
 pub struct Item {
-    /// Item kind.
-    pub kind: ItemKind,
-    /// `fn`/`mod` name; for impls, the (last segment of the) self type.
+    /// The fn's name.
     pub name: String,
-    /// For `impl Trait for Type`, the trait's last path segment.
-    pub trait_name: Option<String>,
     /// Significant-token index of the body's `{` (exclusive of body).
     pub open: usize,
     /// Significant-token index of the matching `}`, or the last token
     /// if the file ends before the brace closes.
     pub close: usize,
-    /// 1-based line of the introducing keyword.
-    pub line: usize,
 }
 
 impl Item {
@@ -57,12 +37,6 @@ impl Item {
     pub fn body(&self) -> std::ops::Range<usize> {
         self.open + 1..self.close
     }
-
-    /// Does this item's body contain significant-token index `k`?
-    #[must_use]
-    pub fn contains(&self, k: usize) -> bool {
-        self.body().contains(&k)
-    }
 }
 
 /// The full per-file model.
@@ -70,13 +44,11 @@ impl Item {
 pub struct FileModel {
     /// Repo-relative, `/`-separated path.
     pub path: String,
-    /// File kind derived from the path.
-    pub kind: FileKind,
     /// The loss-free token stream.
     pub tokens: Vec<Token>,
     /// Indices (into `tokens`) of the significant tokens.
     pub sig: Vec<usize>,
-    /// Recovered items, in source order.
+    /// Recovered `fn` items, in source order.
     pub items: Vec<Item>,
     /// Raw source lines (for excerpts).
     pub raw_lines: Vec<String>,
@@ -126,7 +98,6 @@ impl FileModel {
 
         let mut model = FileModel {
             path: rel_path.to_string(),
-            kind: classify(rel_path),
             tokens,
             sig,
             items: Vec::new(),
@@ -167,16 +138,6 @@ impl FileModel {
             .unwrap_or(false)
     }
 
-    /// The innermost `fn` item whose body contains significant-token
-    /// index `k`.
-    #[must_use]
-    pub fn enclosing_fn(&self, k: usize) -> Option<&Item> {
-        self.items
-            .iter()
-            .filter(|it| it.kind == ItemKind::Fn && it.contains(k))
-            .min_by_key(|it| it.close - it.open)
-    }
-
     /// The trimmed raw text of 1-based `line`, for diagnostics.
     #[must_use]
     pub fn excerpt(&self, line: usize) -> String {
@@ -187,76 +148,20 @@ impl FileModel {
     }
 }
 
-/// Scans the significant tokens and recovers `fn`/`impl`/`mod` items.
+/// Scans the significant tokens and recovers `fn` items. `fn` in type
+/// position (`fn(usize) -> T`) has no following ident and is skipped.
 fn recover_items(m: &FileModel) -> Vec<Item> {
     let mut items = Vec::new();
     for k in 0..m.len() {
-        let t = m.tok(k);
-        if t.kind != TokenKind::Ident {
+        if !m.tok(k).is_ident("fn") || k + 1 >= m.len() || m.tok(k + 1).kind != TokenKind::Ident {
             continue;
         }
-        match t.text.as_str() {
-            "fn" => {
-                // `fn name…` — `fn` in type position (`fn(usize) -> T`)
-                // has no following ident and is skipped.
-                let Some(name) = ident_at(m, k + 1) else {
-                    continue;
-                };
-                if let Some((open, close)) = body_of(m, k + 2) {
-                    items.push(Item {
-                        kind: ItemKind::Fn,
-                        name,
-                        trait_name: None,
-                        open,
-                        close,
-                        line: t.line,
-                    });
-                }
-            }
-            "impl" => {
-                let mut j = k + 1;
-                // Skip the impl's own generic parameter list.
-                if m.tok_is_punct(j, '<') {
-                    j = skip_angles(m, j);
-                }
-                let (first, after_first) = path_at(m, j);
-                let (name, trait_name, body_from) = if m.tok_is_ident(after_first, "for") {
-                    let (ty, after_ty) = path_at(m, after_first + 1);
-                    (ty, first, after_ty)
-                } else {
-                    (first, None, after_first)
-                };
-                let Some(name) = name else { continue };
-                if let Some((open, close)) = body_of(m, body_from) {
-                    items.push(Item {
-                        kind: ItemKind::Impl,
-                        name,
-                        trait_name,
-                        open,
-                        close,
-                        line: t.line,
-                    });
-                }
-            }
-            "mod" => {
-                let Some(name) = ident_at(m, k + 1) else {
-                    continue;
-                };
-                // `mod name;` (a file module) has no body here.
-                if m.tok_is_punct(k + 2, '{') {
-                    if let Some((open, close)) = body_of(m, k + 2) {
-                        items.push(Item {
-                            kind: ItemKind::Mod,
-                            name,
-                            trait_name: None,
-                            open,
-                            close,
-                            line: t.line,
-                        });
-                    }
-                }
-            }
-            _ => {}
+        if let Some((open, close)) = body_of(m, k + 2) {
+            items.push(Item {
+                name: m.tok(k + 1).text.clone(),
+                open,
+                close,
+            });
         }
     }
     items
@@ -266,64 +171,6 @@ impl FileModel {
     fn tok_is_punct(&self, k: usize, c: char) -> bool {
         k < self.len() && self.tok(k).is_punct(c)
     }
-
-    fn tok_is_ident(&self, k: usize, s: &str) -> bool {
-        k < self.len() && self.tok(k).is_ident(s)
-    }
-}
-
-/// The ident at significant index `k`, if it is one.
-fn ident_at(m: &FileModel, k: usize) -> Option<String> {
-    (k < m.len() && m.tok(k).kind == TokenKind::Ident).then(|| m.tok(k).text.clone())
-}
-
-/// Reads a path (`a::b::C`, possibly with a trailing generic list) at
-/// `k`; returns its *last* ident segment and the index just past the
-/// path (generics included).
-fn path_at(m: &FileModel, mut k: usize) -> (Option<String>, usize) {
-    let mut last = None;
-    loop {
-        match ident_at(m, k) {
-            Some(name) if name != "for" => {
-                last = Some(name);
-                k += 1;
-                if m.tok_is_punct(k, '<') {
-                    k = skip_angles(m, k);
-                }
-                if m.tok_is_punct(k, ':') && m.tok_is_punct(k + 1, ':') {
-                    k += 2;
-                    continue;
-                }
-                break;
-            }
-            _ => break,
-        }
-    }
-    (last, k)
-}
-
-/// Skips a balanced `<…>` starting at `k` (which must be `<`); returns
-/// the index just past the matching `>`. `->`/`>>` and comparison
-/// operators make true angle matching ambiguous, so the skip is capped:
-/// on imbalance it gives up at the cap, and item recovery treats the
-/// remainder conservatively.
-fn skip_angles(m: &FileModel, mut k: usize) -> usize {
-    let mut depth = 0usize;
-    let cap = (k + 64).min(m.len());
-    while k < cap {
-        if m.tok_is_punct(k, '<') {
-            depth += 1;
-        } else if m.tok_is_punct(k, '>') {
-            depth -= 1;
-            if depth == 0 {
-                return k + 1;
-            }
-        } else if m.tok_is_punct(k, '{') || m.tok_is_punct(k, ';') {
-            break;
-        }
-        k += 1;
-    }
-    k
 }
 
 /// From `k`, finds the item's body: scans forward to the first `{` (at
@@ -464,48 +311,19 @@ mod tests {
     }
 
     #[test]
-    fn recovers_fns_impls_and_mods() {
+    fn recovers_fns_with_their_bodies() {
         let m = model(
             "fn free(x: usize) -> usize { x }\n\
-             impl Persist for Clustering { fn persist(&self) {} }\n\
              impl Widget { fn area(&self) -> f64 { 0.0 } }\n\
-             mod inner { fn nested() {} }\n",
+             trait T { fn declared(&self); }\n\
+             fn outer() { fn nested() {} }\n\
+             type F = fn(usize) -> usize;\n",
         );
-        let names: Vec<(ItemKind, &str, Option<&str>)> = m
-            .items
-            .iter()
-            .map(|i| (i.kind, i.name.as_str(), i.trait_name.as_deref()))
-            .collect();
-        assert!(names.contains(&(ItemKind::Fn, "free", None)));
-        assert!(names.contains(&(ItemKind::Impl, "Clustering", Some("Persist"))));
-        assert!(names.contains(&(ItemKind::Impl, "Widget", None)));
-        assert!(names.contains(&(ItemKind::Mod, "inner", None)));
-        assert!(names.contains(&(ItemKind::Fn, "nested", None)));
-    }
-
-    #[test]
-    fn generic_impls_resolve_trait_and_type() {
-        let m = model("impl<T: Clone> Persist for Wrapper<T> { fn persist(&self) {} }\n");
-        let imp = m
-            .items
-            .iter()
-            .find(|i| i.kind == ItemKind::Impl)
-            .expect("impl recovered");
-        assert_eq!(imp.name, "Wrapper");
-        assert_eq!(imp.trait_name.as_deref(), Some("Persist"));
-    }
-
-    #[test]
-    fn enclosing_fn_is_the_innermost() {
-        let src = "fn outer() {\n    fn inner() {\n        body();\n    }\n}\n";
-        let m = model(src);
-        let body_idx = (0..m.len())
-            .find(|&k| m.tok(k).is_ident("body"))
-            .expect("body token");
-        assert_eq!(
-            m.enclosing_fn(body_idx).map(|i| i.name.as_str()),
-            Some("inner")
-        );
+        let names: Vec<&str> = m.items.iter().map(|i| i.name.as_str()).collect();
+        assert_eq!(names, vec!["free", "area", "outer", "nested"]);
+        let outer = &m.items[2];
+        let nested = &m.items[3];
+        assert!(outer.body().contains(&nested.open));
     }
 
     #[test]

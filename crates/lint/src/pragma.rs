@@ -75,9 +75,8 @@ fn parse_one(tail: &str) -> Result<(Pragma, usize), String> {
             "rule {id} ({slug}) is retired from onoc-lint; it is enforced by {now}"
         ));
     }
-    let rule = Rule::parse(rule_token).ok_or_else(|| {
-        format!("unknown rule `{rule_token}` (expected L2–L4, L8–L10 or a rule slug)")
-    })?;
+    let rule = Rule::parse(rule_token)
+        .ok_or_else(|| format!("unknown rule `{rule_token}` (expected L2, L9 or a rule slug)"))?;
 
     let after_comma = body[comma + 1..].trim_start();
     let reason_body = after_comma
@@ -129,8 +128,8 @@ mod tests {
 
     #[test]
     fn slug_rule_names_work() {
-        let p = parse_pragmas("// onoc-lint: allow(instant-now, reason = \"deadline check\")");
-        assert_eq!(p.map(|v| v[0].rule), Ok(Rule::L4));
+        let p = parse_pragmas("// onoc-lint: allow(deadline-loop, reason = \"bounded walk\")");
+        assert_eq!(p.map(|v| v[0].rule), Ok(Rule::L9));
     }
 
     #[test]
@@ -155,7 +154,18 @@ mod tests {
 
     #[test]
     fn retired_rule_is_an_error() {
-        for token in ["L1", "no-unwrap", "L5", "L6", "unordered-iter"] {
+        for token in [
+            "L1",
+            "no-unwrap",
+            "L3",
+            "instant-now",
+            "L5",
+            "L6",
+            "unordered-iter",
+            "L8",
+            "L10",
+            "persist-symmetry",
+        ] {
             let err = parse_pragmas(&format!("// onoc-lint: allow({token}, reason = \"x\")"));
             assert!(format!("{err:?}").contains("retired"), "{token}: {err:?}");
         }
@@ -175,7 +185,7 @@ mod tests {
     #[test]
     fn two_pragmas_on_one_line() {
         let p = parse_pragmas(
-            "// onoc-lint: allow(L2, reason = \"a\") onoc-lint: allow(L4, reason = \"b\")",
+            "// onoc-lint: allow(L2, reason = \"a\") onoc-lint: allow(L9, reason = \"b\")",
         );
         assert_eq!(p.map(|v| v.len()), Ok(2));
     }

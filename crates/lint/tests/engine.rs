@@ -10,11 +10,10 @@ use std::path::{Path, PathBuf};
 const SEEDED: &str = include_str!("fixtures/seeded_violations.rs");
 const TRICKY: &str = include_str!("fixtures/tricky.rs");
 const PRAGMAS: &str = include_str!("fixtures/pragmas.rs");
-const DETERMINISM: &str = include_str!("fixtures/determinism.rs");
-const CONCURRENCY: &str = include_str!("fixtures/concurrency.rs");
 
-/// Fixtures are checked as if they were library code.
-const LIB_PATH: &str = "crates/demo/src/lib.rs";
+/// Fixtures are checked as if they were stage code, where both rules
+/// apply.
+const STAGE_PATH: &str = "crates/core/src/demo.rs";
 
 fn findings_at(path: &str, source: &str) -> Vec<(usize, Rule)> {
     check_source(path, source)
@@ -24,24 +23,13 @@ fn findings_at(path: &str, source: &str) -> Vec<(usize, Rule)> {
         .collect()
 }
 
-fn rules_at(path: &str, source: &str) -> Vec<Rule> {
-    findings_at(path, source)
-        .into_iter()
-        .map(|(_, r)| r)
-        .collect()
-}
-
 #[test]
 fn every_rule_is_detected_once_in_the_seeded_fixture() {
-    let report = check_source(LIB_PATH, SEEDED);
+    // The unchecked solver loop is found; the deadline-checked one is clean.
+    let report = check_source(STAGE_PATH, SEEDED);
     assert_eq!(
-        findings_at(LIB_PATH, SEEDED),
-        vec![
-            (8, Rule::L2),
-            (12, Rule::L3),
-            (17, Rule::L3),
-            (22, Rule::L4)
-        ]
+        findings_at(STAGE_PATH, SEEDED),
+        vec![(8, Rule::L2), (13, Rule::L9)]
     );
     assert!(report.suppressed.is_empty());
     assert!(report.pragma_errors.is_empty());
@@ -49,37 +37,44 @@ fn every_rule_is_detected_once_in_the_seeded_fixture() {
 
 #[test]
 fn seeded_fixture_rules_shift_with_file_kind() {
-    // As a binary, L4 drops out but the hard and concurrency rules stay.
+    // Outside the stage and solver crates, and in integration tests, only
+    // the hard invariant (L2) remains.
+    for path in [
+        "crates/eval/src/demo.rs",
+        "tests/demo.rs",
+        "src/bin/demo.rs",
+    ] {
+        assert_eq!(findings_at(path, SEEDED), vec![(8, Rule::L2)], "{path}");
+    }
     assert_eq!(
-        rules_at("crates/demo/src/main.rs", SEEDED),
-        vec![Rule::L2, Rule::L3, Rule::L3]
+        findings_at("crates/milp/src/demo.rs", SEEDED),
+        vec![(8, Rule::L2), (13, Rule::L9)]
     );
-    // As an integration test, only the hard invariants remain.
-    assert_eq!(rules_at("tests/demo.rs", SEEDED), vec![Rule::L2]);
 }
 
 #[test]
 fn strings_comments_and_cfg_test_do_not_hide_or_invent_findings() {
-    // Everything lexically hidden in strings/comments stays hidden; the
-    // two real findings (an L4 in library code, an L2 inside the test
+    // Everything lexically hidden in strings/comments stays hidden, and
+    // the unchecked loop inside the test module is exempt from L9; the
+    // two real findings (an L2 in stage code, an L2 inside the test
     // module) are found at their exact lines.
     assert_eq!(
-        findings_at(LIB_PATH, TRICKY),
-        vec![(18, Rule::L4), (28, Rule::L2)]
+        findings_at(STAGE_PATH, TRICKY),
+        vec![(18, Rule::L2), (32, Rule::L2)]
     );
 }
 
 #[test]
 fn pragma_placement_suppresses_exactly_where_documented() {
-    let report = check_source(LIB_PATH, PRAGMAS);
+    let report = check_source(STAGE_PATH, PRAGMAS);
     let suppressed: Vec<(usize, Rule)> =
         report.suppressed.iter().map(|f| (f.line, f.rule)).collect();
-    assert_eq!(suppressed, vec![(6, Rule::L4), (13, Rule::L2)]);
+    assert_eq!(suppressed, vec![(6, Rule::L2), (13, Rule::L2)]);
 
     let violations: Vec<(usize, Rule)> = report.findings.iter().map(|f| (f.line, f.rule)).collect();
     assert_eq!(
         violations,
-        vec![(18, Rule::L4), (24, Rule::L4), (29, Rule::L4)]
+        vec![(18, Rule::L2), (24, Rule::L2), (29, Rule::L2)]
     );
 
     // One case per error kind: a pragma for the wrong rule and one cut
@@ -100,33 +95,6 @@ fn pragma_placement_suppresses_exactly_where_documented() {
         assert_eq!(*line, want_line);
         assert!(message.contains(want), "line {line}: {message}");
     }
-}
-
-#[test]
-fn determinism_fixture_flags_l10_at_exact_lines() {
-    // The asymmetric `Persist` impl; the tuple-struct impl is clean.
-    assert_eq!(
-        findings_at("crates/core/src/demo.rs", DETERMINISM),
-        vec![(9, Rule::L10)]
-    );
-}
-
-#[test]
-fn concurrency_fixture_flags_l8_and_l9_at_exact_lines() {
-    // The nested second acquisition and the unchecked solver loop; the
-    // scoped sequential locks and the deadline-checked loop are clean.
-    assert_eq!(
-        findings_at("crates/core/src/demo.rs", CONCURRENCY),
-        vec![(7, Rule::L8), (13, Rule::L9)]
-    );
-}
-
-#[test]
-fn concurrency_rules_exempt_the_audited_ctx_paths() {
-    // crates/ctx owns the documented lock-ordering discipline (L8 exempt)
-    // and is not a synthesis entry crate (L9 does not apply).
-    let in_ctx = check_source("crates/ctx/src/demo.rs", CONCURRENCY);
-    assert!(in_ctx.findings.is_empty(), "{:?}", in_ctx.findings);
 }
 
 /// The workspace root: `CARGO_MANIFEST_DIR` is `crates/lint`.
@@ -177,6 +145,32 @@ fn library_roots_and_warned_lints() -> Vec<(PathBuf, String)> {
         .collect()
 }
 
+/// The disallowed paths both `clippy.toml`s list: L3's thread budget,
+/// L7's hash-order chains and L8's lock types. The root file adds L4's
+/// `Instant::now`; crates/bench's leaves it out (its bins report wall
+/// time).
+const DISALLOWED: [&str; 15] = [
+    "std::thread::spawn",
+    "std::thread::Scope::spawn",
+    "std::thread::available_parallelism",
+    "std::collections::HashMap::iter",
+    "std::collections::HashMap::iter_mut",
+    "std::collections::HashMap::keys",
+    "std::collections::HashMap::values",
+    "std::collections::HashMap::values_mut",
+    "std::collections::HashMap::drain",
+    "std::collections::HashMap::into_keys",
+    "std::collections::HashMap::into_values",
+    "std::collections::HashSet::iter",
+    "std::collections::HashSet::drain",
+    "std::sync::Mutex",
+    "std::sync::RwLock",
+];
+const INSTANT_NOW: &str = "std::time::Instant::now";
+
+/// The crates whose root may hold locks (L8's audited layers).
+const LOCK_LAYERS: [&str; 3] = ["crates/ctx", "crates/served", "crates/trace"];
+
 #[test]
 fn library_crate_roots_enable_the_clippy_rules() {
     // clippy enforces L1 and L6 only where a crate root asks it to:
@@ -189,6 +183,40 @@ fn library_crate_roots_enable_the_clippy_rules() {
         for lint in ["clippy::unwrap_used", "clippy::expect_used"] {
             assert!(warned.contains(lint), "{} lacks {lint}", lib.display());
         }
+    }
+
+    // L3, L4, L7 and L8 live in the clippy.toml files. crates/bench's
+    // replaces the root one for that crate, so it repeats every key but
+    // `Instant::now`.
+    let root = workspace_root();
+    for (config, wants_instant) in [("clippy.toml", true), ("crates/bench/clippy.toml", false)] {
+        let text = std::fs::read_to_string(root.join(config)).unwrap();
+        let listed = |path: &str| text.contains(&format!("path = \"{path}\""));
+        for path in DISALLOWED {
+            assert!(listed(path), "{config} does not list {path}");
+        }
+        assert_eq!(
+            listed(INSTANT_NOW),
+            wants_instant,
+            "{config}: {INSTANT_NOW}"
+        );
+        for key in [
+            "allow-unwrap-in-tests = true",
+            "allow-expect-in-tests = true",
+        ] {
+            assert!(text.contains(key), "{config} lacks {key}");
+        }
+    }
+
+    // L8: only the audited lock layers expect `disallowed_types`, once,
+    // at their crate root.
+    for (lib, _) in &roots {
+        let text = std::fs::read_to_string(lib).unwrap();
+        let expects = text.contains("#![expect(clippy::disallowed_types");
+        let audited = LOCK_LAYERS
+            .iter()
+            .any(|layer| lib.ends_with(format!("{layer}/src/lib.rs")));
+        assert_eq!(expects, audited, "{}", lib.display());
     }
 }
 
@@ -204,16 +232,31 @@ fn l7_and_l10_apply_to_every_crate() {
             lib.display()
         );
     }
-    // Codec symmetry is a hard invariant, so L10 holds in every crate.
-    for path in [
-        "crates/eval/src/demo.rs",
-        "crates/sim/src/demo.rs",
-        "src/demo.rs",
-    ] {
-        assert_eq!(
-            findings_at(path, DETERMINISM),
-            vec![(9, Rule::L10)],
-            "{path}"
-        );
+    // L10 (codec symmetry) is carried by round-trip tests: every file
+    // that implements `Persist` decodes its own encodings under test.
+    let root = workspace_root();
+    let needle = [" Persist", " for "].concat();
+    let mut codec_files = Vec::new();
+    for rel in onoc_lint::workspace::source_files(&root).unwrap() {
+        let text = std::fs::read_to_string(root.join(&rel)).unwrap();
+        let implements = text
+            .lines()
+            .any(|l| l.starts_with("impl") && l.contains(&needle));
+        if implements {
+            assert!(
+                text.contains("#[cfg(test)]") && text.contains("from_store_bytes("),
+                "{rel} implements Persist without a round-trip test"
+            );
+            codec_files.push(rel);
+        }
     }
+    assert_eq!(
+        codec_files,
+        [
+            "crates/core/src/persist.rs",
+            "crates/served/src/proto.rs",
+            "crates/store/src/codec.rs",
+            "crates/store/src/lib.rs",
+        ]
+    );
 }

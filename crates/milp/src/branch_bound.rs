@@ -579,7 +579,10 @@ impl WorkerScratch {
             deadline: ctx.deadline,
             capture_basis: ctx.options.warm_basis,
         };
-        // onoc-lint: allow(L4, reason = "per-LP timing feeds SolveStats; milp-solver is dependency-free by design and cannot use onoc-trace")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "per-LP timing feeds SolveStats; milp-solver is dependency-free by design and cannot use onoc-trace"
+        )]
         let lp_start = Instant::now();
         let result = solve_lp_warm(
             ctx.lp,
@@ -718,7 +721,10 @@ fn evaluate_node(
         let warm_root = result.basis.as_ref();
         let mut best = None;
         for &(j, frac, _) in &ranked {
-            // onoc-lint: allow(L4, reason = "deadline poll between strong-branch probes; milp-solver is dependency-free by design")
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "deadline poll between strong-branch probes; milp-solver is dependency-free by design"
+            )]
             if ctx.deadline.is_some_and(|d| Instant::now() >= d) {
                 break;
             }
@@ -899,7 +905,10 @@ fn assemble(ctx: &SearchCtx<'_>, end: SearchEnd) -> Result<MilpSolution, ModelEr
 pub(crate) fn solve(model: &Model, options: &SolveOptions) -> Result<MilpSolution, ModelError> {
     // Presolve keeps the variable set, so solutions map back one-to-one.
     if options.presolve {
-        // onoc-lint: allow(L4, reason = "presolve timing feeds SolveStats; milp-solver is dependency-free by design")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "presolve timing feeds SolveStats; milp-solver is dependency-free by design"
+        )]
         let presolve_start = Instant::now();
         let reduced = crate::presolve::presolve(model)?;
         let presolve_time = presolve_start.elapsed();
@@ -914,7 +923,10 @@ pub(crate) fn solve(model: &Model, options: &SolveOptions) -> Result<MilpSolutio
         sol.stats.presolve_cols_removed += reduced.cols_removed;
         return Ok(sol);
     }
-    // onoc-lint: allow(L4, reason = "solve_time stat and time-limit anchor; milp-solver is dependency-free by design")
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "solve_time stat and time-limit anchor; milp-solver is dependency-free by design"
+    )]
     let start = Instant::now();
     let obj_constant = model.objective.constant();
     let lp = build_lp(model);

@@ -488,6 +488,10 @@ pub fn solve_lp_warm(
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests set deadlines relative to the wall clock"
+)]
 mod tests {
     use super::*;
 

@@ -618,7 +618,10 @@ impl Rev<'_> {
             }
             if self.iterations.is_multiple_of(64) {
                 if let Some(deadline) = self.deadline {
-                    // onoc-lint: allow(L4, reason = "coarse deadline poll every 64 pivots; milp-solver is dependency-free by design")
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "coarse deadline poll every 64 pivots; milp-solver is dependency-free by design"
+                    )]
                     if Instant::now() >= deadline {
                         return Err(LpStatus::TimedOut);
                     }
@@ -684,7 +687,10 @@ impl Rev<'_> {
             }
             if self.iterations.is_multiple_of(64) {
                 if let Some(deadline) = self.deadline {
-                    // onoc-lint: allow(L4, reason = "coarse deadline poll every 64 pivots; milp-solver is dependency-free by design")
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "coarse deadline poll every 64 pivots; milp-solver is dependency-free by design"
+                    )]
                     if Instant::now() >= deadline {
                         return Err(LpStatus::TimedOut);
                     }

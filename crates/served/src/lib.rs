@@ -19,6 +19,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::iter_over_hash_type)]
+#![expect(clippy::disallowed_types, reason = "audited lock layer, DESIGN.md §12")]
 
 pub mod client;
 pub mod proto;

@@ -956,10 +956,16 @@ impl Persist for Response {
 mod tests {
     use super::*;
 
+    /// `decode(encode(x)) == x`, and re-encoding gives the same bytes.
     fn roundtrip<T: Persist + PartialEq + fmt::Debug>(value: &T) {
         let bytes = value.to_store_bytes();
         let back = T::from_store_bytes(&bytes).expect("decodes");
         assert_eq!(&back, value);
+        assert_eq!(
+            back.to_store_bytes(),
+            bytes,
+            "re-encoding must be identical"
+        );
     }
 
     #[test]
@@ -1083,13 +1089,25 @@ mod tests {
         roundtrip(&Response::Rejected(RejectReason::QueueFull { depth: 64 }));
         roundtrip(&Response::Rejected(RejectReason::ShuttingDown));
         roundtrip(&Response::Error("boom".into()));
+        // Every field distinct, so a restore that swaps two reads fails.
         roundtrip(&Response::Stats(ServerStats {
             accepted: 10,
             completed: 9,
+            rejected_queue_full: 2,
+            rejected_shutdown: 1,
+            deadline_exceeded: 3,
+            failed: 4,
+            protocol_errors: 5,
+            queued: 6,
+            workers: 7,
             cache_hits: 30,
-            cache_misses: 10,
-            cache_gets: 40,
-            ..ServerStats::default()
+            cache_misses: 11,
+            cache_gets: 41,
+            cache_evictions: 8,
+            cache_entries: 12,
+            disk_hits: 13,
+            disk_misses: 14,
+            disk_writes: 15,
         }));
         roundtrip(&Response::Job(JobResult {
             job_id: 3,

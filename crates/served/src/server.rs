@@ -293,7 +293,7 @@ impl Server {
         let workers = (0..worker_count)
             .map(|_| {
                 let shared = Arc::clone(&shared);
-                // onoc-lint: allow(L3, reason = "the served worker pool is the ctx-budget-driven thread owner of this crate")
+                #[expect(clippy::disallowed_methods, reason = "the served worker pool is the ctx-budget-driven thread owner of this crate")]
                 std::thread::spawn(move || worker_loop(&shared))
             })
             .collect();
@@ -302,7 +302,10 @@ impl Server {
         let accept = {
             let shared = Arc::clone(&shared);
             let connections = Arc::clone(&connections);
-            // onoc-lint: allow(L3, reason = "server accept loop; lifecycle is owned by Server::shutdown")
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "server accept loop; lifecycle is owned by Server::shutdown"
+            )]
             std::thread::spawn(move || accept_loop(&listener, &shared, &connections))
         };
 
@@ -386,7 +389,10 @@ fn accept_loop(
         match stream {
             Ok(stream) => {
                 let shared = Arc::clone(shared);
-                // onoc-lint: allow(L3, reason = "one thread per accepted connection; joined by Server::drain")
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "one thread per accepted connection; joined by Server::drain"
+                )]
                 let handle = std::thread::spawn(move || serve_connection(&shared, stream));
                 lock_or_recover(connections).push(handle);
             }
@@ -483,7 +489,10 @@ fn handle_job(shared: &Arc<Shared>, spec: JobSpec) -> Response {
             });
         }
         let id = shared.job_seq.fetch_add(1, Ordering::Relaxed);
-        // onoc-lint: allow(L4, reason = "admission timestamp anchoring the per-request deadline and queue-latency metric")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "admission timestamp anchoring the per-request deadline and queue-latency metric"
+        )]
         let now = Instant::now();
         let deadline = spec
             .deadline
@@ -547,7 +556,10 @@ fn run_job(
     shared: &Arc<Shared>,
     job: QueuedJob,
 ) -> (JobResult, mpsc::Sender<JobResult>, Option<String>) {
-    // onoc-lint: allow(L4, reason = "queue-latency measurement for the job's metrics record")
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "queue-latency measurement for the job's metrics record"
+    )]
     let started = Instant::now();
     let queue_ns =
         u64::try_from(started.duration_since(job.enqueued).as_nanos()).unwrap_or(u64::MAX);

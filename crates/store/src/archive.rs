@@ -274,18 +274,15 @@ pub fn import_from_path(store: &DiskStore, path: &Path) -> Result<ArchiveSummary
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::disk::tests::Scratch;
     use onoc_ctx::{ArtifactStore, ContentKey};
-    use std::path::PathBuf;
 
-    fn scratch(name: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("onoc-archive-test-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+    fn scratch(name: &str) -> Scratch {
+        Scratch::new(&format!("onoc-archive-test-{name}"))
     }
 
-    fn seeded_store(name: &str) -> DiskStore {
-        let store = DiskStore::open(scratch(name)).unwrap();
+    fn seeded_store(name: &str) -> Scratch {
+        let store = scratch(name);
         store.save("cluster", ContentKey([1, 2]), b"cluster payload");
         store.save("route", ContentKey([3, 4]), b"route payload, longer");
         store.save("assign", ContentKey([5, 6]), b"a");
@@ -300,7 +297,7 @@ mod tests {
         assert_eq!(exported.records, 3);
         assert_eq!(exported.skipped, 0);
 
-        let dst = DiskStore::open(scratch("rt-dst")).unwrap();
+        let dst = scratch("rt-dst");
         let imported = import_archive(&dst, &mut archive.as_slice()).unwrap();
         assert_eq!(imported.records, 3);
         assert_eq!(imported.skipped, 0);
@@ -329,7 +326,7 @@ mod tests {
         let last = archive.len() - 1;
         archive[last] ^= 0xff;
 
-        let dst = DiskStore::open(scratch("corrupt-dst")).unwrap();
+        let dst = scratch("corrupt-dst");
         let imported = import_archive(&dst, &mut archive.as_slice()).unwrap();
         assert_eq!(imported.records, 2);
         assert!(imported.skipped >= 1);
@@ -350,7 +347,7 @@ mod tests {
         assert_eq!(exported.records, 2);
         assert_eq!(exported.skipped, 1);
 
-        let dst = DiskStore::open(scratch("dirty-dst")).unwrap();
+        let dst = scratch("dirty-dst");
         let imported = import_archive(&dst, &mut archive.as_slice()).unwrap();
         assert_eq!(imported.records, 2);
         assert_eq!(imported.skipped, 0);
@@ -358,7 +355,7 @@ mod tests {
 
     #[test]
     fn bad_magic_and_future_version_are_fatal() {
-        let dst = DiskStore::open(scratch("fatal-dst")).unwrap();
+        let dst = scratch("fatal-dst");
         let mut bogus = b"NOPE".to_vec();
         bogus.extend_from_slice(&[0u8; 12]);
         assert!(matches!(
@@ -383,10 +380,10 @@ mod tests {
     #[test]
     fn path_helpers_round_trip() {
         let src = seeded_store("path-src");
-        let file = scratch("path-archive").join("cache.onoca");
-        std::fs::create_dir_all(file.parent().unwrap()).unwrap();
+        let dir = scratch("path-archive");
+        let file = dir.root().join("cache.onoca");
         let exported = export_to_path(&src, &file).unwrap();
-        let dst = DiskStore::open(scratch("path-dst")).unwrap();
+        let dst = scratch("path-dst");
         let imported = import_from_path(&dst, &file).unwrap();
         assert_eq!(exported.records, imported.records);
         assert_eq!(dst.stats().writes, 3);

@@ -453,9 +453,16 @@ impl<A: Persist, B: Persist> Persist for (A, B) {
 mod tests {
     use super::*;
 
+    /// `decode(encode(x)) == x`, and re-encoding gives the same bytes.
     fn roundtrip<T: Persist + PartialEq + std::fmt::Debug>(v: T) {
         let bytes = v.to_store_bytes();
-        assert_eq!(T::from_store_bytes(&bytes).unwrap(), v);
+        let back = T::from_store_bytes(&bytes).unwrap();
+        assert_eq!(back, v);
+        assert_eq!(
+            back.to_store_bytes(),
+            bytes,
+            "re-encoding must be identical"
+        );
     }
 
     #[test]

@@ -223,19 +223,45 @@ impl ArtifactStore for DiskStore {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn scratch(name: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("onoc-store-test-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+    /// A store in a fresh per-process directory under the temp dir. The
+    /// directory goes when the guard drops, a panicking test included.
+    pub(crate) struct Scratch {
+        pub(crate) store: DiskStore,
+    }
+
+    impl Scratch {
+        pub(crate) fn new(name: &str) -> Scratch {
+            let dir = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            Scratch {
+                store: DiskStore::open(dir).unwrap(),
+            }
+        }
+    }
+
+    impl std::ops::Deref for Scratch {
+        type Target = DiskStore;
+        fn deref(&self) -> &DiskStore {
+            &self.store
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(self.store.root());
+        }
+    }
+
+    fn scratch(name: &str) -> Scratch {
+        Scratch::new(&format!("onoc-store-test-{name}"))
     }
 
     #[test]
     fn save_load_round_trip_with_counters() {
-        let store = DiskStore::open(scratch("roundtrip")).unwrap();
+        let store = scratch("roundtrip");
         let key = ContentKey([7, 9]);
         assert_eq!(store.load("cluster", key), None);
         store.save("cluster", key, b"artifact");
@@ -250,7 +276,7 @@ mod tests {
 
     #[test]
     fn stages_namespace_files() {
-        let store = DiskStore::open(scratch("namespace")).unwrap();
+        let store = scratch("namespace");
         let key = ContentKey([1, 1]);
         store.save("cluster", key, b"a");
         assert_eq!(store.load("route", key), None);
@@ -259,7 +285,7 @@ mod tests {
 
     #[test]
     fn corrupt_file_is_skipped_and_counted() {
-        let store = DiskStore::open(scratch("corrupt")).unwrap();
+        let store = scratch("corrupt");
         let key = ContentKey([2, 2]);
         store.save("assign", key, b"precious");
         let path = store.record_path("assign", key);
@@ -280,7 +306,7 @@ mod tests {
 
     #[test]
     fn truncated_file_is_skipped_and_counted() {
-        let store = DiskStore::open(scratch("truncated")).unwrap();
+        let store = scratch("truncated");
         let key = ContentKey([3, 3]);
         store.save("route", key, b"some payload");
         let path = store.record_path("route", key);
@@ -292,7 +318,7 @@ mod tests {
 
     #[test]
     fn misfiled_record_is_never_trusted() {
-        let store = DiskStore::open(scratch("misfiled")).unwrap();
+        let store = scratch("misfiled");
         let a = ContentKey([4, 4]);
         let b = ContentKey([5, 5]);
         store.save("layout", a, b"for key a");
@@ -310,7 +336,7 @@ mod tests {
     #[test]
     fn future_version_is_counted_separately() {
         use crate::record::{encode_record, FORMAT_VERSION};
-        let store = DiskStore::open(scratch("future")).unwrap();
+        let store = scratch("future");
         let key = ContentKey([6, 6]);
         let mut bytes = encode_record("pdn", key, b"from the future");
         bytes[4] = (FORMAT_VERSION + 1) as u8;

@@ -42,6 +42,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::iter_over_hash_type)]
+#![expect(clippy::disallowed_types, reason = "audited lock layer, DESIGN.md §12")]
 
 pub mod json;
 pub mod report;
@@ -163,6 +164,10 @@ impl Trace {
                 trace: Trace::disabled(),
                 path: String::new(),
                 depth: 0,
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "the trace layer owns the clock: span and stopwatch start times"
+                )]
                 start: Instant::now(),
             };
         }
@@ -179,6 +184,10 @@ impl Trace {
             trace: self.clone(),
             path,
             depth,
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the trace layer owns the clock: span and stopwatch start times"
+            )]
             start: Instant::now(),
         }
     }
@@ -204,6 +213,10 @@ impl Trace {
     /// and folding the total in once with [`Trace::add_time`].
     #[must_use]
     pub fn stopwatch(&self) -> Stopwatch {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the trace layer owns the clock: span and stopwatch start times"
+        )]
         Stopwatch(self.registry.as_ref().map(|_| Instant::now()))
     }
 
@@ -304,6 +317,10 @@ impl Drop for Span {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests drive the registry from several threads"
+)]
 mod tests {
     use super::*;
     use std::time::Duration;

@@ -611,6 +611,10 @@ fn run_trace_check(rest: &[String]) -> Result<(), CliError> {
 }
 
 fn main() -> ExitCode {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the CLI's own wall-time report, not a pipeline measurement"
+    )]
     let started = Instant::now();
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let Some((command, rest)) = raw.split_first() else {

@@ -3,6 +3,10 @@
 //! strategy sweeps must reuse upstream artifacts, the cache must be
 //! shareable across worker threads, and the hit counters must surface in
 //! the trace report.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "test harness: worker threads sharing one cache, and a wall-clock deadline"
+)]
 
 use sring::core::{AssignmentStrategy, MilpOptions, SringConfig, SringSynthesizer};
 use sring::ctx::ExecCtx;

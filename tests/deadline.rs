@@ -10,6 +10,10 @@
 //! benchmark set), 8PM-44 and VOPD under the heuristic strategy. MWD,
 //! VOPD and 8PM-24 under the MILP strategy put the deadline inside branch
 //! and bound: root strong branching and the node LPs.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "test harness: measures wall time against the deadline"
+)]
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};

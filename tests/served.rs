@@ -2,6 +2,10 @@
 //! path with cross-request cache sharing, queue-full rejection, deadline
 //! enforcement (on a sleep and inside a MILP synthesis), malformed
 //! frames, client disconnect mid-job and the drain-on-shutdown guarantee.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "test harness: concurrent client threads and wall-clock bounds on the daemon"
+)]
 
 use sring::served::proto::{
     DeltaSpec, JobSpec, Outcome, RejectReason, Response, StrategySpec, Workload, FRAME_MAGIC,
