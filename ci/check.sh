@@ -1,10 +1,10 @@
 #!/usr/bin/env sh
 # The gate every PR must pass, runnable locally: `sh ci/check.sh`.
-# Formatting, lints-as-errors (clippy, with the thread, clock, hash-order
-# and lock rules of clippy.toml; unfulfilled `#[expect]`s fail too), a
-# release build, the full workspace test suite (which runs onoc-lint's
-# two remaining rules and the `Persist` round trips as tests), and a
-# fast MILP solver smoke check. The slow dynamic-analysis pass
+# Formatting, lints-as-errors (clippy, with the float-ordering, thread,
+# clock, hash-order and lock rules of clippy.toml; unfulfilled `#[expect]`s
+# fail too), a release build, the full workspace test suite (which holds
+# the deadline-poll tests, the `Persist` round trips and the lint-config
+# guards), and a fast MILP solver smoke check. The slow dynamic-analysis pass
 # (TSan/Miri) lives in ci/sanitize.sh and runs nightly, non-blocking.
 set -eux
 
@@ -14,7 +14,6 @@ cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
 
 cargo build --release --workspace
-# Includes onoc-lint's `the_real_workspace_lints_clean` (DESIGN.md §12).
 cargo test --workspace -q
 # The LP engine against its exact oracles at release speed and 2048
 # random cases per property (the vendored proptest honours

@@ -217,6 +217,7 @@ fn json_doc(rows: &[Row]) -> Value {
         .fold(f64::INFINITY, f64::min);
     object([
         ("benchmarks", Value::Array(rows.iter().map(row).collect())),
+        ("nproc", count(onoc_ctx::resolve_threads(0))),
         ("min_speedup", Value::Number(min)),
         ("speedup_floor", Value::Number(MIN_SPEEDUP)),
     ])

@@ -97,6 +97,7 @@ fn json_doc(
     let names = TRACKED.map(|b| Value::String(b.name().to_owned()));
     object([
         ("benchmarks", Value::Array(names.into())),
+        ("nproc", count(onoc_ctx::resolve_threads(0))),
         ("strategies", count(strategies().len())),
         ("uncached_s", Value::Number(uncached_s)),
         ("cached_s", Value::Number(cached_s)),

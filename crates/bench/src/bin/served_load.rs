@@ -274,6 +274,7 @@ fn run() -> Result<(), String> {
     ];
     let mut json = object([
         ("requests", count(done)),
+        ("nproc", count(onoc_ctx::resolve_threads(0))),
         ("concurrency", count(concurrency)),
         ("workers", count(final_stats.workers)),
         (

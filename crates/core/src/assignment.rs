@@ -1336,9 +1336,10 @@ mod tests {
 
     #[test]
     fn heuristic_order_survives_nan_loss() {
-        // Regression for the onoc-lint L2 bug class: the conflict-degree
-        // ordering tiebreaks on loss with `total_cmp`, so a NaN loss (a
-        // poisoned upstream model) must neither panic nor make the
+        // Regression for the L2 bug class (clippy's `PartialOrd::partial_cmp`
+        // entry): the conflict-degree ordering tiebreaks on loss with
+        // `total_cmp`, so a NaN loss (a poisoned upstream model) must
+        // neither panic nor make the
         // greedy's visit order — and with it the assignment — depend on
         // the sort's pivot sequence.
         let paths = vec![

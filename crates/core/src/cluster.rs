@@ -2290,10 +2290,10 @@ mod tests {
 
     #[test]
     fn candidate_segments_ranks_nan_detours_last_and_deterministically() {
-        // Regression for the onoc-lint L2 bug class: the detour sort uses
-        // `total_cmp`, so a NaN distance (e.g. a poisoned coordinate)
-        // ranks after every finite detour instead of comparing Equal to
-        // everything and shuffling the candidate order.
+        // Regression for the L2 bug class (clippy's `PartialOrd::partial_cmp`
+        // entry): the detour sort uses `total_cmp`, so a NaN distance (e.g.
+        // a poisoned coordinate) ranks after every finite detour instead of
+        // comparing Equal to everything and shuffling the candidate order.
         let ring = [NodeId(0), NodeId(1), NodeId(2), NodeId(3)];
         let dist = |a: NodeId, b: NodeId| {
             if a == NodeId(3) || b == NodeId(3) {

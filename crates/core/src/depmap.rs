@@ -30,13 +30,35 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 /// One sub-ring of a [`Clustering`], by role.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RingRef {
     /// The intra-cluster ring of cluster `i` (index into
     /// [`Clustering::clusters`]).
     Intra(usize),
     /// The inter-cluster ring.
     Inter,
+}
+
+// Ordered by hand, as a derive would: every intra ring by cluster index,
+// then the inter ring. A derived `PartialOrd` calls `partial_cmp`, which
+// clippy's L2 entry disallows (DESIGN.md §12).
+impl Ord for RingRef {
+    #[inline]
+    fn cmp(&self, other: &RingRef) -> std::cmp::Ordering {
+        match (self, other) {
+            (RingRef::Intra(a), RingRef::Intra(b)) => a.cmp(b),
+            (RingRef::Intra(_), RingRef::Inter) => std::cmp::Ordering::Less,
+            (RingRef::Inter, RingRef::Intra(_)) => std::cmp::Ordering::Greater,
+            (RingRef::Inter, RingRef::Inter) => std::cmp::Ordering::Equal,
+        }
+    }
+}
+
+impl PartialOrd for RingRef {
+    #[inline]
+    fn partial_cmp(&self, other: &RingRef) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 impl fmt::Display for RingRef {
@@ -176,6 +198,33 @@ mod tests {
         let app = benchmarks::mwd();
         let clustering = cluster(&app, &ClusteringConfig::default()).expect("clusters");
         (app, clustering)
+    }
+
+    #[test]
+    fn ring_refs_order_as_the_derive_did() {
+        // Variant order first (every intra ring before the inter ring),
+        // then the cluster index.
+        let mut refs = vec![
+            RingRef::Inter,
+            RingRef::Intra(2),
+            RingRef::Intra(0),
+            RingRef::Intra(1),
+        ];
+        refs.sort();
+        assert_eq!(
+            refs,
+            [
+                RingRef::Intra(0),
+                RingRef::Intra(1),
+                RingRef::Intra(2),
+                RingRef::Inter
+            ]
+        );
+        assert!(RingRef::Intra(usize::MAX) < RingRef::Inter);
+        assert_eq!(
+            RingRef::Inter.cmp(&RingRef::Inter),
+            std::cmp::Ordering::Equal
+        );
     }
 
     #[test]

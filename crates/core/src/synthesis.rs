@@ -416,8 +416,10 @@ mod tests {
         // a result the caller was going to discard. It must fail fast
         // before any stage executes.
         let app = benchmarks::mwd();
-        let ctx =
-            onoc_ctx::ExecCtx::cached().with_deadline(Instant::now() - Duration::from_millis(1));
+        let trace = onoc_trace::Trace::new();
+        let ctx = onoc_ctx::ExecCtx::cached()
+            .with_trace(trace.clone())
+            .with_deadline(Instant::now() - Duration::from_millis(1));
         let err = heuristic_synth()
             .synthesize_detailed_ctx(&app, &ctx)
             .unwrap_err();
@@ -426,9 +428,46 @@ mod tests {
             "expected a typed deadline error, got {err:?}"
         );
         assert!(err.to_string().contains("deadline exceeded"));
-        // Nothing ran: the cache never saw a single lookup.
+        // Nothing ran: the cache never saw a single lookup, and not even
+        // the `synth` span opened.
         let stats = ctx.cache_stats().unwrap();
         assert_eq!(stats.gets, 0, "fail-fast must not start any stage");
+        assert!(trace.report().phases.is_empty(), "{:?}", trace.report());
+    }
+
+    #[test]
+    fn deadline_polls_are_pinned() {
+        // The pipeline polls the context deadline at its entry, before
+        // each stage and before assembly, and every long loop polls it:
+        // clustering growth per initial vertex (intra, inter and the
+        // unbounded inter fallback), each refinement pass and each
+        // local-search descent step of the assignment. On a deadline that
+        // never lapses every poll runs and `ctx/deadline_polls` counts it,
+        // so deleting any one of them moves these counts. (The MILP adds
+        // only the pigeonhole search's poll, every `DEADLINE_POLL_STEPS`
+        // steps; it has its own test in `assignment`.)
+        use onoc_graph::benchmarks::Benchmark;
+        for (bench, pinned) in [
+            (Benchmark::Mwd, 3_488),
+            (Benchmark::Vopd, 5_587),
+            (Benchmark::Mpeg, 6_382),
+            (Benchmark::Pm8x24, 3_002),
+            (Benchmark::Pm8x32, 3_487),
+            (Benchmark::Pm8x44, 3_553),
+        ] {
+            let trace = onoc_trace::Trace::new();
+            let ctx = onoc_ctx::ExecCtx::cached()
+                .with_trace(trace.clone())
+                .with_deadline(Instant::now() + Duration::from_secs(3600));
+            heuristic_synth()
+                .synthesize_detailed_ctx(&bench.graph(), &ctx)
+                .unwrap();
+            assert_eq!(
+                trace.report().counter("ctx/deadline_polls"),
+                Some(pinned),
+                "{bench}"
+            );
+        }
     }
 
     #[test]

@@ -57,8 +57,24 @@ pub fn resolve_threads(requested: usize) -> usize {
 }
 
 /// A deterministic 128-bit content key over a stage's inputs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ContentKey(pub [u64; 2]);
+
+// Ordered by hand: a derived `PartialOrd` calls `partial_cmp`, which
+// clippy's L2 entry disallows (DESIGN.md §12).
+impl Ord for ContentKey {
+    #[inline]
+    fn cmp(&self, other: &ContentKey) -> std::cmp::Ordering {
+        self.0.cmp(&other.0)
+    }
+}
+
+impl PartialOrd for ContentKey {
+    #[inline]
+    fn partial_cmp(&self, other: &ContentKey) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 impl fmt::Display for ContentKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -767,7 +783,10 @@ impl ExecCtx {
     /// Pipeline drivers call this *between* stages so a deadline that
     /// expires mid-pipeline aborts before the next stage starts, and at
     /// entry so an already-expired deadline fails fast instead of running
-    /// the full pipeline.
+    /// the full pipeline. Long loops (clustering growth, the assignment
+    /// searches) call it once per unit of work. Each poll of a set
+    /// deadline counts on the `ctx/deadline_polls` trace counter, which
+    /// sring-core pins, so a loop that loses its poll shows there.
     ///
     /// # Errors
     ///
@@ -777,6 +796,7 @@ impl ExecCtx {
         let Some(deadline) = self.deadline else {
             return Ok(());
         };
+        self.trace.incr("ctx/deadline_polls", 1);
         #[expect(
             clippy::disallowed_methods,
             reason = "deadline arithmetic against the ctx budget, not a measurement"

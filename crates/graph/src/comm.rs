@@ -9,8 +9,24 @@ use std::fmt;
 ///
 /// Messages are dense indices `0..m` into their owning [`CommGraph`]. The
 /// paper's `#M` column counts these.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct MessageId(pub usize);
+
+// Ordered by hand: a derived `PartialOrd` calls `partial_cmp`, which
+// clippy's L2 entry disallows (DESIGN.md §12).
+impl Ord for MessageId {
+    #[inline]
+    fn cmp(&self, other: &MessageId) -> std::cmp::Ordering {
+        self.0.cmp(&other.0)
+    }
+}
+
+impl PartialOrd for MessageId {
+    #[inline]
+    fn partial_cmp(&self, other: &MessageId) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 impl MessageId {
     /// The dense index of this message.
@@ -30,8 +46,24 @@ impl fmt::Display for MessageId {
 /// delta adds the message) and never reused, so it survives edits that
 /// shift the dense [`MessageId`] indices. Deltas address messages by their
 /// stable id; everything content-addressed (hashing, caching) ignores it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct StableMessageId(pub u64);
+
+// Ordered by hand: a derived `PartialOrd` calls `partial_cmp`, which
+// clippy's L2 entry disallows (DESIGN.md §12).
+impl Ord for StableMessageId {
+    #[inline]
+    fn cmp(&self, other: &StableMessageId) -> std::cmp::Ordering {
+        self.0.cmp(&other.0)
+    }
+}
+
+impl PartialOrd for StableMessageId {
+    #[inline]
+    fn partial_cmp(&self, other: &StableMessageId) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 impl fmt::Display for StableMessageId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

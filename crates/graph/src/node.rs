@@ -16,8 +16,24 @@ use std::fmt;
 /// assert_eq!(a.index(), 0);
 /// assert_eq!(format!("{a}"), "n0");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct NodeId(pub usize);
+
+// Ordered by hand: a derived `PartialOrd` calls `partial_cmp`, which
+// clippy's L2 entry disallows (DESIGN.md §12).
+impl Ord for NodeId {
+    #[inline]
+    fn cmp(&self, other: &NodeId) -> std::cmp::Ordering {
+        self.0.cmp(&other.0)
+    }
+}
+
+impl PartialOrd for NodeId {
+    #[inline]
+    fn partial_cmp(&self, other: &NodeId) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 impl NodeId {
     /// The dense index of this node.

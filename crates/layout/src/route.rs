@@ -13,8 +13,24 @@ use onoc_units::Millimeters;
 use std::fmt;
 
 /// Identifier of a routed waveguide within a [`Layout`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WaveguideId(pub usize);
+
+// Ordered by hand: a derived `PartialOrd` calls `partial_cmp`, which
+// clippy's L2 entry disallows (DESIGN.md §12).
+impl Ord for WaveguideId {
+    #[inline]
+    fn cmp(&self, other: &WaveguideId) -> std::cmp::Ordering {
+        self.0.cmp(&other.0)
+    }
+}
+
+impl PartialOrd for WaveguideId {
+    #[inline]
+    fn partial_cmp(&self, other: &WaveguideId) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 impl WaveguideId {
     /// The dense index of this waveguide.

@@ -607,7 +607,8 @@ impl WorkerScratch {
         self.upper.clear();
         self.upper.extend_from_slice(&ctx.lp.upper);
         let mut link = node.changes.as_deref();
-        // onoc-lint: allow(L9, reason = "bounded: walks the node's finite bound-delta chain, whose length is the tree depth")
+        // No deadline poll: the node's bound-delta chain is finite, at most
+        // the tree depth long.
         while let Some(change) = link {
             if change.is_upper {
                 let u = &mut self.upper[change.var];
@@ -1065,10 +1066,11 @@ mod tests {
 
     #[test]
     fn node_pool_order_is_total_even_with_nan_bounds() {
-        // Regression for the L2 bug class (PR 3 / onoc-lint L2): the pool
-        // ordering must be a *total* order even when an LP relaxation
-        // produces a NaN bound, or the BinaryHeap invariant silently
-        // breaks and the exploration order becomes nondeterministic.
+        // Regression for the L2 bug class (clippy's `PartialOrd::partial_cmp`
+        // entry): the pool ordering must be a *total* order even when an LP
+        // relaxation produces a NaN bound, or the BinaryHeap invariant
+        // silently breaks and the exploration order becomes
+        // nondeterministic.
         use std::cmp::Ordering;
         let node = |bound: f64, seq: usize| Node {
             bound,
@@ -1291,9 +1293,9 @@ mod tests {
 
     #[test]
     fn tight_time_limit_keeps_anytime_contract() {
-        // With a zero wall-clock budget the deadline interrupts even the
-        // root LP mid-solve; the warm start must come back intact as a
-        // Feasible incumbent with a bound no better than the objective.
+        // With a zero wall-clock budget the node loop stops before the
+        // root; the warm start must come back intact as a Feasible
+        // incumbent with a bound no better than the objective.
         let mut m = Model::new();
         let vars: Vec<_> = (0..12).map(|i| m.add_binary(format!("b{i}"))).collect();
         for w in vars.windows(2) {
@@ -1309,6 +1311,61 @@ mod tests {
         assert_eq!(sol.status(), Status::Feasible);
         assert!((sol.objective() + 6.0).abs() < 1e-9);
         assert!(sol.bound() <= sol.objective());
+        // The node loop polls the time limit before each node: not even
+        // the root LP ran.
+        assert_eq!(sol.stats().nodes_explored, 0);
+        assert_eq!(sol.stats().lp_solves, 0);
+    }
+
+    #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test sets deadlines relative to the wall clock"
+    )]
+    fn root_strong_branching_stops_at_a_lapsed_deadline() {
+        // The root LP rides in on the node, solved before the deadline
+        // lapsed, so the strong-branching loop is the first code to meet
+        // the lapsed deadline: it must probe nothing.
+        let m = assignment_model(9, 3);
+        let lp = build_lp(&m);
+        let integer_vars = m.integer_var_indices();
+        let options = SolveOptions::default();
+        let search_ctx = |deadline| SearchCtx {
+            model: &m,
+            lp: &lp,
+            integer_vars: &integer_vars,
+            obj_constant: m.objective.constant(),
+            options: &options,
+            start: Instant::now(),
+            deadline,
+        };
+        let open = search_ctx(None);
+        let mut scratch = WorkerScratch::new();
+        scratch.lower.clone_from(&lp.lower);
+        scratch.upper.clone_from(&lp.upper);
+        let root_lp = scratch.solve_loaded(&open, None);
+        assert_eq!(root_lp.status, LpStatus::Optimal);
+        let root = || Node {
+            bound: f64::NEG_INFINITY,
+            depth: 0,
+            seq: 0,
+            changes: None,
+            basis: None,
+            frac: 0.0,
+            lp: Some(Arc::clone(&root_lp)),
+        };
+
+        // Without a deadline the root probes its candidates.
+        let mut probing = WorkerScratch::new();
+        let outcome = evaluate_node(&open, &root(), None, &mut probing);
+        assert!(matches!(outcome, NodeOutcome::Branched(_)));
+        assert!(probing.stats.lp_solves >= 2, "{:?}", probing.stats);
+
+        let lapsed = search_ctx(Some(Instant::now() - Duration::from_millis(1)));
+        let mut late = WorkerScratch::new();
+        let outcome = evaluate_node(&lapsed, &root(), None, &mut late);
+        assert!(matches!(outcome, NodeOutcome::Branched(_)));
+        assert_eq!(late.stats.lp_solves, 0, "{:?}", late.stats);
     }
 
     /// Brute-force reference: enumerate all 2^n binary assignments.

@@ -8,8 +8,24 @@ use std::ops::{Add, AddAssign, Mul, Neg, Sub};
 ///
 /// Handles are only meaningful with the model that created them; using a
 /// handle with a different model is caught by constraint validation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Var(pub(crate) usize);
+
+// Ordered by hand: a derived `PartialOrd` calls `partial_cmp`, which
+// clippy's L2 entry disallows (DESIGN.md §12).
+impl Ord for Var {
+    #[inline]
+    fn cmp(&self, other: &Var) -> std::cmp::Ordering {
+        self.0.cmp(&other.0)
+    }
+}
+
+impl PartialOrd for Var {
+    #[inline]
+    fn partial_cmp(&self, other: &Var) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 impl Var {
     /// The dense index of this variable within its model.

@@ -49,7 +49,8 @@ impl PartialPricing {
         let section = (n / 8).clamp(32, 256).min(n);
         let mut best: Option<(usize, f64, f64)> = None;
         let mut scanned = 0usize;
-        // onoc-lint: allow(L9, reason = "bounded: scanned strictly increases every iteration up to n; a full cycle proves optimality")
+        // No deadline poll: `scanned` grows every iteration, so this ends
+        // within n steps (a full cycle proves optimality).
         while scanned < n {
             let j = self.cursor;
             self.cursor += 1;

@@ -884,6 +884,60 @@ mod tests {
     }
 
     #[test]
+    fn expired_deadline_stops_the_warm_dual_simplex() {
+        // A hundred copies of the bound cut above: the warm re-solve takes
+        // more than 64 dual iterations, and ends off a multiple of 64, so
+        // the exact-cost primal cleanup after it (which polls at multiples
+        // of 64) cannot stand in for the dual simplex's own poll.
+        let blocks = 100;
+        let mut p = LpProblem {
+            cost: Vec::new(),
+            lower: Vec::new(),
+            upper: Vec::new(),
+            rows: Vec::new(),
+        };
+        for b in 0..blocks {
+            p.cost.extend([-1.0, -0.9, 0.0]);
+            p.lower.extend([0.0; 3]);
+            p.upper.extend([20.0, 0.3, 10.0]);
+            let j = 3 * b;
+            p.rows.push(row(
+                &[(j, 1.0), (j + 1, 1.0), (j + 2, 1.0)],
+                Sense::Le,
+                10.0,
+            ));
+        }
+        let tight: Vec<f64> = (0..3 * blocks)
+            .map(|j| if j % 3 == 0 { 8.5 } else { p.upper[j] })
+            .collect();
+        let (warm, _) = resolve_warm_and_cold(&p, &p.lower, &tight);
+        assert_eq!(warm.status, LpStatus::Optimal);
+        assert!(warm.warm_used);
+        assert!(
+            warm.dual_pivots > 64 && warm.dual_pivots % 64 != 0,
+            "{}",
+            warm.dual_pivots
+        );
+
+        // The same warm solve under a lapsed deadline stops before its
+        // first dual iteration.
+        let mut ws = SimplexWorkspace::new();
+        let capture = LpOptions {
+            capture_basis: true,
+            ..LpOptions::default()
+        };
+        let parent = solve_lp_warm(&p, &[], &[], &capture, &mut ws, None);
+        let basis = parent.basis.expect("parent basis must be captured");
+        let expired = LpOptions {
+            deadline: Some(Instant::now() - std::time::Duration::from_millis(1)),
+            capture_basis: true,
+        };
+        let r = solve_lp_warm(&p, &p.lower, &tight, &expired, &mut ws, Some(&basis));
+        assert_eq!(r.status, LpStatus::TimedOut);
+        assert_eq!((r.dual_pivots, r.pivots), (0, 0));
+    }
+
+    #[test]
     fn warm_start_without_violation_takes_zero_pivots() {
         // Tightening a nonbasic-at-upper bound keeps the basis optimal
         // after the rhs shift: the dual simplex verifies and exits.

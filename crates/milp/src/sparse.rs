@@ -484,8 +484,11 @@ impl Rev<'_> {
             }
         }
         match best {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "guard is exactly !(own < exact): an incomparable pair must take the slot branch, not the own-bound one"
+            )]
             Some((r, to_upper, exact, _))
-                // onoc-lint: allow(L2, reason = "guard is exactly !(own < exact): an incomparable pair must take the slot branch, not the own-bound one")
                 if own.partial_cmp(&exact) != Some(std::cmp::Ordering::Less) =>
             {
                 Limit::Slot {

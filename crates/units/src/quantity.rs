@@ -140,8 +140,11 @@ macro_rules! impl_linear_ops {
             }
         }
         impl PartialOrd for $ty {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "PartialOrd impl must mirror f64 partial semantics; call sites use total_cmp"
+            )]
             fn partial_cmp(&self, other: &$ty) -> Option<std::cmp::Ordering> {
-                // onoc-lint: allow(L2, reason = "PartialOrd impl must mirror f64 partial semantics; call sites use total_cmp")
                 self.0.partial_cmp(&other.0)
             }
         }
@@ -245,8 +248,11 @@ impl Sub for Dbm {
 }
 
 impl PartialOrd for Dbm {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "PartialOrd impl must mirror f64 partial semantics; call sites use total_cmp"
+    )]
     fn partial_cmp(&self, other: &Dbm) -> Option<std::cmp::Ordering> {
-        // onoc-lint: allow(L2, reason = "PartialOrd impl must mirror f64 partial semantics; call sites use total_cmp")
         self.0.partial_cmp(&other.0)
     }
 }
@@ -279,9 +285,10 @@ mod tests {
 
     #[test]
     fn total_cmp_gives_nan_a_fixed_place() {
-        // Regression for the onoc-lint L2 bug class: quantity sorts use
-        // `total_cmp`, which puts NaN after +inf instead of letting it
-        // compare Equal to everything under the partial order.
+        // Regression for the L2 bug class (clippy's `PartialOrd::partial_cmp`
+        // entry): quantity sorts use `total_cmp`, which puts NaN after +inf
+        // instead of letting it compare Equal to everything under the
+        // partial order.
         let mut v = [
             Millimeters(f64::NAN),
             Millimeters(1.0),

@@ -17,8 +17,24 @@ use std::fmt;
 /// assert!(l1 > l0);
 /// assert_eq!(format!("{l1}"), "λ1");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Wavelength(pub usize);
+
+// Ordered by hand: a derived `PartialOrd` calls `partial_cmp`, which
+// clippy's L2 entry disallows (DESIGN.md §12).
+impl Ord for Wavelength {
+    #[inline]
+    fn cmp(&self, other: &Wavelength) -> std::cmp::Ordering {
+        self.0.cmp(&other.0)
+    }
+}
+
+impl PartialOrd for Wavelength {
+    #[inline]
+    fn partial_cmp(&self, other: &Wavelength) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 impl Wavelength {
     /// The next channel in index order.

@@ -36,9 +36,10 @@ fn sweep() -> &'static Vec<(Benchmark, &'static str, RouterDesign, RouterAnalysi
 
 #[test]
 fn flexible_route_selection_is_run_to_run_deterministic() {
-    // Regression for the onoc-lint L2 bug class: the greedy route
-    // selection in the route stage orders flexible messages by geometric
-    // length and breaks peak-load ties by length, both via `total_cmp`.
+    // Regression for the L2 bug class (clippy's `PartialOrd::partial_cmp`
+    // entry): the greedy route selection in the route stage orders
+    // flexible messages by geometric length and breaks peak-load ties by
+    // length, both via `total_cmp`.
     // Two independent synthesis runs must choose bit-identical designs —
     // under the old `partial_cmp(..).unwrap_or(Equal)` comparators a NaN
     // length would have made this ordering pivot-sequence-dependent.
