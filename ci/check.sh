@@ -19,6 +19,10 @@ cargo test --workspace -q
 # random cases per property (the vendored proptest honours
 # PROPTEST_CASES), far deeper than the default run above.
 PROPTEST_CASES=2048 cargo test --release -p milp-solver --test lp_oracle
+# The LU layer against its old full-scan code, bit for bit, on bases of up
+# to 140 rows, so the step masks span one to three 64-bit words.
+PROPTEST_CASES=2048 cargo test --release -p milp-solver --lib -- \
+    prop_lu_matches_the_full_scan_oracle
 # The sub-ring path evaluator the same way: loaded orders against the old
 # `Cycle` code, bounded against unbounded walks, and growth's insertion
 # trials against a loaded trial order, all bit for bit; the construction
@@ -38,15 +42,16 @@ PROPTEST_CASES=2048 cargo test --release -p sring-core --lib -- \
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
-# Solver smoke check: solve the MWD assignment MILP warm and cold
-# (sub-second) and fail on any solver error or empty statistics. The JSON
-# goes to a scratch path so the tracked BENCH_milp.json (full tracked
-# run) is not clobbered by a partial one.
+# Solver smoke check: solve the MWD assignment MILP five times (well
+# under a second in all) and fail on any solver error, empty statistics
+# or a counter that differs between runs. The JSON goes to a scratch path
+# so the tracked BENCH_milp.json (full tracked run) is not clobbered by a
+# partial one.
 ./target/release/milp_stats "${TMPDIR:-/tmp}/BENCH_milp_smoke.json" --benchmark mwd
 
 # Optimality gate: the sparse revised simplex must prove the VOPD
 # assignment MILP optimal within the default budgets (the headline
-# capability of the factorized-basis work). Release mode, warm path.
+# capability of the factorized-basis work) in each of the five runs.
 ./target/release/milp_stats "${TMPDIR:-/tmp}/BENCH_milp_vopd.json" \
     --benchmark vopd --require-optimal
 

@@ -1,8 +1,9 @@
 //! MILP solver statistics for the wavelength-assignment models: solves the
-//! MWD/VOPD/MPEG assignment MILPs once with warm-started dual simplex
-//! (basis inheritance, the default) and once cold-started, and writes both
-//! runs' counters to `BENCH_milp.json` so the solver's perf trajectory is
-//! tracked across PRs.
+//! MWD/VOPD/MPEG/8PM-24 assignment MILPs [`RUNS`] times each and writes
+//! their counters, with the median wall-clocks and the host's `nproc`, to
+//! `BENCH_milp.json` so the solver's perf trajectory is tracked across
+//! PRs. The counters must be identical in every run; any difference fails
+//! the binary, which makes it a determinism check too.
 //!
 //! ```text
 //! milp_stats [out.json] [--benchmark mwd] [--trace-json t.json]
@@ -12,7 +13,7 @@
 //! Exits non-zero when any solve fails or reports empty statistics, which
 //! makes the binary double as a CI smoke check (`ci/check.sh` runs it on
 //! MWD alone). `--require-optimal` additionally fails the run when any
-//! selected benchmark's warm solve ends without a proven optimum — the
+//! selected benchmark's solve ends without a proven optimum — the
 //! release-mode gate `ci/check.sh` holds VOPD to.
 
 use milp_solver::SolveStats;
@@ -31,8 +32,11 @@ use std::time::{Duration, Instant};
 /// added once the sparse simplex brought its model within reach.
 const TRACKED: [&str; 4] = ["MWD", "VOPD", "MPEG", "8PM-24"];
 
+/// Solves per benchmark. Odd, so each median is one run's value.
+const RUNS: usize = 5;
+
 struct Run {
-    wall_s: f64,
+    wall: Duration,
     objective: f64,
     proven_optimal: bool,
     stats: SolveStats,
@@ -55,7 +59,7 @@ fn solve(benchmark: Benchmark, milp: MilpOptions, ctx: &ExecCtx) -> Result<Run, 
         return Err(format!("{benchmark}: empty solver stats: {stats:?}"));
     }
     Ok(Run {
-        wall_s: report.runtime.as_secs_f64(),
+        wall: report.runtime,
         objective: report.assignment.objective,
         proven_optimal: report.assignment.proven_optimal,
         stats,
@@ -73,11 +77,11 @@ fn non_root_warm_rate(s: &SolveStats) -> f64 {
     rate
 }
 
-/// One solve's record in `BENCH_milp.json`.
-fn run_json(run: &Run) -> Value {
+/// The deterministic part of one solve's record: everything but
+/// wall-clocks. Every run of a benchmark must give the same value.
+fn counters(run: &Run) -> [(&'static str, Value); 18] {
     let s = &run.stats;
-    object([
-        ("wall_s", Value::Number(run.wall_s)),
+    [
         ("objective", Value::Number(run.objective)),
         ("proven_optimal", Value::Bool(run.proven_optimal)),
         ("nodes_explored", count(s.nodes_explored)),
@@ -90,18 +94,33 @@ fn run_json(run: &Run) -> Value {
         ("warm_start_attempts", count(s.warm_start_attempts)),
         ("warm_start_hits", count(s.warm_start_hits)),
         ("non_root_warm_rate", Value::Number(non_root_warm_rate(s))),
-        ("lp_time_s", secs(s.lp_time())),
-        ("time_in_dual_s", secs(s.time_in_dual)),
-        ("time_in_primal_s", secs(s.time_in_primal)),
-        ("presolve_time_s", secs(s.presolve_time)),
-        ("solve_time_s", secs(s.solve_time)),
         ("max_depth", count(s.max_depth())),
         ("refactorizations", count(s.refactorizations)),
         ("eta_updates", count(s.eta_updates)),
         ("max_eta_chain", count(s.max_eta_chain)),
         ("max_fill_in", count(s.max_fill_in)),
         ("presolve_cols_removed", count(s.presolve_cols_removed)),
-    ])
+    ]
+}
+
+/// The median over `runs` of one wall-clock, in seconds.
+fn median(runs: &[Run], time: impl Fn(&Run) -> Duration) -> Value {
+    let mut times: Vec<Duration> = runs.iter().map(time).collect();
+    times.sort();
+    secs(times[times.len() / 2])
+}
+
+/// One benchmark's record in `BENCH_milp.json`: its counters and the
+/// median wall-clocks of its runs.
+fn record(benchmark: Benchmark, runs: &[Run]) -> Value {
+    let name = ("benchmark", Value::String(benchmark.name().to_owned()));
+    let times = [
+        ("wall_s", median(runs, |r| r.wall)),
+        ("lp_time_s", median(runs, |r| r.stats.lp_time())),
+        ("presolve_time_s", median(runs, |r| r.stats.presolve_time)),
+        ("solve_time_s", median(runs, |r| r.stats.solve_time)),
+    ];
+    object(std::iter::once(name).chain(counters(&runs[0])).chain(times))
 }
 
 fn main() -> ExitCode {
@@ -171,75 +190,67 @@ fn main() -> ExitCode {
     }
 
     println!(
-        "{:<8} {:>8} {:>8} {:>12} {:>12} {:>7} {:>9}",
-        "bench", "nodes", "lp", "warm pivots", "cold pivots", "ratio", "warm rate"
+        "{:<8} {:>8} {:>8} {:>8} {:>9} {:>10}",
+        "bench", "nodes", "lp", "pivots", "warm rate", "median [s]"
     );
+    let milp = MilpOptions {
+        time_limit: time_limit.unwrap_or(MilpOptions::default().time_limit),
+    };
     let mut entries = Vec::new();
     for b in selected {
-        let warm = match solve(
-            b,
-            MilpOptions {
-                time_limit: time_limit.unwrap_or(MilpOptions::default().time_limit),
-                ..MilpOptions::default()
-            },
-            &ctx,
-        ) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: {e}");
+        let mut runs = Vec::with_capacity(RUNS);
+        for _ in 0..RUNS {
+            let run = match solve(b, milp.clone(), &ctx) {
+                Ok(r) => r,
+                Err(e) => {
+                    eprintln!("error: {e}");
+                    return ExitCode::FAILURE;
+                }
+            };
+            if require_optimal && !run.proven_optimal {
+                eprintln!(
+                    "error: {}: solve ended without a proven optimum (objective {:.6}, {} nodes)",
+                    b.name(),
+                    run.objective,
+                    run.stats.nodes_explored
+                );
                 return ExitCode::FAILURE;
             }
-        };
-        if require_optimal && !warm.proven_optimal {
-            eprintln!(
-                "error: {}: warm solve ended without a proven optimum (objective {:.6}, {} nodes)",
-                b.name(),
-                warm.objective,
-                warm.stats.nodes_explored
-            );
-            return ExitCode::FAILURE;
+            if let Some(first) = runs.first() {
+                let (want, got) = (counters(first), counters(&run));
+                if got != want {
+                    eprintln!(
+                        "error: {}: run {} counters differ from run 1:\n  run 1: {}\n  run {}: {}",
+                        b.name(),
+                        runs.len() + 1,
+                        object(want).to_json(),
+                        runs.len() + 1,
+                        object(got).to_json(),
+                    );
+                    return ExitCode::FAILURE;
+                }
+            }
+            runs.push(run);
         }
-        // The cold baseline gets the warm run's node count as its node
-        // budget with a relaxed wall-clock limit: on the larger models the
-        // default time limit truncates the cold search after far fewer
-        // nodes, which would make the pivot totals compare unequal work.
-        let cold = match solve(
-            b,
-            MilpOptions {
-                warm_basis: false,
-                node_limit: warm.stats.nodes_explored,
-                time_limit: Duration::from_secs(60),
-                ..MilpOptions::default()
-            },
-            &ctx,
-        ) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        #[allow(clippy::cast_precision_loss)]
-        let ratio = cold.stats.total_pivots() as f64 / warm.stats.total_pivots().max(1) as f64;
+        let s = &runs[0].stats;
         println!(
-            "{:<8} {:>8} {:>8} {:>12} {:>12} {:>6.2}x {:>8.1}%",
+            "{:<8} {:>8} {:>8} {:>8} {:>8.1}% {:>10}",
             b.name(),
-            warm.stats.nodes_explored,
-            warm.stats.lp_solves,
-            warm.stats.total_pivots(),
-            cold.stats.total_pivots(),
-            ratio,
-            non_root_warm_rate(&warm.stats) * 100.0
+            s.nodes_explored,
+            s.lp_solves,
+            s.total_pivots(),
+            non_root_warm_rate(s) * 100.0,
+            median(&runs, |r| r.wall).to_json(),
         );
-        entries.push(object([
-            ("benchmark", Value::String(b.name().to_owned())),
-            ("warm", run_json(&warm)),
-            ("cold", run_json(&cold)),
-            ("pivot_ratio", Value::Number(ratio)),
-        ]));
+        entries.push(record(b, &runs));
     }
 
-    let mut doc = object([("benchmarks", Value::Array(entries))]).to_json();
+    let mut doc = object([
+        ("nproc", count(onoc_ctx::resolve_threads(0))),
+        ("runs", count(RUNS)),
+        ("benchmarks", Value::Array(entries)),
+    ])
+    .to_json();
     doc.push('\n');
     if let Err(e) = std::fs::write(&out_path, doc) {
         eprintln!("error: cannot write {out_path}: {e}");

@@ -200,8 +200,13 @@ pub fn finish_trace(trace: &Trace, path: Option<&str>, started: Instant) {
 }
 
 /// A JSON object with `members` in order, for the `BENCH_*.json` writers.
-pub fn object<const N: usize>(members: [(&str, Value); N]) -> Value {
-    Value::Object(members.map(|(k, v)| (k.to_owned(), v)).into())
+pub fn object<'a>(members: impl IntoIterator<Item = (&'a str, Value)>) -> Value {
+    Value::Object(
+        members
+            .into_iter()
+            .map(|(k, v)| (k.to_owned(), v))
+            .collect(),
+    )
 }
 
 /// A counter as a JSON number (exact below 2^53).

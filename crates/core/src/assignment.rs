@@ -204,38 +204,27 @@ impl Default for AssignmentStrategy {
 /// Limits for the MILP run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MilpOptions {
-    /// Wall-clock budget for the branch-and-bound search.
+    /// Wall-clock budget for the branch-and-bound search (default 3 s).
     pub time_limit: Duration,
-    /// Extra wavelengths offered beyond the heuristic's count: the MILP may
-    /// *increase* wavelength usage to remove splitters (the trade-off the
-    /// paper highlights for MPEG/8PM-44).
-    pub pool_slack: usize,
-    /// Node budget for the branch-and-bound search.
-    pub node_limit: usize,
-    /// Inherit each parent node's optimal basis and re-optimize children
-    /// with the dual simplex (on by default). `false` forces cold-start
-    /// two-phase primal solves at every node — useful only as a baseline
-    /// when benchmarking.
-    pub warm_basis: bool,
-    /// Run the solver's conservative presolve reductions (singleton rows,
-    /// forcing rows, integer bound rounding, fixed/dominated column
-    /// elimination) before the tree search (on by default). `false` feeds
-    /// the model to branch and bound untouched — useful as an ablation
-    /// baseline; both settings reach the same optimum.
-    pub presolve: bool,
 }
 
 impl Default for MilpOptions {
     fn default() -> Self {
         MilpOptions {
             time_limit: Duration::from_secs(3),
-            pool_slack: 3,
-            node_limit: 20_000,
-            warm_basis: true,
-            presolve: true,
         }
     }
 }
+
+/// Extra wavelengths the MILP is offered beyond the heuristic's count: it
+/// may *increase* wavelength usage to remove splitters (the trade-off the
+/// paper highlights for MPEG/8PM-44).
+const POOL_SLACK: usize = 3;
+
+/// Node budget for the branch-and-bound search. Every tracked MILP
+/// benchmark proves optimality far inside it: VOPD, the largest tracked
+/// tree, explores 1,695 nodes.
+const NODE_LIMIT: usize = 20_000;
 
 /// The assignment outcome.
 #[derive(Debug, Clone, PartialEq)]
@@ -1091,7 +1080,7 @@ fn milp_assignment(
     let build = ctx.trace().span("build");
     let n = problem.paths.len();
     let heuristic_wl = warm.iter().map(|w| w.index() + 1).max().unwrap_or(1);
-    let pool = (heuristic_wl + opts.pool_slack).min(n.max(1));
+    let pool = (heuristic_wl + POOL_SLACK).min(n.max(1));
     let l_sp = problem.splitter_loss.0;
 
     let mut m = Model::new();
@@ -1351,9 +1340,7 @@ fn milp_assignment(
         .map_or(opts.time_limit, |remaining| remaining.min(opts.time_limit));
     let options = MilpSolveOptions::default()
         .with_time_limit(time_limit)
-        .with_node_limit(opts.node_limit)
-        .with_warm_basis(opts.warm_basis)
-        .with_presolve(opts.presolve)
+        .with_node_limit(NODE_LIMIT)
         .with_warm_start(start);
     let sol = m.solve(&options)?;
 
@@ -1778,7 +1765,6 @@ mod tests {
                 let h = assign(&problem, &AssignmentStrategy::Heuristic).unwrap();
                 let opts = MilpOptions {
                     time_limit: std::time::Duration::from_secs(1),
-                    ..MilpOptions::default()
                 };
                 let m = assign(&problem, &AssignmentStrategy::Milp(opts)).unwrap();
                 prop_assert!(problem.is_collision_free(&m.wavelengths));

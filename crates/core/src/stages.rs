@@ -61,18 +61,8 @@ impl ContentHash for ClusteringConfig {
 
 impl ContentHash for MilpOptions {
     fn content_hash(&self, hasher: &mut ContentHasher) {
-        let MilpOptions {
-            time_limit,
-            pool_slack,
-            node_limit,
-            warm_basis,
-            presolve,
-        } = self;
+        let MilpOptions { time_limit } = self;
         time_limit.content_hash(hasher);
-        pool_slack.content_hash(hasher);
-        node_limit.content_hash(hasher);
-        warm_basis.content_hash(hasher);
-        presolve.content_hash(hasher);
     }
 }
 
@@ -804,7 +794,6 @@ mod tests {
         let short = SringConfig {
             strategy: AssignmentStrategy::Milp(MilpOptions {
                 time_limit: std::time::Duration::from_millis(10),
-                ..MilpOptions::default()
             }),
             ..SringConfig::default()
         };
@@ -813,54 +802,6 @@ mod tests {
             ..SringConfig::default()
         };
         assert_ne!(assign_key(&app, &short), assign_key(&app, &long));
-    }
-
-    #[test]
-    fn presolve_toggle_perturbs_the_assign_key() {
-        let app = benchmarks::mwd();
-        let on = SringConfig {
-            strategy: AssignmentStrategy::Milp(MilpOptions::default()),
-            ..SringConfig::default()
-        };
-        let off = SringConfig {
-            strategy: AssignmentStrategy::Milp(MilpOptions {
-                presolve: false,
-                ..MilpOptions::default()
-            }),
-            ..SringConfig::default()
-        };
-        assert_ne!(assign_key(&app, &on), assign_key(&app, &off));
-    }
-
-    #[test]
-    fn mwd_presolve_preserves_the_optimum() {
-        // Regression for the presolve column-elimination pass: fixing
-        // dominated/empty columns must not cut the MILP's optimum. MWD is
-        // the smallest benchmark the MILP proves optimal, so both runs
-        // must land on the identical proven objective.
-        use crate::synthesis::SringSynthesizer;
-        let app = benchmarks::mwd();
-        let solve = |presolve: bool| {
-            let synth = SringSynthesizer::with_config(SringConfig {
-                strategy: AssignmentStrategy::Milp(MilpOptions {
-                    presolve,
-                    time_limit: std::time::Duration::from_secs(30),
-                    ..MilpOptions::default()
-                }),
-                ..SringConfig::default()
-            });
-            synth.synthesize_detailed(&app).unwrap().assignment
-        };
-        let with = solve(true);
-        let without = solve(false);
-        assert!(with.proven_optimal, "MWD must prove optimality");
-        assert!(without.proven_optimal, "MWD must prove optimality");
-        assert!(
-            (with.objective - without.objective).abs() < 1e-6,
-            "presolve changed the optimum: {} vs {}",
-            with.objective,
-            without.objective
-        );
     }
 
     #[test]

@@ -1,17 +1,17 @@
 //! Branch-and-bound search over the LP relaxation.
 //!
-//! Best-first node selection (smallest LP bound first), most-fractional
-//! branching, optional warm-start incumbent, wall-clock and node limits.
-//! The search is *anytime*: hitting a limit returns the incumbent and the
-//! proven global bound with [`Status::Feasible`]. The wall-clock deadline
-//! reaches into the simplex itself (see
-//! [`crate::simplex::LpOptions`]), so a single long LP
-//! relaxation cannot blow the budget.
+//! The model is presolved first (see the [`presolve`](mod@crate::presolve)
+//! module); the search then runs on the reduced model. Best-first node
+//! selection (smallest LP bound first), pseudocost product-rule branching
+//! with root strong branching, parent-basis inheritance, optional
+//! warm-start incumbent, wall-clock and node limits. The search is
+//! *anytime*: hitting a limit returns the incumbent and the proven global
+//! bound with [`Status::Feasible`]. The wall-clock deadline reaches into
+//! the simplex itself (see [`crate::simplex::solve_lp`]), so a single
+//! long LP relaxation cannot blow the budget.
 
 use crate::model::{Model, ModelError, VarType};
-use crate::simplex::{
-    solve_lp_warm, Basis, LpOptions, LpProblem, LpResult, LpRow, LpStatus, SimplexWorkspace,
-};
+use crate::simplex::{solve_lp, Basis, LpProblem, LpResult, LpRow, LpStatus, SimplexWorkspace};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -25,7 +25,7 @@ const INT_TOL: f64 = 1e-6;
 const STRONG_BRANCH_CANDIDATES: usize = 24;
 
 /// Options controlling the branch-and-bound search.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SolveOptions {
     /// Wall-clock budget; `None` means unlimited.
     pub time_limit: Option<Duration>,
@@ -35,27 +35,6 @@ pub struct SolveOptions {
     /// validates against the model it becomes the initial incumbent,
     /// letting the search prune from the start.
     pub warm_start: Option<Vec<f64>>,
-    /// Run the conservative presolve reductions before the search
-    /// (default `true`; see the [`presolve`](mod@crate::presolve) module).
-    pub presolve: bool,
-    /// Inherit each parent node's optimal basis and re-optimize child LP
-    /// relaxations with the dual simplex instead of a cold two-phase start
-    /// (default `true`; see [`crate::simplex::solve_lp_warm`]). Disable to
-    /// measure the cold-start baseline. Either setting reaches the same
-    /// optima — warm starting only changes how each node LP is solved.
-    pub warm_basis: bool,
-}
-
-impl Default for SolveOptions {
-    fn default() -> Self {
-        SolveOptions {
-            time_limit: None,
-            node_limit: None,
-            warm_start: None,
-            presolve: true,
-            warm_basis: true,
-        }
-    }
 }
 
 impl SolveOptions {
@@ -83,20 +62,6 @@ impl SolveOptions {
     #[must_use]
     pub fn with_warm_start(mut self, values: Vec<f64>) -> Self {
         self.warm_start = Some(values);
-        self
-    }
-
-    /// Enables or disables the presolve reductions (default enabled).
-    #[must_use]
-    pub fn with_presolve(mut self, presolve: bool) -> Self {
-        self.presolve = presolve;
-        self
-    }
-
-    /// Enables or disables warm-started node LPs (default enabled).
-    #[must_use]
-    pub fn with_warm_basis(mut self, warm_basis: bool) -> Self {
-        self.warm_basis = warm_basis;
         self
     }
 }
@@ -137,7 +102,7 @@ pub struct SolveStats {
     /// phase-1, no cold start.
     pub warm_start_hits: usize,
     /// Variables fixed (and hence eliminated from the search) by the
-    /// presolve's empty/dominated-column pass; zero when presolve is off.
+    /// presolve's empty/dominated-column pass.
     pub presolve_cols_removed: usize,
     /// Basis LU factorizations across all node LPs (sparse engine;
     /// initial factorizations plus refactorizations on eta-chain length,
@@ -161,7 +126,7 @@ pub struct SolveStats {
     /// Wall-clock spent in node LPs that went through the (cold)
     /// two-phase primal path.
     pub time_in_primal: Duration,
-    /// Wall-clock of the presolve reductions, when presolve ran.
+    /// Wall-clock of the presolve reductions.
     pub presolve_time: Duration,
     /// Wall-clock of the whole solve, presolve included.
     pub solve_time: Duration,
@@ -344,7 +309,7 @@ struct Node {
 }
 
 /// Whether an LP result may stand in for a later identical call. A
-/// solve is a pure function of its problem, bounds, options and warm
+/// solve is a pure function of its problem, bounds, deadline and warm
 /// basis — the workspace it ran on carries nothing over — except that a
 /// `TimedOut` (or iteration-capped) result stopped where it did.
 fn reusable(result: &LpResult) -> bool {
@@ -572,23 +537,19 @@ impl WorkerScratch {
         }
     }
 
-    /// Solves the LP at the loaded bounds, warm from `warm`, with the
-    /// options every node LP and strong-branch probe shares.
+    /// Solves the LP at the loaded bounds, warm from `warm`, under the
+    /// search deadline every node LP and strong-branch probe shares.
     fn solve_loaded(&mut self, ctx: &SearchCtx<'_>, warm: Option<&Basis>) -> Arc<LpResult> {
-        let lp_options = LpOptions {
-            deadline: ctx.deadline,
-            capture_basis: ctx.options.warm_basis,
-        };
         #[expect(
             clippy::disallowed_methods,
             reason = "per-LP timing feeds SolveStats; milp-solver is dependency-free by design and cannot use onoc-trace"
         )]
         let lp_start = Instant::now();
-        let result = solve_lp_warm(
+        let result = solve_lp(
             ctx.lp,
             &self.lower,
             &self.upper,
-            &lp_options,
+            ctx.deadline,
             &mut self.workspace,
             warm,
         );
@@ -632,17 +593,12 @@ fn evaluate_node(
 ) -> NodeOutcome {
     scratch.load_bounds(ctx, node);
     scratch.pseudo.ensure(scratch.lower.len());
-    let warm = if ctx.options.warm_basis {
-        node.basis.as_deref()
-    } else {
-        None
-    };
     let result = match &node.lp {
         Some(lp) => {
             scratch.stats.lp_reused += 1;
             Arc::clone(lp)
         }
-        None => scratch.solve_loaded(ctx, warm),
+        None => scratch.solve_loaded(ctx, node.basis.as_deref()),
     };
     scratch.stats.record_node(node.depth);
     match result.status {
@@ -712,7 +668,7 @@ fn evaluate_node(
     // bounded by `2·STRONG_BRANCH_CANDIDATES` warm LPs per solve.
     //
     // Each probe is exactly the LP call of the child it previews (same
-    // bounds, warm basis and options), so the chosen variable's two
+    // bounds, warm basis and deadline), so the chosen variable's two
     // results ride along to the children, which then need no solve.
     let mut child_lps: ChildLps = (None, None);
     if node.depth == 0 && candidates.len() > 1 {
@@ -905,25 +861,26 @@ fn assemble(ctx: &SearchCtx<'_>, end: SearchEnd) -> Result<MilpSolution, ModelEr
 /// [`Model::solve`](crate::Model::solve).
 pub(crate) fn solve(model: &Model, options: &SolveOptions) -> Result<MilpSolution, ModelError> {
     // Presolve keeps the variable set, so solutions map back one-to-one.
-    if options.presolve {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "presolve timing feeds SolveStats; milp-solver is dependency-free by design"
-        )]
-        let presolve_start = Instant::now();
-        let reduced = crate::presolve::presolve(model)?;
-        let presolve_time = presolve_start.elapsed();
-        let mut inner = options.clone();
-        inner.presolve = false;
-        let mut sol = solve(&reduced.model, &inner)?;
-        // Report the objective against the original model (identical by
-        // construction, but re-evaluating guards against drift).
-        sol.objective = model.objective.evaluate(sol.values());
-        sol.stats.presolve_time += presolve_time;
-        sol.stats.solve_time += presolve_time;
-        sol.stats.presolve_cols_removed += reduced.cols_removed;
-        return Ok(sol);
-    }
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "presolve timing feeds SolveStats; milp-solver is dependency-free by design"
+    )]
+    let presolve_start = Instant::now();
+    let reduced = crate::presolve::presolve(model)?;
+    let presolve_time = presolve_start.elapsed();
+    let mut sol = solve_reduced(&reduced.model, options)?;
+    // Report the objective against the original model (identical by
+    // construction, but re-evaluating guards against drift).
+    sol.objective = model.objective.evaluate(sol.values());
+    sol.stats.presolve_time += presolve_time;
+    sol.stats.solve_time += presolve_time;
+    sol.stats.presolve_cols_removed += reduced.cols_removed;
+    Ok(sol)
+}
+
+/// Searches the presolved `model`. The time limit runs from here, after
+/// presolve.
+fn solve_reduced(model: &Model, options: &SolveOptions) -> Result<MilpSolution, ModelError> {
     #[expect(
         clippy::disallowed_methods,
         reason = "solve_time stat and time-limit anchor; milp-solver is dependency-free by design"
@@ -1504,45 +1461,19 @@ mod tests {
     }
 
     #[test]
-    fn warm_and_cold_solves_agree() {
+    fn warm_solves_inherit_the_parent_basis() {
+        // Every non-root node carries a parent basis on this model, and
+        // inheriting it skips phase 1: the root is the only cold solve.
         let m = assignment_model(9, 3);
-        let warm = m.solve(&SolveOptions::default()).unwrap();
-        let cold = m
-            .solve(&SolveOptions::default().with_warm_basis(false))
-            .unwrap();
-        assert_eq!(warm.status(), cold.status());
-        assert!(
-            (warm.objective() - cold.objective()).abs() < 1e-9,
-            "warm {} vs cold {}",
-            warm.objective(),
-            cold.objective()
-        );
-        // The warm run must actually warm-start: every non-root node
-        // carries a parent basis on this model, and inheriting it skips
-        // phase 1: the root is the only cold solve.
-        let ws = warm.stats();
+        let sol = m.solve(&SolveOptions::default()).unwrap();
+        let ws = sol.stats();
         assert!(ws.lp_solves > 1, "model too easy: {ws:?}");
         assert_eq!(ws.phase1_solves, 1, "{ws:?}");
         assert_eq!(ws.warm_start_attempts, ws.lp_solves - ws.phase1_solves);
         assert_eq!(ws.warm_start_hits, ws.warm_start_attempts, "{ws:?}");
-        // The cold run never warm-starts and pays phase 1 at every node.
-        let cs = cold.stats();
-        assert_eq!(cs.warm_start_attempts, 0);
-        assert_eq!(cs.warm_start_hits, 0);
-        assert_eq!(cs.phase1_solves, cs.lp_solves);
-        assert_eq!(cs.dual_pivots, 0);
-        // Timer attribution mirrors the path taken: all-dual when every
-        // warm start hit, all-primal when none was attempted.
+        // Timer attribution mirrors the path taken: the warm hits land in
+        // the dual bucket.
         assert!(ws.time_in_dual > Duration::ZERO, "{ws:?}");
-        assert_eq!(cs.time_in_dual, Duration::ZERO, "{cs:?}");
-        assert!(cs.time_in_primal > Duration::ZERO, "{cs:?}");
-        // The point of the exercise: warm starting pivots strictly less.
-        assert!(
-            ws.total_pivots() < cs.total_pivots(),
-            "warm {} vs cold {} pivots",
-            ws.total_pivots(),
-            cs.total_pivots()
-        );
     }
 
     #[test]
@@ -1574,40 +1505,5 @@ mod tests {
             s.branching_time() + s.presolve_time + s.lp_time(),
             s.solve_time
         );
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
-
-        /// Basis inheritance is an optimization, not a semantics change:
-        /// warm and cold branch-and-bound agree on every random program.
-        #[test]
-        fn prop_warm_basis_matches_cold(
-            n in 2usize..7,
-            rows in proptest::collection::vec(
-                (proptest::collection::vec(-3i8..4, 6), -4i8..8), 0..5
-            ),
-            cost in proptest::collection::vec(-5i8..6, 6),
-        ) {
-            let m = random_model(n, &rows, &cost);
-            let warm = m.solve(&SolveOptions::default());
-            let cold = m.solve(&SolveOptions::default().with_warm_basis(false));
-            match (warm, cold) {
-                (Ok(w), Ok(c)) => {
-                    proptest::prop_assert!(
-                        (w.objective() - c.objective()).abs() < 1e-6,
-                        "warm {} vs cold {}", w.objective(), c.objective()
-                    );
-                    proptest::prop_assert_eq!(w.status(), c.status());
-                    proptest::prop_assert!(m.is_feasible(w.values(), 1e-6));
-                }
-                (Err(we), Err(ce)) => proptest::prop_assert_eq!(
-                    format!("{we}"), format!("{ce}")
-                ),
-                (w, c) => return Err(proptest::test_runner::TestCaseError::fail(
-                    format!("warm {w:?} vs cold {c:?}")
-                )),
-            }
-        }
     }
 }

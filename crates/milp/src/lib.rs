@@ -15,11 +15,14 @@
 //! * a warm-startable **dual simplex** that re-optimizes a parent-optimal
 //!   basis after a bound tightening — the move branch and bound makes at
 //!   every child node — with a bound-flipping ratio test and automatic
-//!   fallback to the cold primal path ([`simplex::solve_lp_warm`]),
+//!   fallback to the cold primal path ([`simplex::solve_lp`]),
+//! * conservative **presolve** reductions that run before every search
+//!   ([`presolve`](mod@presolve)),
 //! * a **branch-and-bound** tree search with best-first node selection,
-//!   most-fractional branching, parent-basis inheritance, warm-start
-//!   incumbents and wall-clock/node limits ([`branch_bound`]); per-solve
-//!   counters land in [`SolveStats`].
+//!   pseudocost product-rule branching with root strong branching,
+//!   parent-basis inheritance, warm-start incumbents and wall-clock/node
+//!   limits ([`branch_bound`]); per-solve counters land in
+//!   [`SolveStats`].
 //!
 //! The solver is *anytime*: when a limit is hit it returns the best
 //! incumbent together with the proven bound, flagged

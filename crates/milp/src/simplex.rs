@@ -1,5 +1,5 @@
-//! LP solves for branch and bound: problem form, options, results, and
-//! the internal bounded form the simplex engine runs on.
+//! LP solves for branch and bound: problem form, results, and the
+//! internal bounded form the simplex engine runs on.
 //!
 //! The LP relaxations solved during branch and bound have the form
 //!
@@ -26,11 +26,11 @@
 //! oracle that works on the original [`LpProblem`], so a bug in the
 //! transform shows as a disagreement.
 //!
-//! [`solve_lp_warm`] additionally accepts a [`Basis`] snapshot from a
-//! previous solve of a near-identical problem (branch and bound: the
-//! parent node). The snapshot is refactorized and re-optimized with a
-//! **bounded-variable dual simplex** using a bound-flipping ratio test;
-//! any validity or dual-feasibility failure falls back to the cold
+//! [`solve_lp`] captures the optimal [`Basis`] of every solve and accepts
+//! one from a previous solve of a near-identical problem (branch and
+//! bound: the parent node). The snapshot is refactorized and re-optimized
+//! with a **bounded-variable dual simplex** using a bound-flipping ratio
+//! test; any validity or dual-feasibility failure falls back to the cold
 //! two-phase start, so warm starting never changes what is solved — only
 //! how fast.
 //!
@@ -77,23 +77,8 @@ pub enum LpStatus {
     Unbounded,
     /// The iteration budget was exhausted (numerical trouble).
     IterationLimit,
-    /// The wall-clock deadline passed mid-solve (see [`LpOptions`]).
+    /// The wall-clock deadline passed mid-solve (see [`solve_lp`]).
     TimedOut,
-}
-
-/// Options for a single LP solve.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LpOptions {
-    /// Abort the solve once this instant passes. The check runs every 64
-    /// pivots, so overshoot is bounded by a handful of pivot times. A
-    /// solve aborted this way reports [`LpStatus::TimedOut`].
-    pub deadline: Option<Instant>,
-    /// Capture a [`Basis`] snapshot of the optimal basis into
-    /// [`LpResult::basis`]. Branch and bound turns this on so children can
-    /// warm-start from the parent's optimum. No snapshot is produced when
-    /// an artificial column remains basic (the snapshot could not seed a
-    /// dual solve) or when the solve does not reach optimality.
-    pub capture_basis: bool,
 }
 
 /// Status of one internal column in a [`Basis`] snapshot.
@@ -105,8 +90,8 @@ pub(crate) enum BasisCol {
 }
 
 /// A compact snapshot of an optimal simplex basis, captured after a solve
-/// (see [`LpOptions::capture_basis`]) and replayed by [`solve_lp_warm`] to
-/// start the dual simplex from a previous optimum.
+/// (see [`LpResult::basis`]) and replayed by [`solve_lp`] to start the
+/// dual simplex from a previous optimum.
 ///
 /// The snapshot lives in the solver's *internal* column space — shifted /
 /// mirrored / split structural variables followed by slacks, artificials
@@ -137,7 +122,7 @@ impl Basis {
     }
 }
 
-/// Reusable scratch buffers for [`solve_lp_with`].
+/// Reusable scratch buffers for [`solve_lp`].
 ///
 /// The constraint matrix and the factorization arenas are the dominant
 /// allocation of an LP solve; branch and bound solves one LP per node,
@@ -194,7 +179,10 @@ pub struct LpResult {
     /// Whether the solve finished on the warm-started dual-simplex path —
     /// no cold two-phase start was needed.
     pub warm_used: bool,
-    /// Optimal-basis snapshot (see [`LpOptions::capture_basis`]).
+    /// Snapshot of the optimal basis, for children to warm-start from.
+    /// `None` when the solve does not reach optimality, or when an
+    /// artificial column remains basic (the snapshot could not seed a
+    /// dual solve).
     pub basis: Option<Basis>,
     /// Factorization-layer counters.
     pub factor: FactorStats,
@@ -392,53 +380,16 @@ pub(crate) fn recover_values(recover: &[Recover], value: impl Fn(usize) -> f64) 
         .collect()
 }
 
-/// Solves an LP with optional per-variable bound overrides (used by branch
-/// and bound to tighten bounds without rebuilding the problem).
+/// Solves an LP with optional per-variable bound overrides (branch and
+/// bound tightens bounds without rebuilding the problem), optionally
+/// warm-started from a [`Basis`] snapshot of a previous solve (typically
+/// the branch-and-bound parent node's optimum). Branch and bound passes
+/// one workspace (see [`SimplexWorkspace`]) and one deadline per search,
+/// and one inherited basis per node.
 ///
-/// # Panics
-///
-/// Panics if the override slices are non-empty but shorter than the number
-/// of variables, or if a row references an out-of-range column.
-#[must_use]
-pub fn solve_lp(problem: &LpProblem, lower_override: &[f64], upper_override: &[f64]) -> LpResult {
-    solve_lp_with(
-        problem,
-        lower_override,
-        upper_override,
-        &LpOptions::default(),
-        &mut SimplexWorkspace::new(),
-    )
-}
-
-/// Like [`solve_lp`], but with a wall-clock deadline and reusable scratch
-/// buffers (see [`SimplexWorkspace`]).
-///
-/// # Panics
-///
-/// Panics if the override slices are non-empty but shorter than the number
-/// of variables, or if a row references an out-of-range column.
-#[must_use]
-pub fn solve_lp_with(
-    problem: &LpProblem,
-    lower_override: &[f64],
-    upper_override: &[f64],
-    lp_options: &LpOptions,
-    workspace: &mut SimplexWorkspace,
-) -> LpResult {
-    solve_lp_warm(
-        problem,
-        lower_override,
-        upper_override,
-        lp_options,
-        workspace,
-        None,
-    )
-}
-
-/// Like [`solve_lp_with`], optionally warm-started from a [`Basis`]
-/// snapshot of a previous solve (typically the branch-and-bound parent
-/// node's optimum). This is the entry point branch and bound uses: one
-/// workspace and one deadline per search, one inherited basis per node.
+/// The solve aborts once `deadline` passes. The check runs every 64
+/// pivots, so overshoot is bounded by a handful of pivot times. A solve
+/// aborted this way reports [`LpStatus::TimedOut`].
 ///
 /// When the snapshot matches the internal column/row structure, it is
 /// refactorized and re-optimized with the dual simplex. On any mismatch —
@@ -452,11 +403,11 @@ pub fn solve_lp_with(
 /// Panics if the override slices are non-empty but shorter than the number
 /// of variables, or if a row references an out-of-range column.
 #[must_use]
-pub fn solve_lp_warm(
+pub fn solve_lp(
     problem: &LpProblem,
     lower_override: &[f64],
     upper_override: &[f64],
-    lp_options: &LpOptions,
+    deadline: Option<Instant>,
     workspace: &mut SimplexWorkspace,
     warm: Option<&Basis>,
 ) -> LpResult {
@@ -484,7 +435,7 @@ pub fn solve_lp_warm(
     }
 
     let mut form = build_internal_form(problem, &lower, &upper);
-    crate::sparse::solve_sparse(problem, &mut form, lp_options, workspace, warm)
+    crate::sparse::solve_sparse(problem, &mut form, deadline, workspace, warm)
 }
 
 #[cfg(test)]
@@ -504,7 +455,12 @@ mod tests {
     }
 
     fn solve(p: &LpProblem) -> LpResult {
-        solve_lp(p, &[], &[])
+        solve_in(p, &[], &[])
+    }
+
+    /// A cold solve within `lower`/`upper` on a fresh workspace.
+    fn solve_in(p: &LpProblem, lower: &[f64], upper: &[f64]) -> LpResult {
+        solve_lp(p, lower, upper, None, &mut SimplexWorkspace::new(), None)
     }
 
     #[test]
@@ -639,7 +595,7 @@ mod tests {
             upper: vec![10.0],
             rows: vec![],
         };
-        let r = solve_lp(&p, &[0.0], &[4.0]);
+        let r = solve_in(&p, &[0.0], &[4.0]);
         assert_eq!(r.status, LpStatus::Optimal);
         assert!((r.objective + 4.0).abs() < 1e-7);
     }
@@ -714,20 +670,12 @@ mod tests {
                 row(&[(0, 3.0), (1, 2.0)], Sense::Le, 18.0),
             ],
         };
-        let opts = LpOptions {
-            deadline: Some(Instant::now() - std::time::Duration::from_millis(1)),
-            ..LpOptions::default()
-        };
-        let r = solve_lp_with(&p, &[], &[], &opts, &mut SimplexWorkspace::new());
+        let expired = Some(Instant::now() - std::time::Duration::from_millis(1));
+        let mut ws = SimplexWorkspace::new();
+        let r = solve_lp(&p, &[], &[], expired, &mut ws, None);
         assert_eq!(r.status, LpStatus::TimedOut);
         // Without the deadline the same workspace solves it fine.
-        let r = solve_lp_with(
-            &p,
-            &[],
-            &[],
-            &LpOptions::default(),
-            &mut SimplexWorkspace::new(),
-        );
+        let r = solve_lp(&p, &[], &[], None, &mut ws, None);
         assert_eq!(r.status, LpStatus::Optimal);
     }
 
@@ -758,11 +706,10 @@ mod tests {
                 rows: vec![row(&[(0, 1.0), (1, 1.0)], Sense::Ge, 5.0)],
             },
         ];
-        let opts = LpOptions::default();
         let mut ws = SimplexWorkspace::new();
         for p in &problems {
-            let reused = solve_lp_with(p, &[], &[], &opts, &mut ws);
-            let fresh = solve_lp_with(p, &[], &[], &opts, &mut SimplexWorkspace::new());
+            let reused = solve_lp(p, &[], &[], None, &mut ws, None);
+            let fresh = solve(p);
             assert_eq!(reused.status, fresh.status);
             assert_eq!(reused.objective.to_bits(), fresh.objective.to_bits());
             assert_eq!(reused.values, fresh.values);
@@ -811,16 +758,12 @@ mod tests {
         tight_lower: &[f64],
         tight_upper: &[f64],
     ) -> (LpResult, LpResult) {
-        let opts = LpOptions {
-            capture_basis: true,
-            ..LpOptions::default()
-        };
         let mut ws = SimplexWorkspace::new();
-        let parent = solve_lp_warm(p, &[], &[], &opts, &mut ws, None);
+        let parent = solve_lp(p, &[], &[], None, &mut ws, None);
         assert_eq!(parent.status, LpStatus::Optimal);
         let basis = parent.basis.expect("parent basis must be captured");
-        let warm = solve_lp_warm(p, tight_lower, tight_upper, &opts, &mut ws, Some(&basis));
-        let cold = solve_lp_warm(p, tight_lower, tight_upper, &opts, &mut ws, None);
+        let warm = solve_lp(p, tight_lower, tight_upper, None, &mut ws, Some(&basis));
+        let cold = solve_lp(p, tight_lower, tight_upper, None, &mut ws, None);
         (warm, cold)
     }
 
@@ -864,6 +807,34 @@ mod tests {
         assert!(warm.warm_used);
         assert!((warm.objective - cold.objective).abs() < 1e-7);
         assert!((warm.objective + 10.0).abs() < 1e-7);
+    }
+
+    #[test]
+    fn dual_infeasible_inherited_basis_falls_back_to_the_cold_start() {
+        // The optimum of min −x0 over x0 + x1 ≤ 10 has x0 basic and x1 at
+        // its lower bound. Under min −x1 that basis prices x1 at −1 from
+        // its lower bound: dual-infeasible, so the dual simplex must not
+        // start from it, although it is primal-feasible.
+        let mut p = LpProblem {
+            cost: vec![-1.0, 0.0],
+            lower: vec![0.0; 2],
+            upper: vec![20.0; 2],
+            rows: vec![row(&[(0, 1.0), (1, 1.0)], Sense::Le, 10.0)],
+        };
+        let basis = solve(&p).basis.expect("parent basis must be captured");
+        p.cost = vec![0.0, -1.0];
+        let r = solve_lp(
+            &p,
+            &[],
+            &[],
+            None,
+            &mut SimplexWorkspace::new(),
+            Some(&basis),
+        );
+        assert_eq!(r.status, LpStatus::Optimal);
+        assert!(!r.warm_used, "a dual-infeasible basis must be refused");
+        assert_eq!(r.objective.to_bits(), solve(&p).objective.to_bits());
+        assert!((r.objective + 10.0).abs() < 1e-9);
     }
 
     #[test]
@@ -922,17 +893,10 @@ mod tests {
         // The same warm solve under a lapsed deadline stops before its
         // first dual iteration.
         let mut ws = SimplexWorkspace::new();
-        let capture = LpOptions {
-            capture_basis: true,
-            ..LpOptions::default()
-        };
-        let parent = solve_lp_warm(&p, &[], &[], &capture, &mut ws, None);
+        let parent = solve_lp(&p, &[], &[], None, &mut ws, None);
         let basis = parent.basis.expect("parent basis must be captured");
-        let expired = LpOptions {
-            deadline: Some(Instant::now() - std::time::Duration::from_millis(1)),
-            capture_basis: true,
-        };
-        let r = solve_lp_warm(&p, &p.lower, &tight, &expired, &mut ws, Some(&basis));
+        let expired = Some(Instant::now() - std::time::Duration::from_millis(1));
+        let r = solve_lp(&p, &p.lower, &tight, expired, &mut ws, Some(&basis));
         assert_eq!(r.status, LpStatus::TimedOut);
         assert_eq!((r.dual_pivots, r.pivots), (0, 0));
     }
@@ -1008,7 +972,7 @@ mod tests {
                 samples in proptest::collection::vec(
                     proptest::collection::vec(0.0f64..3.0, 6), 8),
             ) {
-                let r = solve_lp(&p, &[], &[]);
+                let r = solve(&p);
                 prop_assert_eq!(r.status, LpStatus::Optimal);
                 prop_assert!(feasible(&p, &r.values), "solution violates constraints");
                 // No sampled feasible point may beat the reported optimum.
@@ -1033,9 +997,8 @@ mod tests {
                 frac in 0.0f64..1.0,
                 cut_upper in proptest::arbitrary::any::<bool>(),
             ) {
-                let opts = LpOptions { capture_basis: true, ..LpOptions::default() };
                 let mut ws = SimplexWorkspace::new();
-                let parent = solve_lp_warm(&p, &[], &[], &opts, &mut ws, None);
+                let parent = solve_lp(&p, &[], &[], None, &mut ws, None);
                 prop_assert_eq!(parent.status, LpStatus::Optimal);
                 let Some(basis) = parent.basis else {
                     // Legitimately unavailable (basic artificial left
@@ -1051,8 +1014,8 @@ mod tests {
                 } else {
                     lower[j] = cut;
                 }
-                let warm = solve_lp_warm(&p, &lower, &upper, &opts, &mut ws, Some(&basis));
-                let cold = solve_lp_warm(&p, &lower, &upper, &opts, &mut ws, None);
+                let warm = solve_lp(&p, &lower, &upper, None, &mut ws, Some(&basis));
+                let cold = solve_lp(&p, &lower, &upper, None, &mut ws, None);
                 prop_assert_eq!(warm.status, cold.status,
                     "warm {:?} vs cold {:?}", warm.status, cold.status);
                 if warm.status == LpStatus::Optimal {

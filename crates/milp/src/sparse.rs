@@ -31,7 +31,7 @@ use crate::lu::{LuFactors, REFACTOR_INTERVAL};
 use crate::pricing::PartialPricing;
 use crate::simplex::{
     lp_terminal, recover_values, Basis, BasisCol, FactorStats, InternalForm, InternalRow,
-    LpOptions, LpProblem, LpResult, LpStatus, Recover, SimplexWorkspace,
+    LpProblem, LpResult, LpStatus, Recover, SimplexWorkspace,
 };
 use crate::tolerances::{
     COST_TOL, DRIFT_TOL, DUAL_PERTURB, FEAS_TOL, HARRIS_RELAX, PIVOT_TOL, SINGULAR_TOL,
@@ -850,14 +850,13 @@ fn factor_stats(lu: &LuFactors) -> FactorStats {
 }
 
 /// Recovers original-variable values from an optimal revised-simplex
-/// state, optionally capturing a [`Basis`] snapshot.
+/// state and captures a [`Basis`] snapshot.
 #[allow(clippy::too_many_arguments)]
 fn finish(
     rev: &Rev<'_>,
     recover: &[Recover],
     problem: &LpProblem,
     n_struct_slack: usize,
-    capture_basis: bool,
     pivots: usize,
     dual_pivots: usize,
     phase1: bool,
@@ -869,25 +868,21 @@ fn finish(
         .zip(&problem.cost)
         .map(|(x, c)| x * c)
         .sum::<f64>();
-    let basis = if capture_basis {
-        let mut cols = Vec::with_capacity(n_struct_slack);
-        let mut basic = 0usize;
-        for j in 0..n_struct_slack {
-            cols.push(match rev.status[j] {
-                VarStatus::Basic(_) => {
-                    basic += 1;
-                    BasisCol::Basic
-                }
-                VarStatus::AtLower => BasisCol::AtLower,
-                VarStatus::AtUpper => BasisCol::AtUpper,
-            });
-        }
-        // A basic artificial (degenerate phase-1 leftover) means the real
-        // columns alone cannot seed a basis — skip the snapshot.
-        (basic == rev.m).then_some(Basis { cols, basic })
-    } else {
-        None
-    };
+    let mut cols = Vec::with_capacity(n_struct_slack);
+    let mut basic = 0usize;
+    for j in 0..n_struct_slack {
+        cols.push(match rev.status[j] {
+            VarStatus::Basic(_) => {
+                basic += 1;
+                BasisCol::Basic
+            }
+            VarStatus::AtLower => BasisCol::AtLower,
+            VarStatus::AtUpper => BasisCol::AtUpper,
+        });
+    }
+    // A basic artificial (degenerate phase-1 leftover) means the real
+    // columns alone cannot seed a basis — skip the snapshot.
+    let basis = (basic == rev.m).then_some(Basis { cols, basic });
     LpResult {
         status: LpStatus::Optimal,
         objective,
@@ -906,7 +901,7 @@ fn finish(
 pub(crate) fn solve_sparse(
     problem: &LpProblem,
     form: &mut InternalForm,
-    lp_options: &LpOptions,
+    deadline: Option<Instant>,
     workspace: &mut SimplexWorkspace,
     warm: Option<&Basis>,
 ) -> LpResult {
@@ -997,7 +992,7 @@ pub(crate) fn solve_sparse(
             iterations: 0,
             degenerate_streak: 0,
             use_bland: false,
-            deadline: lp_options.deadline,
+            deadline,
         };
         Rev::fresh_beta_into(
             rev.lu, rev.a, rev.b, rev.status, rev.ub, ntot, rev.rhs, rev.beta,
@@ -1054,7 +1049,6 @@ pub(crate) fn solve_sparse(
                             &form.recover,
                             problem,
                             n_struct_slack,
-                            lp_options.capture_basis,
                             rev.iterations - dual_iters,
                             dual_iters,
                             false,
@@ -1148,7 +1142,7 @@ pub(crate) fn solve_sparse(
         iterations: 0,
         degenerate_streak: 0,
         use_bland: false,
-        deadline: lp_options.deadline,
+        deadline,
     };
     let phase1 = n_art > 0;
     if rev.refactorize().is_err() {
@@ -1236,7 +1230,6 @@ pub(crate) fn solve_sparse(
         &form.recover,
         problem,
         n_struct_slack,
-        lp_options.capture_basis,
         rev.iterations,
         dual_pivots,
         phase1,

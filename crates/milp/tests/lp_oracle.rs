@@ -10,18 +10,14 @@
 mod oracle;
 
 use milp_solver::simplex::{
-    solve_lp_warm, Basis, LpOptions, LpProblem, LpResult, LpRow, LpStatus, SimplexWorkspace,
+    solve_lp, Basis, LpProblem, LpResult, LpRow, LpStatus, SimplexWorkspace,
 };
 use milp_solver::{Model, ModelError, Sense, SolveOptions, Status};
 use oracle::Exact;
 use proptest::prelude::*;
 
-fn solve(p: &LpProblem, capture: bool, warm: Option<&Basis>) -> LpResult {
-    let opts = LpOptions {
-        capture_basis: capture,
-        ..LpOptions::default()
-    };
-    solve_lp_warm(p, &[], &[], &opts, &mut SimplexWorkspace::new(), warm)
+fn solve(p: &LpProblem, warm: Option<&Basis>) -> LpResult {
+    solve_lp(p, &[], &[], None, &mut SimplexWorkspace::new(), warm)
 }
 
 fn feasible(p: &LpProblem, x: &[f64]) -> bool {
@@ -150,7 +146,7 @@ proptest! {
 
     #[test]
     fn prop_cold_matches_oracle(p in arb_lp()) {
-        check(&p, &solve(&p, false, None))?;
+        check(&p, &solve(&p, None))?;
     }
 
     /// A re-solve warm from the parent's basis after one bound is cut —
@@ -163,7 +159,7 @@ proptest! {
         frac in 0.1f64..0.9,
         cut_upper in any::<bool>(),
     ) {
-        let parent = solve(&p, true, None);
+        let parent = solve(&p, None);
         let j = var_pick % p.cost.len();
         let mut child = p.clone();
         let (l, u) = (p.lower[j], p.upper[j]);
@@ -174,7 +170,7 @@ proptest! {
             (false, false) => 4.0 * frac - 2.0,
         };
         if cut_upper { child.upper[j] = cut; } else { child.lower[j] = cut; }
-        check(&child, &solve(&child, false, parent.basis.as_ref()))?;
+        check(&child, &solve(&child, parent.basis.as_ref()))?;
     }
 
     /// Branch and bound through `Model::solve` proves the enumerated
@@ -229,7 +225,7 @@ fn beale_cycling_fixture_reaches_known_optimum() {
             },
         ],
     };
-    let r = solve(&p, false, None);
+    let r = solve(&p, None);
     assert_eq!(r.status, LpStatus::Optimal);
     assert!(
         (r.objective + 0.05).abs() < 1e-9,
@@ -269,7 +265,7 @@ fn degenerate_ties_fixture_reaches_known_optimum() {
         upper: vec![1.0; n * n],
         rows,
     };
-    let r = solve(&p, false, None);
+    let r = solve(&p, None);
     assert_eq!(r.status, LpStatus::Optimal);
     assert!(
         (r.objective - 4.0).abs() < 1e-9,
@@ -298,7 +294,7 @@ fn factor_stats_flow_from_sparse_engine() {
             },
         ],
     };
-    let r = solve(&p, false, None);
+    let r = solve(&p, None);
     assert_eq!(r.status, LpStatus::Optimal);
     assert!(
         r.factor.refactorizations >= 1,

@@ -1,13 +1,13 @@
 //! The property branch and bound relies on when it hands a root
 //! strong-branch probe's LP result to the child it previews: an LP solve
-//! is a pure function of its problem, bounds, options and warm basis. The
+//! is a pure function of its problem, bounds, deadline and warm basis. The
 //! reusable workspace it runs on must carry nothing over from the LPs it
 //! solved before, so solving on a fresh workspace and on a used one gives
 //! the same status, objective and value bits, basis snapshot and pivot
 //! counts.
 
 use milp_solver::simplex::{
-    solve_lp_warm, Basis, LpOptions, LpProblem, LpResult, LpRow, LpStatus, SimplexWorkspace,
+    solve_lp, Basis, LpProblem, LpResult, LpRow, LpStatus, SimplexWorkspace,
 };
 use milp_solver::Sense;
 use proptest::prelude::*;
@@ -78,12 +78,8 @@ fn fingerprint(r: &LpResult) -> String {
 /// solves every node LP twice: on a workspace that has just solved other
 /// LPs (the tree so far, plus `noise` now and then) and on a fresh one.
 fn check_tree(p: &LpProblem, noise: &LpProblem) -> Result<(), TestCaseError> {
-    let options = LpOptions {
-        capture_basis: true,
-        ..LpOptions::default()
-    };
     let mut used = SimplexWorkspace::new();
-    let noisy = solve_lp_warm(noise, &[], &[], &options, &mut used, None);
+    let noisy = solve_lp(noise, &[], &[], None, &mut used, None);
     let mut queue: std::collections::VecDeque<(Vec<f64>, Vec<f64>, Option<Basis>)> =
         [(p.lower.clone(), p.upper.clone(), None)].into();
     let mut solved = 0usize;
@@ -94,15 +90,15 @@ fn check_tree(p: &LpProblem, noise: &LpProblem) -> Result<(), TestCaseError> {
         if solved % 3 == 2 {
             // A larger, unrelated LP leaves oversized, dirty buffers
             // behind; warm from its own basis so the dual path runs too.
-            let _ = solve_lp_warm(noise, &[], &[], &options, &mut used, noisy.basis.as_ref());
+            let _ = solve_lp(noise, &[], &[], None, &mut used, noisy.basis.as_ref());
         }
         solved += 1;
-        let reused = solve_lp_warm(p, &lower, &upper, &options, &mut used, warm.as_ref());
-        let fresh = solve_lp_warm(
+        let reused = solve_lp(p, &lower, &upper, None, &mut used, warm.as_ref());
+        let fresh = solve_lp(
             p,
             &lower,
             &upper,
-            &options,
+            None,
             &mut SimplexWorkspace::new(),
             warm.as_ref(),
         );

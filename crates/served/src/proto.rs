@@ -6,7 +6,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic  b"SRNG"
-//! 4       4     protocol version, little-endian u32 (currently 1)
+//! 4       4     protocol version, little-endian u32 (currently 2)
 //! 8       4     payload length in bytes, little-endian u32
 //! 12      len   payload: one Persist-encoded Request or Response
 //! ```

@@ -13,6 +13,7 @@ use sring::core::{design_bytes, AssignmentStrategy, MilpOptions, SringConfig, Sr
 use sring::ctx::ExecCtx;
 use sring::graph::benchmarks::Benchmark;
 use sring::graph::{CommDelta, NodeId, StableMessageId};
+use sring::trace::json::Value;
 
 /// Expected counters of one benchmark's assignment MILP.
 struct Pin {
@@ -147,14 +148,10 @@ fn check(pin: &Pin) -> Vec<u8> {
     // optimality well inside 3 s in a release build, and a loaded test
     // host must not turn a pinned trajectory into a truncated one.
     let strategy = match AssignmentStrategy::default() {
-        AssignmentStrategy::Auto {
-            milp_max_paths,
-            options,
-        } => AssignmentStrategy::Auto {
+        AssignmentStrategy::Auto { milp_max_paths, .. } => AssignmentStrategy::Auto {
             milp_max_paths,
             options: MilpOptions {
                 time_limit: Duration::from_secs(120),
-                ..options
             },
         },
         other => other,
@@ -250,7 +247,6 @@ fn tied_optimum_resynthesis_matches_a_cold_run() {
     let synth = SringSynthesizer::with_config(SringConfig {
         strategy: AssignmentStrategy::Milp(MilpOptions {
             time_limit: Duration::from_secs(120),
-            ..MilpOptions::default()
         }),
         ..SringConfig::default()
     });
@@ -275,4 +271,50 @@ fn tied_optimum_resynthesis_matches_a_cold_run() {
         design_bytes(&incr.report.design) == design_bytes(&cold.design),
         "incremental and cold designs of the tied instance differ"
     );
+}
+
+/// The committed ledger, `BENCH_milp.json` (written by `milp_stats`),
+/// records the pinned counters of the four tracked benchmarks, so it
+/// cannot drift from the code: a change that moves a pin must re-record
+/// the ledger too.
+#[test]
+fn bench_milp_ledger_matches_the_pins() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_milp.json");
+    let text = std::fs::read_to_string(path).expect("BENCH_milp.json is committed");
+    let doc = sring::trace::json::parse(&text).expect("BENCH_milp.json parses");
+    let Some(Value::Array(rows)) = doc.get("benchmarks") else {
+        panic!("BENCH_milp.json has no benchmarks array");
+    };
+    for pin in PINS.iter().filter(|pin| pin.edits.is_empty()) {
+        let name = pin.benchmark.name();
+        let row = rows
+            .iter()
+            .find(|row| row.get("benchmark").and_then(Value::as_str) == Some(name))
+            .unwrap_or_else(|| panic!("BENCH_milp.json has no {name} row"));
+        let field = |key: &str| {
+            row.get(key)
+                .and_then(Value::as_u64)
+                .unwrap_or_else(|| panic!("{name}: {key} is not a count"))
+        };
+        let got = [
+            field("nodes_explored"),
+            field("lp_solves") + field("lp_reused"),
+            field("primal_pivots"),
+            field("dual_pivots"),
+            field("refactorizations"),
+            field("eta_updates"),
+            field("max_fill_in"),
+        ];
+        let want = [
+            pin.nodes,
+            pin.lp_calls,
+            pin.primal_pivots,
+            pin.dual_pivots,
+            pin.refactorizations,
+            pin.eta_updates,
+            pin.max_fill_in,
+        ]
+        .map(|n| n as u64);
+        assert_eq!(got, want, "{name}: ledger vs pins");
+    }
 }

@@ -125,7 +125,6 @@ fn traced_lp_counters_match_solver_stats_on_8pm24() {
     let synth = SringSynthesizer::with_config(SringConfig {
         strategy: AssignmentStrategy::Milp(MilpOptions {
             time_limit: std::time::Duration::from_secs(120),
-            ..MilpOptions::default()
         }),
         ..SringConfig::default()
     });
