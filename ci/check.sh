@@ -25,7 +25,8 @@ PROPTEST_CASES=2048 cargo test --release -p milp-solver --lib -- \
     prop_lu_matches_the_full_scan_oracle
 # The sub-ring path evaluator the same way: loaded orders against the old
 # `Cycle` code, bounded against unbounded walks, and growth's insertion
-# trials against a loaded trial order, all bit for bit; the construction
+# trials and refinement's relocation and reversal trials against a loaded
+# trial order, all bit for bit; the construction
 # units' bound intervals against recomputation under admitted bounds;
 # growth units resumed from a round log against cold runs; and the
 # pigeonhole search's running leaf scores against a member scan, on
@@ -34,6 +35,7 @@ PROPTEST_CASES=2048 cargo test --release -p sring-core --lib -- \
     prop_evaluator_matches_the_cycle_oracle_bit_for_bit \
     prop_bounded_evaluation_is_exact \
     prop_insertion_trials_match_a_loaded_trial_bit_for_bit \
+    prop_refinement_trials_match_a_loaded_trial_bit_for_bit \
     prop_unit_intervals_are_exact \
     prop_resumed_growth_matches_a_cold_run \
     prop_running_leaf_scores_match_the_member_scan

@@ -282,7 +282,11 @@ fn search_l_max(
     // this implementation evaluates every tree node (2^h − 1 equidistant
     // candidates) and keeps the best — exhaustive over the same candidate
     // set, immune to a single misleading branch decision.
-    for l_max in l_max_candidates(graph, config, ev) {
+    let candidates = {
+        let _span = ctx.trace().span("l_max");
+        l_max_candidates(graph, config, ev)
+    };
+    for l_max in candidates {
         if let Some(solution) = cluster_under(graph, l_max, ctx, ev)? {
             keep_best(graph, solution, &mut best);
         }
@@ -549,10 +553,10 @@ impl MemoUnit {
 /// them, and each lookup is tallied in [`RingEval::lookups`]; both reach
 /// the trace once per run ([`RingEval::record`]).
 ///
-/// Extending a list reads it and stores a longer copy, so two workers
-/// sharing the memo tier can race and lose one of the two appended pairs.
-/// That costs one later miss and never a wrong hit: every stored pair is
-/// exact on its own.
+/// A miss appends its pair to the entry's list in place, under the memo
+/// lock ([`ExecCtx::memo_push`]), so two workers sharing the memo tier
+/// both land theirs. Every stored pair is exact on its own, so a list's
+/// order never decides a hit's value.
 fn memoized<T: Clone + Send + Sync + 'static>(
     ctx: &ExecCtx,
     ev: &mut RingEval,
@@ -569,10 +573,12 @@ fn memoized<T: Clone + Send + Sync + 'static>(
     });
     ev.lookups[unit as usize][usize::from(found.is_err())] += 1;
     ev.memo_time += watch.elapsed();
-    let stored = match found {
+    match found {
         Ok(hit) => return Ok(hit),
-        Err(stored) => stored,
-    };
+        // Let go of the stored list, so that the push below extends it in
+        // place.
+        Err(_stored) => {}
+    }
     let mut exact = Exact::ALL;
     let value = {
         let _span = ctx.trace().span(unit.phase());
@@ -580,9 +586,7 @@ fn memoized<T: Clone + Send + Sync + 'static>(
     };
     debug_assert!(exact.admits(bound), "{exact:?} must admit {bound}");
     let watch = ctx.trace().stopwatch();
-    let mut list = stored.map_or_else(Vec::new, |list| Vec::clone(&list));
-    list.push((exact, value.clone()));
-    ctx.memo_put(unit.name(), key, list);
+    ctx.memo_push(unit.name(), key, (exact, value.clone()));
     ev.memo_time += watch.elapsed();
     Ok(value)
 }
@@ -1085,7 +1089,11 @@ const ABSENT: usize = usize::MAX;
 /// before the insertion and adds the rest in travel order. A left fold
 /// that extends a cached left fold makes the same additions in the same
 /// order, so [`RingEval::insertion`] is bit-identical to loading the trial
-/// order and calling [`RingEval::orientation`].
+/// order and calling [`RingEval::orientation`]. Refinement trials (one node
+/// moved, or a block reversed) are scored against the same tables, set
+/// again after each accepted move ([`RingEval::set_moves_base`]), and
+/// [`RingEval::moved`] is bit-identical to loading the trial order and
+/// calling [`RingEval::score`].
 ///
 /// Every scorer takes a bound from the caller and abandons a trial as soon
 /// as the messages walked so far prove it cannot pass the caller's test
@@ -1111,10 +1119,10 @@ struct RingEval {
     /// The base ring's segment lengths twice over, so that a walk of up
     /// to `l` segments from any position needs no wrap.
     twice: Vec<f64>,
-    /// `ahead[i * l + k]` = the fold of the first `k < l` base segments
+    /// `ahead[k * l + i]` = the fold of the first `k < l` base segments
     /// from position `i` onward, `seg[i] + seg[i + 1] + …`.
     ahead: Vec<f64>,
-    /// `behind[i * l + k]` = the fold of the first `k < l` base segments
+    /// `behind[k * l + i]` = the fold of the first `k < l` base segments
     /// before position `i`, walking backward: `seg[i − 1] + seg[i − 2] + …`.
     behind: Vec<f64>,
     /// The growth unit's message list ([`RingEval::set_messages`]).
@@ -1126,15 +1134,56 @@ struct RingEval {
     /// Indices into `messages` of those with both ends on the base ring,
     /// ascending.
     on_base: Vec<usize>,
+    /// End positions of the `on_base` messages, in the same order.
+    base_ends: Vec<(usize, usize)>,
+    /// Whether a base ring message runs from a node to itself, which
+    /// makes every refinement trial unscorable.
+    base_loops: bool,
+    /// The base ring's summed segment lengths.
+    circumference: f64,
+    /// The base ring's least and largest forward load.
+    base_loads: (isize, isize),
+    /// `others[i * l + s]` = the forward load of base segment `s` from the
+    /// base ring's messages that do not start or end at position `i`.
+    others: Vec<isize>,
+    /// Per position `i`, the two base segments other than `i − 1` and `i`
+    /// of largest (`peaks`) and least (`troughs`) load in `others`.
+    peaks: Vec<[usize; 2]>,
+    troughs: Vec<[usize; 2]>,
+    /// `touch[touch_at[i]..touch_at[i + 1]]` = the base ring's messages at
+    /// position `i`: the other end's position, and whether it leaves `i`.
+    touch_at: Vec<usize>,
+    touch: Vec<(usize, bool)>,
+    /// Trial position of each base position ([`RingEval::moved`]).
+    trial_at: Vec<usize>,
+    /// [`abandon_above`] by congestion bound, for the cap `cutoffs_cap`.
+    cutoffs: Vec<f64>,
+    cutoffs_cap: f64,
+    /// The base ring's messages by decreasing longer direction on the
+    /// base ring, as indices into `base_ends`: the order in which
+    /// [`RingEval::moved`] tries to rule a trial out.
+    longest_first: Vec<usize>,
     /// The node [`RingEval::insertion`] inserts into the base ring.
     x: NodeId,
     /// End positions of the messages with both ends on the base ring or
     /// `x`, in message order; position `l` (the base length) stands for `x`.
     x_ends: Vec<(usize, usize)>,
+    /// `ranks[v]`: the best segments of the growth ring to insert node `v`
+    /// after, as [`candidate_segments`] ranks them: exactly its best
+    /// `ranks[v].len()`, or all of them, while `rank_fresh[v]`. Kept from
+    /// one round of [`absorb`] to the next ([`RingEval::rank_absorbed`]).
+    ranks: Vec<Vec<(f64, usize)>>,
+    rank_fresh: Vec<bool>,
     /// The round logs of this run's growth units, by memo key.
     logs: BTreeMap<ContentKey, RoundLog>,
     /// Growth rounds replayed from a log (`cluster/rounds_replayed`).
     replayed: u64,
+    /// Refinement trials (`cluster/refine_trials`), growth rounds computed
+    /// (`cluster/growth_rounds`) and candidates tried in them
+    /// (`cluster/growth_candidates`).
+    refine_trials: u64,
+    growth_rounds: u64,
+    growth_candidates: u64,
     /// Orders evaluated so far (the `cluster/ring_evals` counter).
     evals: u64,
     /// Evaluations abandoned on their bound (`cluster/ring_evals_cut`).
@@ -1180,10 +1229,28 @@ impl RingEval {
             incident_at: Vec::new(),
             incident: Vec::new(),
             on_base: Vec::new(),
+            base_ends: Vec::new(),
+            base_loops: false,
+            circumference: 0.0,
+            base_loads: (0, 0),
+            others: Vec::new(),
+            peaks: Vec::new(),
+            troughs: Vec::new(),
+            touch_at: Vec::new(),
+            touch: Vec::new(),
+            trial_at: Vec::new(),
+            cutoffs: Vec::new(),
+            cutoffs_cap: f64::NAN,
+            longest_first: Vec::new(),
             x: NodeId(0),
             x_ends: Vec::new(),
+            ranks: vec![Vec::new(); n],
+            rank_fresh: vec![false; n],
             logs: BTreeMap::new(),
             replayed: 0,
+            refine_trials: 0,
+            growth_rounds: 0,
+            growth_candidates: 0,
             evals: 0,
             cut: 0,
             digests: graph.node_ids().map(digest).collect(),
@@ -1199,6 +1266,9 @@ impl RingEval {
         trace.incr("cluster/ring_evals", self.evals);
         trace.incr("cluster/ring_evals_cut", self.cut);
         trace.incr("cluster/rounds_replayed", self.replayed);
+        trace.incr("cluster/refine_trials", self.refine_trials);
+        trace.incr("cluster/growth_rounds", self.growth_rounds);
+        trace.incr("cluster/growth_candidates", self.growth_candidates);
         trace.add_time("memo", self.memo_time, 1);
         for unit in MemoUnit::ALL {
             let [hits, misses] = self.lookups[unit as usize];
@@ -1268,17 +1338,24 @@ impl RingEval {
     }
 
     /// Makes `ring` (at least two distinct nodes) the base that
-    /// [`RingEval::insertion`] inserts into, tables its folds and lists
-    /// the messages of [`RingEval::set_messages`] with both ends on it.
-    /// Not an evaluation: only the trials are counted.
+    /// [`RingEval::insertion`] inserts into and [`RingEval::moved`]
+    /// rearranges, tables its folds and lists the messages of
+    /// [`RingEval::set_messages`] with both ends on it. Not an evaluation:
+    /// only the trials are counted.
     fn set_base(&mut self, ring: &[NodeId]) {
         self.place(ring);
         let pos = &self.pos;
         self.on_base.clear();
-        self.on_base.extend((0..self.messages.len()).filter(|&k| {
-            let (s, d) = self.messages[k];
-            pos[s.index()] != ABSENT && pos[d.index()] != ABSENT
-        }));
+        self.base_ends.clear();
+        for (k, &(s, d)) in self.messages.iter().enumerate() {
+            let (i, j) = (pos[s.index()], pos[d.index()]);
+            if i != ABSENT && j != ABSENT {
+                self.on_base.push(k);
+                self.base_ends.push((i, j));
+            }
+        }
+        self.base_loops = self.base_ends.iter().any(|&(i, j)| i == j);
+        self.circumference = self.seg.iter().sum();
         let l = ring.len();
         self.twice.clear();
         self.twice.extend_from_slice(&self.seg);
@@ -1287,10 +1364,18 @@ impl RingEval {
             table.clear();
             table.resize(l * l, empty_sum());
         }
-        for i in 0..l {
-            for k in 1..l {
-                self.ahead[i * l + k] = self.ahead[i * l + k - 1] + self.twice[i + k - 1];
-                self.behind[i * l + k] = self.behind[i * l + k - 1] + self.twice[i + l - k];
+        // Column `k` of a table extends column `k − 1` by one segment at
+        // every position at once.
+        for k in 1..l {
+            let (done, rest) = self.ahead.split_at_mut(k * l);
+            let steps = &self.twice[k - 1..k - 1 + l];
+            for ((next, last), seg) in rest[..l].iter_mut().zip(&done[(k - 1) * l..]).zip(steps) {
+                *next = last + seg;
+            }
+            let (done, rest) = self.behind.split_at_mut(k * l);
+            let steps = &self.twice[l - k..2 * l - k];
+            for ((next, last), seg) in rest[..l].iter_mut().zip(&done[(k - 1) * l..]).zip(steps) {
+                *next = last + seg;
             }
         }
     }
@@ -1318,15 +1403,15 @@ impl RingEval {
                 i != ABSENT && j != ABSENT
             })
             .peekable();
-        let mut on_base = self.on_base.iter().copied().peekable();
+        let mut on_base = self.on_base.iter().zip(&self.base_ends).peekable();
         let merged = std::iter::from_fn(|| match (on_base.peek(), at_x.peek()) {
-            (Some(b), Some(a)) if a < b => at_x.next(),
-            (Some(_), _) => on_base.next(),
-            (None, _) => at_x.next(),
+            (Some((&b, _)), Some(&a)) if a < b => at_x.next().map(ends),
+            (Some(_), _) => on_base.next().map(|(_, &e)| e),
+            (None, _) => at_x.next().map(ends),
         });
         self.x = x;
         self.x_ends.clear();
-        self.x_ends.extend(merged.map(ends));
+        self.x_ends.extend(merged);
         self.x_ends
             .iter()
             .filter(|&&(i, j)| (i == l) != (j == l))
@@ -1377,25 +1462,82 @@ impl RingEval {
             )
         } else if j == l {
             (
-                self.ahead[i * l + steps(i, p)] + a,
-                self.behind[i * l + steps(p + 1, i)] + b,
+                self.ahead[steps(i, p) * l + i] + a,
+                self.behind[steps(p + 1, i) * l + i] + b,
             )
         } else {
             // `k` segments on the base ring, the first `t` of them before
             // segment `p`: the path crosses the insertion when `t < k`.
             let (k, t) = (steps(i, j), steps(i, p));
             let f = if t < k {
-                tail(self.ahead[i * l + t] + a + b, k - t - 1)
+                tail(self.ahead[t * l + i] + a + b, k - t - 1)
             } else {
-                self.ahead[i * l + k]
+                self.ahead[k * l + i]
             };
             let (k, t) = (steps(j, i), steps(p + 1, i));
             let r = if t < k {
-                tail_back(self.behind[i * l + t] + b + a, k - t - 1)
+                tail_back(self.behind[t * l + i] + b + a, k - t - 1)
             } else {
-                self.behind[i * l + k]
+                self.behind[k * l + i]
             };
             (f, r)
+        }
+    }
+
+    /// The 8 segments of `ring` of least detour for `x`, as
+    /// [`candidate_segments`] gives them, into `out`: from `x`'s ranking
+    /// when it is fresh, else ranked anew (12 deep, so that later rounds
+    /// can drop some and still hold 8).
+    fn ranked_segments(&mut self, ring: &[NodeId], x: NodeId, out: &mut Vec<(f64, usize)>) {
+        let v = x.index();
+        if !self.rank_fresh[v] {
+            let mut rank = std::mem::take(&mut self.ranks[v]);
+            candidate_segments(ring, x, &|a, b| self.d(a, b), 12, &mut rank);
+            self.ranks[v] = rank;
+            self.rank_fresh[v] = true;
+        }
+        out.clear();
+        out.extend(self.ranks[v].iter().take(8));
+    }
+
+    /// Updates every fresh ranking for `y` inserted after segment `s` of
+    /// `ring`: segment `s` becomes the two segments through `y`, and the
+    /// segments after it move up one. A ranking holding exactly the best
+    /// `m` of all stays exact: the entry for `s` leaves, and a new segment
+    /// joins when it ranks before the last entry (or the ranking holds all
+    /// segments). One left with fewer than 8 of not all is ranked anew
+    /// when next asked.
+    fn rank_absorbed(&mut self, ring: &[NodeId], s: usize, y: NodeId) {
+        let l = ring.len();
+        let (a, b) = (ring[s], ring[if s + 1 == l { 0 } else { s + 1 }]);
+        self.rank_fresh[y.index()] = false;
+        let rank_order =
+            |p: &(f64, usize), q: &(f64, usize)| p.0.total_cmp(&q.0).then(p.1.cmp(&q.1));
+        for v in 0..self.n {
+            if !self.rank_fresh[v] {
+                continue;
+            }
+            let x = NodeId(v);
+            let all = self.ranks[v].len() == l;
+            let split = [
+                (self.d(a, x) + self.d(x, y) - self.d(a, y), s),
+                (self.d(y, x) + self.d(x, b) - self.d(y, b), s + 1),
+            ];
+            let rank = &mut self.ranks[v];
+            rank.retain(|&(_, i)| i != s);
+            for entry in rank.iter_mut() {
+                entry.1 += usize::from(entry.1 > s);
+            }
+            let last = rank.last().copied();
+            for entry in split {
+                if all || last.is_some_and(|last| rank_order(&entry, &last).is_lt()) {
+                    let at = rank.partition_point(|q| rank_order(q, &entry).is_lt());
+                    rank.insert(at, entry);
+                }
+            }
+            if !all && rank.len() < 8 {
+                self.rank_fresh[v] = false;
+            }
         }
     }
 
@@ -1482,9 +1624,6 @@ impl RingEval {
     /// plus a relative margin of 1e-9, far above any rounding of the
     /// `log10` here or the `powf` of the proxy.
     fn score(&mut self, messages: &[(NodeId, NodeId)], cap: f64) -> Option<(f64, f64, f64)> {
-        let len = self.seg.len();
-        self.diff.clear();
-        self.diff.resize(len, 0);
         self.msg_ends.clear();
         for &(s, d) in messages {
             let Some((i, j)) = self.ends(s, d) else {
@@ -1494,54 +1633,708 @@ impl RingEval {
                 return None;
             }
             self.msg_ends.push((i, j));
-            // The forward path covers segments i..j (cyclically).
-            self.diff[i] += 1;
-            self.diff[j] -= 1;
-            if j < i {
-                self.diff[0] += 1;
-            }
         }
-        // The reverse path of a message covers exactly the segments its
-        // forward path leaves out, so reverse loads are `on_ring` minus
-        // forward loads.
-        let on_ring = self.msg_ends.len() as isize;
-        let (mut low, mut high, mut load) = (isize::MAX, 0isize, 0isize);
-        for &step in &self.diff {
-            load += step;
-            low = low.min(load);
-            high = high.max(load);
-        }
-        let cong_lb = high.min(on_ring - low).max(1) as f64;
-        let cutoff = 10.0 * ((cap + 1e-12) * (1.0 + 1e-9) / cong_lb).log10();
+        let loads = load_range(
+            &mut self.diff,
+            self.seg.len(),
+            self.msg_ends.iter().copied(),
+        );
+        let paths = self
+            .msg_ends
+            .iter()
+            .map(|&(i, j)| (self.forward(i, j), self.backward(i, j)));
+        let out = rate(self.msg_ends.len(), loads, paths, cap);
+        self.cut += u64::from(out.is_none());
+        out
+    }
 
-        let (mut fwd, mut rev) = (0.0f64, 0.0f64);
-        let (mut total_fwd, mut total_rev) = (0.0f64, 0.0f64);
-        let mut abandoned = false;
-        for &(i, j) in &self.msg_ends {
-            let (f, r) = (self.forward(i, j), self.backward(i, j));
-            fwd = fwd.max(f);
-            rev = rev.max(r);
-            total_fwd += f;
-            total_rev += r;
-            if fwd.min(rev) > cutoff {
-                abandoned = true;
-                break;
-            }
+    /// Makes `ring` the base of [`RingEval::moved`] for the messages of
+    /// [`RingEval::set_messages`]: [`RingEval::set_base`], then the base
+    /// ring's forward loads, without and with each node's own messages,
+    /// and each node's messages as `(other end, outgoing)` positions.
+    fn set_moves_base(&mut self, ring: &[NodeId]) {
+        self.set_base(ring);
+        let l = ring.len();
+        let at = &mut self.touch_at;
+        at.clear();
+        at.resize(l + 1, 0);
+        for &(i, j) in &self.base_ends {
+            at[i] += 1;
+            at[j] += 1;
         }
-        if abandoned {
-            self.cut += 1;
+        let mut total = 0;
+        for count in at.iter_mut() {
+            total += *count;
+            *count = total;
+        }
+        self.touch.clear();
+        self.touch.resize(total, (0, false));
+        for &(i, j) in self.base_ends.iter().rev() {
+            at[i] -= 1;
+            self.touch[at[i]] = (j, true);
+            at[j] -= 1;
+            self.touch[at[j]] = (i, false);
+        }
+        let longest: Vec<f64> = self
+            .base_ends
+            .iter()
+            .map(|&(i, j)| {
+                self.ahead[steps(l, i, j) * l + i].max(self.behind[steps(l, j, i) * l + i])
+            })
+            .collect();
+        self.longest_first.clear();
+        self.longest_first.extend(0..longest.len());
+        self.longest_first
+            .sort_by(|&a, &b| longest[b].total_cmp(&longest[a]).then(a.cmp(&b)));
+        let ends = self.base_ends.iter().copied();
+        self.base_loads = load_range(&mut self.diff, l, ends);
+        let loads: Vec<isize> = self.diff[..l]
+            .iter()
+            .scan(0, |load, &step| {
+                *load += step;
+                Some(*load)
+            })
+            .collect();
+        self.others.clear();
+        self.peaks.clear();
+        self.troughs.clear();
+        for i in 0..l {
+            self.diff.clear();
+            self.diff.resize(l + 1, 0);
+            for &(q, out) in &self.touch[self.touch_at[i]..self.touch_at[i + 1]] {
+                let (from, to) = if out { (i, q) } else { (q, i) };
+                cover(&mut self.diff, from, steps(l, from, to), -1);
+            }
+            let mut gone = 0;
+            self.others
+                .extend(loads.iter().zip(&self.diff).map(|(&load, &step)| {
+                    gone += step;
+                    load + gone
+                }));
+            let row = &self.others[i * l..];
+            let mut rest: Vec<usize> = (0..l).filter(|&s| s != i && s != prev(l, i)).collect();
+            rest.sort_by_key(|&s| (row[s], s));
+            self.troughs.push([rest[0], rest[1]]);
+            self.peaks
+                .push([rest[rest.len() - 1], rest[rest.len() - 2]]);
+        }
+    }
+
+    /// [`RingEval::score`] of the base ring's messages on the base ring
+    /// ([`RingEval::set_moves_base`]) rearranged by `mv`, bit for bit,
+    /// counters included, without building or loading that order.
+    ///
+    /// The trial ring is at most three runs of base-consecutive nodes
+    /// joined by new segments ([`Shape`]). A path that stays inside its
+    /// run is one table read; one that leaves it reads the fold up to the
+    /// run's end and adds the joints and the segments after them in travel
+    /// order, so every length is the float a loaded trial gives. The walk
+    /// over the messages, in base order, is [`rate`], as in `score`.
+    fn moved(&mut self, mv: Move, cap: f64) -> Option<(f64, f64, f64)> {
+        self.evals += 1;
+        self.refine_trials += 1;
+        if self.base_loops {
             return None;
         }
-        let reversed = rev < fwd - 1e-12;
-        let (longest, total) = if reversed {
-            (rev, total_rev)
-        } else {
-            (fwd, total_fwd)
+        let shape = self.shape(mv);
+        let l = self.seg.len();
+        // Most trials are abandoned, and estimates decide that first. The
+        // exact length folds at most `l + 2` of the trial's segment
+        // lengths, an estimate adds a few tabled folds and joints (and for
+        // a relocation takes off and adds at most two more terms), and
+        // every partial sum is at most `2 · total`, so the two differ by
+        // less than `slack` and an estimate less `slack` is at most the
+        // exact length. Once the running maxima of those lower bounds pass
+        // the cutoff, the exact ones do too, and the exact walk would be
+        // abandoned as well. The test is on the final maxima, so any order
+        // decides it; the base ring's longest paths first decide it
+        // soonest. A relocation first tries the cutoff of a congestion
+        // bound read off a few of the trial's segments, which is at least
+        // the cutoff of the exact bound.
+        let total = self.circumference + shape.joints.iter().sum::<f64>();
+        let slack = 8.0 * (l + 2) as f64 * f64::EPSILON * total;
+        let relocation = match mv {
+            Move::Relocate(i, j) if shape.count > 1 => Some(self.relocation(i, j, &shape)),
+            _ => None,
         };
-        let congestion = if reversed { on_ring - low } else { high };
-        let proxy = congestion.max(1) as f64 * 10f64.powf(longest / 10.0);
-        Some((proxy, longest, total))
+        let mut loads = None;
+        let floor = match &relocation {
+            Some(r) => self.relocation_floor(r.i, r.j),
+            None => {
+                let exact = self.moved_loads(mv, &shape);
+                loads = Some(exact);
+                self.cong_lb(exact)
+            }
+        };
+        let cutoff = self.abandon_above(floor, cap);
+        let (mut fwd, mut rev) = (0.0f64, 0.0f64);
+        for &k in &self.longest_first {
+            let (u, w) = self.base_ends[k];
+            let (f, r) = match &relocation {
+                Some(relocation) => self.relocated(relocation, u, w),
+                None => self.moved_paths::<false>(&shape, u, w),
+            };
+            fwd = fwd.max(f - slack);
+            rev = rev.max(r - slack);
+            if fwd.min(rev) > cutoff {
+                self.cut += 1;
+                return None;
+            }
+        }
+        let loads = match loads {
+            Some(exact) => exact,
+            None => {
+                let exact = self.moved_loads(mv, &shape);
+                if fwd.min(rev) > self.abandon_above(self.cong_lb(exact), cap) {
+                    self.cut += 1;
+                    return None;
+                }
+                exact
+            }
+        };
+        let paths = self
+            .base_ends
+            .iter()
+            .map(|&(i, j)| self.moved_paths::<true>(&shape, i, j));
+        let out = rate(self.base_ends.len(), loads, paths, cap);
+        self.cut += u64::from(out.is_none());
+        out
     }
+
+    /// The quantities [`RingEval::relocated`] estimates from.
+    fn relocation(&self, i: usize, j: usize, shape: &Shape) -> Relocation {
+        let l = self.seg.len();
+        let g = prev(l, j);
+        let [a, b, m] = shape.joints;
+        Relocation {
+            i,
+            j,
+            g,
+            a,
+            b,
+            saved: self.seg[prev(l, i)] + self.seg[i] - m,
+            detour: a + b - self.seg[g],
+        }
+    }
+
+    /// Estimates of the lengths [`RingEval::moved_paths`] gives from base
+    /// position `u` to `w` for a relocation, within the same `slack`: the
+    /// tabled base path, less what the join at the node's old place saves
+    /// and plus the detour through the split segment when it crosses them.
+    /// Paths from or to the node start or end with its new segments.
+    fn relocated(&self, r: &Relocation, u: usize, w: usize) -> (f64, f64) {
+        let l = self.seg.len();
+        // Whether the `k` segments from `from` pass position `p` (not
+        // `from` itself) or start segment `p`.
+        let via = |from: usize, k: usize, p: usize| steps(l, from, p) < k;
+        let fix = |from: usize, k: usize, length: f64| {
+            let length = if via(from, k, r.i) {
+                length - r.saved
+            } else {
+                length
+            };
+            if via(from, k, r.g) {
+                length + r.detour
+            } else {
+                length
+            }
+        };
+        if u == r.i {
+            let (k, q) = (steps(l, r.j, w), steps(l, w, r.g));
+            (
+                r.b + fix(r.j, k, self.ahead[k * l + r.j]),
+                r.a + fix(w, q, self.behind[q * l + r.g]),
+            )
+        } else if w == r.i {
+            let (k, q) = (steps(l, u, r.g), steps(l, r.j, u));
+            (
+                fix(u, k, self.ahead[k * l + u]) + r.a,
+                fix(r.j, q, self.behind[q * l + u]) + r.b,
+            )
+        } else {
+            let (k, q) = (steps(l, u, w), steps(l, w, u));
+            (
+                fix(u, k, self.ahead[k * l + u]),
+                fix(w, q, self.behind[q * l + u]),
+            )
+        }
+    }
+
+    /// The congestion bound of [`abandon_above`] for the base ring's
+    /// messages and forward loads `(low, high)`.
+    fn cong_lb(&self, (low, high): (isize, isize)) -> usize {
+        high.min(self.base_ends.len() as isize - low).max(1) as usize
+    }
+
+    /// [`abandon_above`] for the congestion bound `cong_lb`, each value
+    /// computed once per `cap`.
+    fn abandon_above(&mut self, cong_lb: usize, cap: f64) -> f64 {
+        let len = self.base_ends.len() + 2;
+        if self.cutoffs_cap.to_bits() != cap.to_bits() || self.cutoffs.len() != len {
+            self.cutoffs_cap = cap;
+            self.cutoffs.clear();
+            self.cutoffs.resize(len, f64::NAN);
+        }
+        let cached = &mut self.cutoffs[cong_lb];
+        if cached.is_nan() {
+            *cached = abandon_above(cong_lb, cap);
+        }
+        *cached
+    }
+
+    /// At most the congestion bound of [`RingEval::moved`]'s relocation of
+    /// position `i` before position `j`: the loads of a few of the trial's
+    /// segments (see [`RingEval::moved_loads`]) bound its largest load from
+    /// below and its least from above. They are the segments `A`, `B` and
+    /// `M`, and the base segments of largest and least load without the
+    /// node's own messages.
+    fn relocation_floor(&self, i: usize, j: usize) -> usize {
+        let l = self.seg.len();
+        let (g, before) = (prev(l, j), prev(l, i));
+        let others = &self.others[i * l..(i + 1) * l];
+        let pick = |two: [usize; 2]| if two[0] == g { two[1] } else { two[0] };
+        let (top, bottom) = (pick(self.peaks[i]), pick(self.troughs[i]));
+        let (mut into, mut out_of, mut joined, mut at_top, mut at_bottom) = (0, 0, 0, 0, 0);
+        for &(q, out) in &self.touch[self.touch_at[i]..self.touch_at[i + 1]] {
+            let (from, len) = if out {
+                out_of += 1;
+                (j, steps(l, j, q))
+            } else {
+                into += 1;
+                (q, steps(l, q, g))
+            };
+            joined += isize::from(steps(l, from, before) < len);
+            at_top += isize::from(steps(l, from, top) < len);
+            at_bottom += isize::from(steps(l, from, bottom) < len);
+        }
+        let (split, joint) = (others[g], others[before] + joined);
+        let high = (others[top] + at_top)
+            .max(split + into.max(out_of))
+            .max(joint);
+        let low = (others[bottom] + at_bottom)
+            .min(split + into.min(out_of))
+            .min(joint);
+        self.cong_lb((low, high))
+    }
+
+    /// The least and largest forward load over the segments of the trial
+    /// ring `shape` of `mv`. A relocation changes the loads of the moved
+    /// node's own messages and splits and joins segments; the other
+    /// messages keep their base loads, tabled without the node.
+    fn moved_loads(&mut self, mv: Move, shape: &Shape) -> (isize, isize) {
+        let l = self.seg.len();
+        let on_ring = self.base_ends.len() as isize;
+        let (base_low, base_high) = self.base_loads;
+        match (mv, shape.count) {
+            (Move::Relocate(..), 1) => self.base_loads,
+            (Move::Reverse(..), 1) => (on_ring - base_high, on_ring - base_low),
+            (Move::Relocate(i, j), _) => {
+                // `base[i]` goes between `base[g]` and `base[j]`: segment
+                // `g` splits into `A = (g, i)` and `B = (i, j)`, and
+                // segments `i − 1` and `i` join into `M`. A message into the
+                // node covers base segments from its source up to `g`, then
+                // `A`; one out of it covers `B`, then base segments from `j`
+                // on; either covers `M` instead of `i − 1` and `i`.
+                let (g, before) = (prev(l, j), prev(l, i));
+                self.diff.clear();
+                self.diff.resize(l + 1, 0);
+                let (mut into, mut out_of, mut joined) = (0, 0, 0);
+                for &(q, out) in &self.touch[self.touch_at[i]..self.touch_at[i + 1]] {
+                    let (from, len) = if out {
+                        out_of += 1;
+                        (j, steps(l, j, q))
+                    } else {
+                        into += 1;
+                        (q, steps(l, q, g))
+                    };
+                    joined += isize::from(steps(l, from, before) < len);
+                    cover(&mut self.diff, from, len, 1);
+                }
+                let others = &self.others[i * l..(i + 1) * l];
+                let (mut low, mut high) = (isize::MAX, isize::MIN);
+                let mut moved = 0;
+                // Every segment but `i − 1`, `i` and `g`.
+                let mut skips = [before, i, g];
+                skips.sort_unstable();
+                let mut from = 0;
+                for end in [skips[0], skips[1], skips[2], l] {
+                    for (&load, &step) in others[from..end].iter().zip(&self.diff[from..end]) {
+                        moved += step;
+                        low = low.min(load + moved);
+                        high = high.max(load + moved);
+                    }
+                    moved += self.diff[end];
+                    from = end + 1;
+                }
+                for load in [
+                    others[before] + joined,
+                    others[g] + into,
+                    others[g] + out_of,
+                ] {
+                    low = low.min(load);
+                    high = high.max(load);
+                }
+                (low, high.max(0))
+            }
+            // Trial positions from after `j` on, then `j` down to `i`.
+            (Move::Reverse(i, j), _) => {
+                let after = l - (j - i + 1);
+                let at = &mut self.trial_at;
+                at.resize(l, 0);
+                for (p, at) in at.iter_mut().enumerate() {
+                    *at = if p > j {
+                        p - j - 1
+                    } else if p < i {
+                        p + l - j - 1
+                    } else {
+                        after + j - p
+                    };
+                }
+                let ends = self.base_ends.iter().map(|&(i, j)| (at[i], at[j]));
+                load_range(&mut self.diff, l, ends)
+            }
+        }
+    }
+
+    /// The runs and joints of the base ring rearranged by `mv`.
+    fn shape(&self, mv: Move) -> Shape {
+        let l = self.seg.len();
+        let d = |p: usize, q: usize| self.d(self.order[p], self.order[q]);
+        let next = |p: usize| if p + 1 == l { 0 } else { p + 1 };
+        let prev = |p: usize| prev(l, p);
+        let whole = |with: bool| Shape {
+            runs: [
+                Run {
+                    start: if with { 0 } else { l - 1 },
+                    len: l,
+                    with,
+                },
+                Run::default(),
+                Run::default(),
+            ],
+            count: 1,
+            joints: [self.seg[l - 1], 0.0, 0.0],
+        };
+        match mv {
+            // Put back where it was: the base ring itself.
+            Move::Relocate(i, j) if j == next(i) => whole(true),
+            // `base[i]` between `base[g]` and `base[j]`: the runs from
+            // after `i` to `g`, `base[i]` alone, and from `j` to before
+            // `i`.
+            Move::Relocate(i, j) => {
+                let g = prev(j);
+                let first = steps(l, next(i), g) + 1;
+                Shape {
+                    runs: [
+                        Run {
+                            start: next(i),
+                            len: first,
+                            with: true,
+                        },
+                        Run {
+                            start: i,
+                            len: 1,
+                            with: true,
+                        },
+                        Run {
+                            start: j,
+                            len: l - 1 - first,
+                            with: true,
+                        },
+                    ],
+                    count: 3,
+                    joints: [d(g, i), d(i, j), d(prev(i), next(i))],
+                }
+            }
+            // All but at most one node reversed: the base ring backward.
+            Move::Reverse(i, j) if j - i + 2 >= l => whole(false),
+            // The run from after `j` to before `i`, then `j` down to `i`.
+            Move::Reverse(i, j) => {
+                let inner = j - i + 1;
+                Shape {
+                    runs: [
+                        Run {
+                            start: next(j),
+                            len: l - inner,
+                            with: true,
+                        },
+                        Run {
+                            start: j,
+                            len: inner,
+                            with: false,
+                        },
+                        Run::default(),
+                    ],
+                    count: 2,
+                    joints: [d(prev(i), j), d(i, next(j)), 0.0],
+                }
+            }
+        }
+    }
+
+    /// Forward and reverse lengths from base position `i` to base position
+    /// `j != i` on the trial ring `shape`: `EXACT`, bit for bit, or else estimates that differ from
+    /// them by less than [`RingEval::moved`]'s `slack`, from at most one
+    /// table read per run they cross.
+    fn moved_paths<const EXACT: bool>(&self, shape: &Shape, i: usize, j: usize) -> (f64, f64) {
+        let l = self.seg.len();
+        let steps = |from: usize, to: usize| steps(l, from, to);
+        let runs = &shape.runs[..shape.count];
+        if let [run] = runs {
+            // The base ring, forward or backward: both paths are tabled.
+            let (f, r) = (
+                self.ahead[steps(i, j) * l + i],
+                self.behind[steps(j, i) * l + i],
+            );
+            return if run.with { (f, r) } else { (r, f) };
+        }
+        // The fold of `c` segments from base position `p` along a run, in
+        // the trial's direction (`along`) or against it.
+        let table = |run: &Run, along: bool, p: usize, c: usize| {
+            if run.with == along {
+                self.ahead[c * l + p]
+            } else {
+                self.behind[c * l + p]
+            }
+        };
+        // `acc` plus the first `c` segments of a run in the trial's
+        // direction, or the last `c` against it: folded one by one, or
+        // for an estimate, their tabled fold added at once.
+        let head = |run: &Run, c: usize, acc: f64| {
+            let s = run.start;
+            if !EXACT {
+                acc + table(run, true, s, c)
+            } else if run.with {
+                self.twice[s..s + c].iter().fold(acc, |a, g| a + g)
+            } else {
+                self.twice[s + l - c..s + l]
+                    .iter()
+                    .rev()
+                    .fold(acc, |a, g| a + g)
+            }
+        };
+        let tail = |run: &Run, c: usize, acc: f64| {
+            let e = if run.with {
+                run.start + run.len - 1
+            } else {
+                run.start + l - (run.len - 1)
+            };
+            let e = if e >= l { e - l } else { e };
+            if !EXACT {
+                acc + table(run, false, e, c)
+            } else if run.with {
+                self.twice[e + l - c..e + l]
+                    .iter()
+                    .rev()
+                    .fold(acc, |a, g| a + g)
+            } else {
+                self.twice[e..e + c].iter().fold(acc, |a, g| a + g)
+            }
+        };
+        let ((ri, oi), (rj, oj)) = (shape.locate(l, i), shape.locate(l, j));
+        let f = if ri == rj && oj > oi {
+            table(&runs[ri], true, i, oj - oi)
+        } else {
+            let mut acc = table(&runs[ri], true, i, runs[ri].len - 1 - oi);
+            let mut r = ri;
+            loop {
+                acc += shape.joints[r];
+                r = if r + 1 == runs.len() { 0 } else { r + 1 };
+                if r == rj {
+                    break head(&runs[r], oj, acc);
+                }
+                acc = head(&runs[r], runs[r].len - 1, acc);
+            }
+        };
+        let b = if ri == rj && oj < oi {
+            table(&runs[ri], false, i, oi - oj)
+        } else {
+            let mut acc = table(&runs[ri], false, i, oi);
+            let mut r = ri;
+            loop {
+                r = if r == 0 { runs.len() - 1 } else { r - 1 };
+                acc += shape.joints[r];
+                if r == rj {
+                    break tail(&runs[r], runs[r].len - 1 - oj, acc);
+                }
+                acc = tail(&runs[r], runs[r].len - 1, acc);
+            }
+        };
+        (f, b)
+    }
+}
+
+/// A refinement move of [`improve_cycle`], on base ring positions.
+#[derive(Debug, Clone, Copy)]
+enum Move {
+    /// The node at position `i` taken out and put back before the node
+    /// at position `j != i`.
+    Relocate(usize, usize),
+    /// Positions `i..=j`, `i < j`, reversed.
+    Reverse(usize, usize),
+}
+
+impl Move {
+    fn apply(self, order: &mut Vec<NodeId>) {
+        match self {
+            Move::Relocate(i, j) => {
+                let node = order.remove(i);
+                order.insert(if j > i { j - 1 } else { j }, node);
+            }
+            Move::Reverse(i, j) => order[i..=j].reverse(),
+        }
+    }
+}
+
+/// Nodes that follow each other on a trial ring and on the base ring.
+#[derive(Debug, Clone, Copy, Default)]
+struct Run {
+    /// Base position of the first node.
+    start: usize,
+    /// Node count.
+    len: usize,
+    /// Whether the run goes the base ring's way (else against it).
+    with: bool,
+}
+
+/// A relocation of base position `i` between `g` and `j` (`g + 1 = j`),
+/// for [`RingEval::relocated`]: the new segments `A = (g, i)` and
+/// `B = (i, j)`, what joining `i − 1` to `i + 1` saves, and what the detour
+/// through `i` adds to segment `g`.
+struct Relocation {
+    i: usize,
+    j: usize,
+    g: usize,
+    a: f64,
+    b: f64,
+    saved: f64,
+    detour: f64,
+}
+
+/// A refinement trial ring ([`RingEval::moved`]): its runs in trial
+/// order, and `joints[r]`, the segment from run `r`'s last node to the
+/// next run's first (for one run, back to its own first).
+struct Shape {
+    runs: [Run; 3],
+    count: usize,
+    joints: [f64; 3],
+}
+
+impl Shape {
+    /// The run of base position `p` on a ring of `l` positions, and its
+    /// offset in that run.
+    fn locate(&self, l: usize, p: usize) -> (usize, usize) {
+        for (r, run) in self.runs[..self.count].iter().enumerate() {
+            let o = if run.with {
+                steps(l, run.start, p)
+            } else {
+                steps(l, p, run.start)
+            };
+            if o < run.len {
+                return (r, o);
+            }
+        }
+        (0, 0)
+    }
+}
+
+/// Segments from position `from` forward to position `to` on a ring of
+/// `l` segments.
+fn steps(l: usize, from: usize, to: usize) -> usize {
+    if to >= from {
+        to - from
+    } else {
+        to + l - from
+    }
+}
+
+/// The position before `p` on a ring of `l` positions.
+fn prev(l: usize, p: usize) -> usize {
+    if p == 0 {
+        l - 1
+    } else {
+        p - 1
+    }
+}
+
+/// Adds `by` over the `len` segments from `from` onward (cyclically) of
+/// the difference array `diff`, one longer than the ring.
+fn cover(diff: &mut [isize], from: usize, len: usize, by: isize) {
+    let l = diff.len() - 1;
+    diff[from] += by;
+    if from + len <= l {
+        diff[from + len] -= by;
+    } else {
+        diff[0] += by;
+        diff[from + len - l] -= by;
+    }
+}
+
+/// The least and largest forward load over the `len` segments of a ring
+/// whose on-ring messages run between the positions `ends` (no message
+/// from a node to itself), with `diff` as scratch.
+fn load_range(
+    diff: &mut Vec<isize>,
+    len: usize,
+    ends: impl Iterator<Item = (usize, usize)>,
+) -> (isize, isize) {
+    diff.clear();
+    diff.resize(len, 0);
+    for (i, j) in ends {
+        // The forward path covers segments i..j (cyclically).
+        diff[i] += 1;
+        diff[j] -= 1;
+        diff[0] += isize::from(j < i);
+    }
+    let (mut low, mut high, mut load) = (isize::MAX, 0isize, 0isize);
+    for &step in diff.iter() {
+        load += step;
+        low = low.min(load);
+        high = high.max(load);
+    }
+    (low, high)
+}
+
+/// The longest path past which a refinement trial's proxy exceeds `cap +
+/// 1e-12` whichever direction wins ([`RingEval::score`]), for a ring whose
+/// congestion in either direction is at least `cong_lb`.
+fn abandon_above(cong_lb: usize, cap: f64) -> f64 {
+    10.0 * ((cap + 1e-12) * (1.0 + 1e-9) / cong_lb as f64).log10()
+}
+
+/// The refinement score of [`RingEval::score`] from the on-ring message
+/// count, the forward loads' `(low, high)` and the messages' `(forward,
+/// reverse)` lengths in message order; `None` once abandoned under `cap`.
+/// The reverse path of a message covers exactly the segments its forward
+/// path leaves out, so reverse loads are `on_ring` minus forward loads.
+fn rate(
+    on_ring: usize,
+    (low, high): (isize, isize),
+    paths: impl Iterator<Item = (f64, f64)>,
+    cap: f64,
+) -> Option<(f64, f64, f64)> {
+    let on_ring = on_ring as isize;
+    let cutoff = abandon_above(high.min(on_ring - low).max(1) as usize, cap);
+    let (mut fwd, mut rev) = (0.0f64, 0.0f64);
+    let (mut total_fwd, mut total_rev) = (0.0f64, 0.0f64);
+    for (f, r) in paths {
+        fwd = fwd.max(f);
+        rev = rev.max(r);
+        total_fwd += f;
+        total_rev += r;
+        if fwd.min(rev) > cutoff {
+            return None;
+        }
+    }
+    let reversed = rev < fwd - 1e-12;
+    let (longest, total) = if reversed {
+        (rev, total_rev)
+    } else {
+        (fwd, total_fwd)
+    };
+    let congestion = if reversed { on_ring - low } else { high };
+    let proxy = congestion.max(1) as f64 * 10f64.powf(longest / 10.0);
+    Some((proxy, longest, total))
 }
 
 /// The better direction of a ring for its on-ring messages' `(forward,
@@ -1600,20 +2393,23 @@ fn candidate_segments(
     out: &mut Vec<(f64, usize)>,
 ) {
     let len = order.len();
-    out.clear();
-    out.extend((0..len).map(|i| {
-        let (a, b) = (order[i], order[(i + 1) % len]);
-        (dist(a, x) + dist(x, b) - dist(a, b), i)
-    }));
-    // A total order (indices differ), so selecting the `k` smallest and
-    // sorting them gives what a full sort's first `k` would.
-    let rank = |p: &(f64, usize), q: &(f64, usize)| p.0.total_cmp(&q.0).then(p.1.cmp(&q.1));
     let k = k.max(1);
-    if len > k {
-        out.select_nth_unstable_by(k - 1, rank);
-        out.truncate(k);
+    out.clear();
+    // A total order (indices differ), so keeping the `k` smallest sorted as
+    // they come gives what a full sort's first `k` would.
+    let rank = |p: &(f64, usize), q: &(f64, usize)| p.0.total_cmp(&q.0).then(p.1.cmp(&q.1));
+    for i in 0..len {
+        let (a, b) = (order[i], order[if i + 1 == len { 0 } else { i + 1 }]);
+        let entry = (dist(a, x) + dist(x, b) - dist(a, b), i);
+        if out.len() == k {
+            if rank(&entry, &out[k - 1]).is_ge() {
+                continue;
+            }
+            out.pop();
+        }
+        let at = out.partition_point(|q| rank(q, &entry).is_lt());
+        out.insert(at, entry);
     }
-    out.sort_unstable_by(rank);
 }
 
 #[derive(Clone)]
@@ -1671,45 +2467,37 @@ fn improve_cycle(
         .ok_or(ClusterError::InvalidCycle(
             "refinement input cycle is not scorable",
         ))?;
-    let mut trial = Vec::with_capacity(n);
-    // A trial scored above `current.0 + 1e-12` fails `better`, so the
-    // evaluator may abandon it early.
-    let mut accept =
-        |trial: &mut Vec<NodeId>, order: &mut Vec<NodeId>, current: &mut (f64, f64, f64)| {
-            ev.load(trial);
-            match ev.score(messages, current.0) {
-                Some(s) if better(s, *current) => {
-                    std::mem::swap(order, trial);
-                    *current = s;
-                    true
-                }
-                _ => false,
-            }
-        };
+    // Trials are scored from the current order as a base, tabled again
+    // after each accepted move. A trial scored above `current.0 + 1e-12`
+    // fails `better`, so the evaluator may abandon it early.
     if n >= 4 {
+        ev.set_messages(messages);
+        ev.set_moves_base(&order);
+        let mut accept = |mv: Move, order: &mut Vec<NodeId>, current: &mut (f64, f64, f64)| match ev
+            .moved(mv, current.0)
+        {
+            Some(s) if better(s, *current) => {
+                mv.apply(order);
+                ev.set_moves_base(order);
+                *current = s;
+                true
+            }
+            _ => false,
+        };
         let mut improved = true;
         while improved {
             ctx.check_deadline()?;
             improved = false;
             for i in 0..n {
                 for j in 0..n {
-                    if j == i {
-                        continue;
+                    if j != i {
+                        improved |= accept(Move::Relocate(i, j), &mut order, &mut current);
                     }
-                    let node = order[i];
-                    trial.clear();
-                    trial.extend_from_slice(&order);
-                    trial.remove(i);
-                    trial.insert(if j > i { j - 1 } else { j }, node);
-                    improved |= accept(&mut trial, &mut order, &mut current);
                 }
             }
             for i in 0..n - 1 {
                 for j in i + 1..n {
-                    trial.clear();
-                    trial.extend_from_slice(&order);
-                    trial[i..=j].reverse();
-                    improved |= accept(&mut trial, &mut order, &mut current);
+                    improved |= accept(Move::Reverse(i, j), &mut order, &mut current);
                 }
             }
         }
@@ -1855,20 +2643,24 @@ fn absorb(
     let mut members = ring.clone();
     let (mut xs, mut segs) = (Vec::new(), Vec::new());
     let mut log = Replay::start(ev, key, l_max, exact);
+    // Replayed rounds leave no rankings behind.
+    ev.rank_fresh.fill(false);
     // Bounded: every round absorbs one node or ends the loop.
     while ring.len() < cap {
         let absorbed = match log.next(ev) {
             replayed @ Some(_) => replayed,
             None => {
+                ev.growth_rounds += 1;
                 ev.set_base(&ring);
                 xs.clear();
                 candidates(ev, &mut xs);
                 // Only the winner's ring is built.
                 let mut best: Option<(f64, usize, NodeId, usize, bool)> = None;
                 let mut round = Round::new(l_max);
+                ev.growth_candidates += xs.len() as u64;
                 for &x in &xs {
                     let aff = ev.candidate(x) * usize::from(intra);
-                    candidate_segments(&ring, x, &|a, b| ev.d(a, b), 8, &mut segs);
+                    ev.ranked_segments(&ring, x, &mut segs);
                     for &(_, seg) in &segs {
                         let Some((reversed, l)) = round.trial(ev, seg) else {
                             continue;
@@ -1896,6 +2688,11 @@ fn absorb(
         let Some((x, seg, reversed, l)) = absorbed else {
             break;
         };
+        if reversed {
+            ev.rank_fresh.fill(false);
+        } else {
+            ev.rank_absorbed(&ring, seg, x);
+        }
         members.push(x);
         ring.insert(seg + 1, x);
         if reversed {
@@ -2289,6 +3086,28 @@ mod tests {
     }
 
     #[test]
+    fn trial_counts_are_pinned() {
+        // `cluster/{refine_trials,growth_rounds,growth_candidates}` of a
+        // memo-backed run, as `sring-cli synth` clusters: how the
+        // evaluations split between refinement trials, computed growth
+        // rounds and the candidates tried in them. A change that keeps
+        // every trial keeps them.
+        let pinned = [
+            (benchmarks::Benchmark::Mwd, [1_779, 755, 1_914]),
+            (benchmarks::Benchmark::D26, [123_768, 17_273, 140_746]),
+        ];
+        for (b, want) in pinned {
+            let trace = onoc_trace::Trace::new();
+            let ctx = ExecCtx::cached().with_trace(trace.clone());
+            cluster_ctx(&b.graph(), &config(), &ctx).unwrap();
+            let report = trace.report();
+            let got = ["refine_trials", "growth_rounds", "growth_candidates"]
+                .map(|name| report.counter(&format!("cluster/{name}")).unwrap_or(0));
+            assert_eq!(got, want, "{b}");
+        }
+    }
+
+    #[test]
     fn candidate_segments_ranks_nan_detours_last_and_deterministically() {
         // Regression for the L2 bug class (clippy's `PartialOrd::partial_cmp`
         // entry): the detour sort uses `total_cmp`, so a NaN distance (e.g.
@@ -2640,6 +3459,82 @@ mod tests {
                 }
             }
 
+
+            #[test]
+            fn prop_refinement_trials_match_a_loaded_trial_bit_for_bit(
+                coords in proptest::collection::vec(-7.0f64..7.0, 2 * EVAL_NODES),
+                keys in proptest::collection::vec(0u64..1_000_000, EVAL_NODES),
+                len in 4usize..12,
+                pairs in proptest::collection::vec((0usize..64, 0usize..64), 0..24),
+                self_message in 0usize..8,
+            ) {
+                let mut builder = CommGraph::builder();
+                for (v, xy) in coords.chunks(2).enumerate() {
+                    builder = builder.node(format!("n{v}"), onoc_graph::Point::new(xy[0], xy[1]));
+                }
+                let g = builder.build().unwrap();
+                let mut nodes: Vec<NodeId> = g.node_ids().collect();
+                nodes.sort_by_key(|v| (keys[v.index()], *v));
+                // The base ring and two nodes off it: message ends are
+                // drawn from all of them, never equal; a self-message is
+                // added apart.
+                let ring = &nodes[..len];
+                let drawn = &nodes[..len + 2];
+                let m = drawn.len();
+                let mut messages: Vec<(NodeId, NodeId)> = pairs
+                    .iter()
+                    .map(|&(s, off)| (drawn[s % m], drawn[(s % m + 1 + off % (m - 1)) % m]))
+                    .collect();
+                match self_message {
+                    0 => messages.push((ring[len / 2], ring[len / 2])),
+                    1 => messages.push((drawn[len], drawn[len])),
+                    _ => {}
+                }
+
+                let mut ev = RingEval::new(&g);
+                let mut oracle = RingEval::new(&g);
+                ev.set_messages(&messages);
+                ev.set_moves_base(ring);
+                let bits = |s: Option<(f64, f64, f64)>| {
+                    s.map(|(p, l, t)| (p.to_bits(), l.to_bits(), t.to_bits()))
+                };
+                let relocations = (0..len).flat_map(|i| (0..len).map(move |j| (i, j)));
+                let relocations = relocations.filter(|(i, j)| i != j).map(|(i, j)| Move::Relocate(i, j));
+                let reversals = (0..len).flat_map(|i| (i + 1..len).map(move |j| Move::Reverse(i, j)));
+                for mv in relocations.chain(reversals) {
+                    let mut trial = ring.to_vec();
+                    mv.apply(&mut trial);
+                    oracle.load(&trial);
+                    let free = oracle.score(&messages, f64::INFINITY);
+                    // Caps on, just above and just below the exact proxy,
+                    // and where the abandonment cutoff meets each on-ring
+                    // message's own `min(fwd, rev)`, and the floats beside.
+                    let proxy = free.map_or(1.0, |f| f.0);
+                    let mut caps = vec![f64::INFINITY, proxy, proxy.next_up(), proxy.next_down()];
+                    if free.is_some() {
+                        let ends = oracle.msg_ends.clone();
+                        let loads = load_range(&mut oracle.diff, len, ends.iter().copied());
+                        let cong = loads.1.min(ends.len() as isize - loads.0).max(1) as f64;
+                        for &(i, j) in &ends {
+                            let least = oracle.forward(i, j).min(oracle.backward(i, j));
+                            let cap = cong * 10f64.powf(least / 10.0) / (1.0 + 1e-9) - 1e-12;
+                            caps.extend([cap, cap.next_up(), cap.next_down()]);
+                        }
+                    }
+                    for cap in caps {
+                        let (evals, cut) = (ev.evals, ev.cut);
+                        let got = ev.moved(mv, cap);
+                        let (oracle_evals, oracle_cut) = (oracle.evals, oracle.cut);
+                        oracle.load(&trial);
+                        let want = oracle.score(&messages, cap);
+                        prop_assert_eq!(bits(got), bits(want), "{:?} cap {}", mv, cap);
+                        prop_assert_eq!(
+                            (ev.evals - evals, ev.cut - cut),
+                            (oracle.evals - oracle_evals, oracle.cut - oracle_cut)
+                        );
+                    }
+                }
+            }
         }
 
         /// One memoized construction unit with inputs fixed independently

@@ -342,11 +342,34 @@ struct CacheEntry {
     last_used: u64,
 }
 
+/// Where an entry lives: its content key, then its stage name. Ordering by
+/// the key first means a lookup compares 128-bit keys on its way down the
+/// map and reads a stage name only at an entry with its own key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Slot {
+    key: ContentKey,
+    stage: &'static str,
+}
+
+impl Ord for Slot {
+    fn cmp(&self, other: &Slot) -> std::cmp::Ordering {
+        self.key
+            .cmp(&other.key)
+            .then_with(|| self.stage.cmp(other.stage))
+    }
+}
+
+impl PartialOrd for Slot {
+    fn partial_cmp(&self, other: &Slot) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
 struct CacheInner {
-    map: BTreeMap<(&'static str, ContentKey), CacheEntry>,
+    map: BTreeMap<Slot, CacheEntry>,
     /// Every entry of `map` under its `last_used` tick, so the LRU victim
     /// is the first entry here instead of the result of a scan.
-    by_use: BTreeMap<u64, (&'static str, ContentKey)>,
+    by_use: BTreeMap<u64, Slot>,
     tick: u64,
     // Counters live *inside* the lock-protected state, not in separate
     // atomics: a `stats` snapshot taken under the lock is then coherent
@@ -369,10 +392,32 @@ impl CacheInner {
         self.tick
     }
 
-    /// Removes `(stage, key)` from the map and the use index.
-    fn remove(&mut self, slot: (&'static str, ContentKey)) {
+    /// Removes `slot` from the map and the use index.
+    fn remove(&mut self, slot: Slot) {
         if let Some(entry) = self.map.remove(&slot) {
             self.by_use.remove(&entry.last_used);
+        }
+    }
+
+    /// Stores `value` at `slot` as its most recent use, evicting the least
+    /// recently used entries past `capacity`.
+    fn store(&mut self, slot: Slot, value: Artifact, capacity: usize) {
+        let tick = self.next_tick();
+        self.remove(slot);
+        self.map.insert(
+            slot,
+            CacheEntry {
+                value,
+                last_used: tick,
+            },
+        );
+        self.by_use.insert(tick, slot);
+        while self.map.len() > capacity {
+            let Some((_, victim)) = self.by_use.pop_first() else {
+                break;
+            };
+            self.map.remove(&victim);
+            self.evictions += 1;
         }
     }
 }
@@ -495,19 +540,20 @@ impl ArtifactCache {
         // (which also takes the lock) always sees hit/miss totals
         // consistent with the entry count.
         inner.gets += 1;
-        let Some(entry) = inner.map.get_mut(&(stage, key)) else {
+        let slot = Slot { key, stage };
+        let Some(entry) = inner.map.get_mut(&slot) else {
             inner.misses += 1;
             return Ok(Err(None));
         };
         let Some(value) = cast(entry.value.clone()) else {
-            inner.remove((stage, key));
+            inner.remove(slot);
             inner.misses += 1;
             inner.evictions += 1;
             return Ok(Err(None));
         };
         let used = std::mem::replace(&mut entry.last_used, tick);
         inner.by_use.remove(&used);
-        inner.by_use.insert(tick, (stage, key));
+        inner.by_use.insert(tick, slot);
         match select(&value) {
             Some(answer) => {
                 inner.hits += 1;
@@ -533,23 +579,51 @@ impl ArtifactCache {
         value: Artifact,
     ) -> Result<(), CacheError> {
         let mut inner = self.inner.lock().map_err(|_| CacheError::Poisoned)?;
-        let tick = inner.next_tick();
-        inner.remove((stage, key));
-        inner.map.insert(
-            (stage, key),
-            CacheEntry {
-                value,
-                last_used: tick,
-            },
-        );
-        inner.by_use.insert(tick, (stage, key));
-        while inner.map.len() > self.capacity {
-            let Some((_, victim)) = inner.by_use.pop_first() else {
-                break;
-            };
-            inner.map.remove(&victim);
-            inner.evictions += 1;
+        inner.store(Slot { key, stage }, value, self.capacity);
+        Ok(())
+    }
+
+    /// Appends `item` to the `Vec<E>` stored under `(stage, key)`, in
+    /// place when nothing else holds that list, and makes the entry the
+    /// most recently used, as storing the longer list with
+    /// [`insert`](Self::insert) would. With no entry, or one of another
+    /// type, it stores `vec![item]` the same way. The append happens under
+    /// the cache lock, so concurrent appends to one entry all land.
+    ///
+    /// # Errors
+    ///
+    /// [`CacheError::Poisoned`] when the cache lock was poisoned.
+    pub fn push_as<E: Clone + Send + Sync + 'static>(
+        &self,
+        stage: &'static str,
+        key: ContentKey,
+        item: E,
+    ) -> Result<(), CacheError> {
+        let mut inner = self.inner.lock().map_err(|_| CacheError::Poisoned)?;
+        let slot = Slot { key, stage };
+        let Some(entry) = inner.map.get_mut(&slot) else {
+            inner.store(slot, Arc::new(vec![item]), self.capacity);
+            return Ok(());
+        };
+        if let Some(list) = Arc::get_mut(&mut entry.value).and_then(|v| v.downcast_mut::<Vec<E>>())
+        {
+            list.push(item);
+        } else {
+            let mut list = entry
+                .value
+                .downcast_ref::<Vec<E>>()
+                .cloned()
+                .unwrap_or_default();
+            list.push(item);
+            entry.value = Arc::new(list);
         }
+        let used = entry.last_used;
+        let tick = inner.next_tick();
+        if let Some(entry) = inner.map.get_mut(&slot) {
+            entry.last_used = tick;
+        }
+        inner.by_use.remove(&used);
+        inner.by_use.insert(tick, slot);
         Ok(())
     }
 
@@ -938,6 +1012,20 @@ impl ExecCtx {
         arc
     }
 
+    /// Appends `item` to the `Vec<E>` memo entry under `(unit, key)` (see
+    /// [`ArtifactCache::push_as`]). Silent with a detached memo tier or a
+    /// poisoned lock, like [`ExecCtx::memo_put`].
+    pub fn memo_push<E: Clone + Send + Sync + 'static>(
+        &self,
+        unit: &'static str,
+        key: ContentKey,
+        item: E,
+    ) {
+        if let Some(memo) = &self.memo {
+            let _ = memo.push_as(unit, key, item);
+        }
+    }
+
     /// A stats snapshot of the attached cache, if any.
     #[must_use]
     pub fn cache_stats(&self) -> Option<CacheStats> {
@@ -1176,6 +1264,31 @@ mod tests {
                 assert_eq!(got.as_deref(), Some(&value));
             }
         }
+    }
+
+    #[test]
+    fn push_extends_a_list_and_touches_it_like_insert() {
+        let cache = ArtifactCache::new(2);
+        let key = |n: u64| ContentKey([n, n]);
+        cache.push_as("s", key(1), 1u32).unwrap();
+        cache.push_as("s", key(1), 2u32).unwrap();
+        // A list someone still holds is copied, and the holder's copy
+        // stays as it was.
+        let held = cache.get_as::<Vec<u32>>("s", key(1)).unwrap().unwrap();
+        cache.push_as("s", key(1), 3u32).unwrap();
+        assert_eq!(*held, [1, 2]);
+        // An entry of another type is replaced.
+        cache.insert("s", key(2), Arc::new("text")).unwrap();
+        cache.push_as("s", key(2), 9u32).unwrap();
+        // Pushing to 1 touches it, so 2 is the LRU victim of a third key.
+        cache.push_as("s", key(1), 4u32).unwrap();
+        cache.insert("s", key(3), Arc::new(0u32)).unwrap();
+        let list = cache.get_as::<Vec<u32>>("s", key(1)).unwrap();
+        assert_eq!(list.as_deref().map(Vec::as_slice), Some(&[1, 2, 3, 4][..]));
+        assert!(cache.get("s", key(2)).unwrap().is_none());
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.evictions), (2, 1));
+        assert_eq!((stats.hits, stats.misses), (2, 1), "pushes are not lookups");
     }
 
     #[test]
